@@ -1,6 +1,6 @@
-"""A lightweight per-module call graph for the concurrency rules.
+"""A lightweight per-module call resolver for the lock-order rule.
 
-The interprocedural reach of RPR007–009 is deliberately one hop: a rule
+The interprocedural reach of RPR008 is deliberately one hop: a rule
 looking at a call site may ask "what does the callee do directly?" but
 never chases transitive chains across modules.  That keeps the analysis
 decidable on plain ASTs (no imports are executed) and its findings
@@ -24,7 +24,7 @@ cannot see.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FunctionEntry", "ModuleCallGraph"]
 
@@ -39,12 +39,10 @@ class FunctionEntry:
     name: str
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: Qualnames of same-module functions this one calls directly.
-    callees: set[str] = field(default_factory=set)
 
 
 class ModuleCallGraph:
-    """Function table + direct same-module call edges for one parsed file."""
+    """Function table + same-module call resolution for one parsed file."""
 
     def __init__(self, tree: ast.Module):
         self.functions: dict[str, FunctionEntry] = {}
@@ -55,29 +53,12 @@ class ModuleCallGraph:
                 for item in node.body:
                     if isinstance(item, _FUNC_NODES):
                         self._add(item, class_name=node.name)
-        for entry in self.functions.values():
-            for call in self._direct_calls(entry.node):
-                callee = self.resolve_call(call, entry.class_name)
-                if callee is not None:
-                    entry.callees.add(callee.qualname)
 
     def _add(self, node, class_name: str | None) -> None:
         qualname = node.name if class_name is None else f"{class_name}.{node.name}"
         self.functions[qualname] = FunctionEntry(
             qualname=qualname, name=node.name, class_name=class_name, node=node
         )
-
-    @staticmethod
-    def _direct_calls(node: ast.AST):
-        """Call nodes in ``node``'s body, not descending into nested defs."""
-        stack = list(ast.iter_child_nodes(node))
-        while stack:
-            child = stack.pop()
-            if isinstance(child, (*_FUNC_NODES, ast.Lambda, ast.ClassDef)):
-                continue  # executes in a different dynamic context
-            if isinstance(child, ast.Call):
-                yield child
-            stack.extend(ast.iter_child_nodes(child))
 
     def resolve_call(
         self, call: ast.Call, class_name: str | None
@@ -94,6 +75,3 @@ class ModuleCallGraph:
         ):
             return self.functions.get(f"{class_name}.{func.attr}")
         return None
-
-    def lookup(self, qualname: str) -> FunctionEntry | None:
-        return self.functions.get(qualname)

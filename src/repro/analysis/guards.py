@@ -1,23 +1,22 @@
 """The declarative guard map and static lock-scope machinery.
 
 This module is the shared vocabulary of the concurrency rules
-(RPR007–RPR009) and the runtime checker (:mod:`repro.analysis.runtime`):
+(RPR007–RPR008) and the runtime checker (:mod:`repro.analysis.runtime`):
 
 * **Canonical lock names.**  Every lock the serving stack takes has one
-  process-wide name (``serve.state.rw``, ``serve.instrument``, ...).
+  process-wide name (``serve.state.writer``, ``serve.instrument``, ...).
   The static rules report edges between these names; the runtime
   checker's lock graph uses the same names, so a static finding and a
   runtime violation about the same inversion read identically.
 
-* **Guard map.**  :data:`CLASS_GUARDS` binds the mutable attributes of
-  ``ServerState`` / ``SuffStatsCache`` / ``CubeTableStore`` to the lock
-  that guards them; :data:`MODULE_GUARDS` does the same for the serve
-  instrument globals.  RPR007 enforces the map.
+* **Guard map.**  :data:`MODULE_GUARDS` binds the serve instrument
+  globals to the lock that guards them.  RPR007 enforces the map.  (The
+  serving state itself needs no entry: queries see it only through one
+  immutable snapshot.)
 
 * **Lock-scope classification.**  :func:`classify_lock_acquisition`
-  recognizes ``with self._rw.read():`` / ``.write():`` (shared vs
-  exclusive RW scopes) and ``with self._io_lock:`` / ``with
-  _INSTRUMENT_LOCK:`` (plain exclusive scopes) in a ``with`` item.
+  recognizes ``with self._io_lock:`` / ``with _INSTRUMENT_LOCK:`` — every
+  lock here is a plain mutex — in a ``with`` item.
 
 * **Lock-acquisition graph.**  :func:`extract_lock_edges` walks one
   file's functions and records every (held, acquired) pair — lexical
@@ -39,16 +38,12 @@ from .callgraph import ModuleCallGraph
 
 __all__ = [
     "AQP_JOURNAL_IO",
-    "CLASS_GUARDS",
     "CUBE_TABLES_IO",
-    "ClassGuard",
-    "LOCKED_SUFFIX",
     "LockGraph",
-    "LockScope",
     "MODULE_GUARDS",
     "ModuleGuard",
     "SERVE_INSTRUMENT",
-    "SERVE_STATE_RW",
+    "SERVE_STATE_WRITER",
     "SUFFSTATS_CACHE_IO",
     "build_lock_graph",
     "classify_lock_acquisition",
@@ -60,8 +55,8 @@ __all__ = [
 
 # ------------------------------------------------------ canonical lock names
 
-#: ``ServerState._rw`` — the writer-preferring RW lock over serving state.
-SERVE_STATE_RW = "serve.state.rw"
+#: ``ServerState._writer`` — serializes deltas, adoptions and cold builds.
+SERVE_STATE_WRITER = "serve.state.writer"
 #: ``repro.serve.state._INSTRUMENT_LOCK`` — guards the metrics registry.
 SERVE_INSTRUMENT = "serve.instrument"
 #: ``SuffStatsCache._io_lock`` — serializes cache save/load pairs.
@@ -71,12 +66,9 @@ CUBE_TABLES_IO = "storage.cubetables.io"
 #: ``WorkloadJournal._lock`` — serializes journal appends.
 AQP_JOURNAL_IO = "aqp.journal.io"
 
-#: Method-name suffix documenting the "caller holds the lock" contract.
-LOCKED_SUFFIX = "_locked"
-
 #: ``(class name, attribute)`` -> canonical lock name, for `with self.X:`.
 _LOCK_ATTR_NAMES: dict[tuple[str, str], str] = {
-    ("ServerState", "_rw"): SERVE_STATE_RW,
+    ("ServerState", "_writer"): SERVE_STATE_WRITER,
     ("SuffStatsCache", "_io_lock"): SUFFSTATS_CACHE_IO,
     ("CubeTableStore", "_io_lock"): CUBE_TABLES_IO,
     ("WorkloadJournal", "_lock"): AQP_JOURNAL_IO,
@@ -94,11 +86,9 @@ def _attr_lock_name(class_name: str | None, attr: str) -> str | None:
     known = _LOCK_ATTR_NAMES.get((class_name or "", attr))
     if known is not None:
         return known
-    if attr == "_rw":
-        # Any RW-protocol attribute outside the alias table is still a lock;
-        # name it by its owner so graph edges stay distinguishable.
-        return f"{class_name or '<module>'}.{attr}"
     if attr.endswith("lock"):
+        # A lock outside the alias table: name it by its owner so graph
+        # edges stay distinguishable.
         return f"{class_name or '<module>'}.{attr}"
     return None
 
@@ -113,47 +103,6 @@ def _global_lock_name(name: str) -> str | None:
 
 
 # ----------------------------------------------------------------- guard map
-
-
-@dataclass(frozen=True)
-class ClassGuard:
-    """One class whose mutable attributes are guarded by one lock.
-
-    ``rw=True`` means the lock speaks the ``read()``/``write()`` protocol
-    (reads need any scope, writes need a write scope); ``rw=False`` is a
-    plain exclusive lock (any scope grants both).
-    """
-
-    lock_attr: str
-    lock_name: str
-    rw: bool
-    guarded: frozenset[str]
-
-
-#: Class name -> its guard.  RPR007 checks every class with this name
-#: inside its scope; lock-attr classification keys off the same table.
-CLASS_GUARDS: dict[str, ClassGuard] = {
-    "ServerState": ClassGuard(
-        lock_attr="_rw",
-        lock_name=SERVE_STATE_RW,
-        rw=True,
-        guarded=frozenset(
-            {"_tables", "_tables_version", "_cube", "_cube_version", "_models"}
-        ),
-    ),
-    "SuffStatsCache": ClassGuard(
-        lock_attr="_io_lock",
-        lock_name=SUFFSTATS_CACHE_IO,
-        rw=False,
-        guarded=frozenset(),
-    ),
-    "CubeTableStore": ClassGuard(
-        lock_attr="_io_lock",
-        lock_name=CUBE_TABLES_IO,
-        rw=False,
-        guarded=frozenset(),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -192,63 +141,24 @@ MODULE_GUARDS: dict[str, ModuleGuard] = {
 # --------------------------------------------------- lock-scope classification
 
 
-@dataclass(frozen=True)
-class LockScope:
-    """One acquired lock scope: canonical name + access mode.
-
-    ``mode`` is ``"read"`` / ``"write"`` for the RW protocol and
-    ``"exclusive"`` for plain mutexes.
-    """
-
-    name: str
-    mode: str
-
-    @property
-    def grants_write(self) -> bool:
-        return self.mode in ("write", "exclusive")
-
-
 def classify_lock_acquisition(
     expr: ast.expr, class_name: str | None
-) -> LockScope | None:
-    """The lock scope a ``with`` item enters, or None for non-locks.
+) -> str | None:
+    """Canonical name of the lock a ``with`` item takes; None for non-locks.
 
     Recognized shapes::
 
-        with self._rw.read():      # LockScope(name, "read")
-        with self._rw.write():     # LockScope(name, "write")
-        with self._io_lock:        # LockScope(name, "exclusive")
-        with _INSTRUMENT_LOCK:     # LockScope(name, "exclusive")
+        with self._io_lock:        # instance lock
+        with _INSTRUMENT_LOCK:     # module-global lock
     """
-    # with self.<attr>.read() / .write() — RW protocol (args tolerated:
-    # the timeout variant is still the same scope).
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in ("read", "write")
-        and isinstance(expr.func.value, ast.Attribute)
-        and isinstance(expr.func.value.value, ast.Name)
-        and expr.func.value.value.id == "self"
-    ):
-        name = _attr_lock_name(class_name, expr.func.value.attr)
-        if name is not None:
-            return LockScope(name, expr.func.attr)
-        return None
-    # with self.<attr>: — plain instance lock.
     if (
         isinstance(expr, ast.Attribute)
         and isinstance(expr.value, ast.Name)
         and expr.value.id == "self"
     ):
-        name = _attr_lock_name(class_name, expr.attr)
-        if name is not None:
-            return LockScope(name, "exclusive")
-        return None
-    # with NAME: — module-global lock.
+        return _attr_lock_name(class_name, expr.attr)
     if isinstance(expr, ast.Name):
-        name = _global_lock_name(expr.id)
-        if name is not None:
-            return LockScope(name, "exclusive")
+        return _global_lock_name(expr.id)
     return None
 
 
@@ -279,9 +189,9 @@ def function_lock_acquisitions(
             continue
         if isinstance(child, ast.With):
             for item in child.items:
-                scope = classify_lock_acquisition(item.context_expr, class_name)
-                if scope is not None:
-                    acquired.add(scope.name)
+                name = classify_lock_acquisition(item.context_expr, class_name)
+                if name is not None:
+                    acquired.add(name)
         stack.extend(ast.iter_child_nodes(child))
     return acquired
 
@@ -326,21 +236,21 @@ def extract_lock_edges(tree: ast.Module, relpath: str) -> LockGraph:
         for entry in cg.functions.values()
     }
 
-    def walk(node: ast.AST, held: list[LockScope], class_name: str | None):
+    def walk(node: ast.AST, held: list[str], class_name: str | None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, _SKIP_NODES):
                 continue
             if isinstance(child, ast.With):
-                entered: list[LockScope] = []
+                entered: list[str] = []
                 for item in child.items:
-                    scope = classify_lock_acquisition(
+                    name = classify_lock_acquisition(
                         item.context_expr, class_name
                     )
-                    if scope is None:
+                    if name is None:
                         continue
                     for h in held + entered:
-                        graph.add(h.name, scope.name, (relpath, child.lineno))
-                    entered.append(scope)
+                        graph.add(h, name, (relpath, child.lineno))
+                    entered.append(name)
                 walk(child, held + entered, class_name)
                 continue
             if isinstance(child, ast.Call) and held:
@@ -348,9 +258,7 @@ def extract_lock_edges(tree: ast.Module, relpath: str) -> LockGraph:
                 if entry is not None:
                     for acquired in acq_index.get(entry.qualname, ()):
                         for h in held:
-                            graph.add(
-                                h.name, acquired, (relpath, child.lineno)
-                            )
+                            graph.add(h, acquired, (relpath, child.lineno))
             walk(child, held, class_name)
 
     for node, class_name in iter_lock_functions(tree):

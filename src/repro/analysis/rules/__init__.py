@@ -9,16 +9,16 @@ Rule        Contract                                               Guards
 ``RPR004``  executor-submitted work is fork-safe                   exec layer
 ``RPR005``  suffstats are values outside :mod:`repro.ml`           Theorem 1
 ``RPR006``  no swallowed catch-alls; raise ``repro`` types         API surface
-``RPR007``  guarded attributes touched only under their lock       serve §9
+``RPR007``  serve instrument globals touched only under their lock serve §9
 ``RPR008``  lock pairs acquired in one consistent order            serve §9
-``RPR009``  no blocking calls inside a ``write()`` scope           serve p99
 ``RPR010``  storage writes are atomic (tmp + ``os.replace``)       durability
 ==========  ====================================================== ==========
 
-RPR007–009 share the interprocedural machinery of
-:mod:`repro.analysis.guards` / :mod:`repro.analysis.callgraph`; their
-dynamic twin is the opt-in runtime checker
-(:mod:`repro.analysis.runtime`).
+RPR007–008 share the lock vocabulary of :mod:`repro.analysis.guards`
+(RPR008 also its one-hop :mod:`repro.analysis.callgraph`); their dynamic
+twin is the opt-in runtime checker (:mod:`repro.analysis.runtime`).
+There is no RPR009: it policed the serve write lock, which no longer
+exists.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .lock_order import LockOrderRule
 from .scan_accounting import ScanAccountingRule
 from .seed_discipline import SeedDisciplineRule
 from .suffstats_purity import SuffStatsPurityRule
-from .write_lock_blocking import WriteLockBlockingRule
 
 __all__ = [
     "ALL_RULES",
@@ -46,7 +45,6 @@ __all__ = [
     "ScanAccountingRule",
     "SeedDisciplineRule",
     "SuffStatsPurityRule",
-    "WriteLockBlockingRule",
     "get_rules",
 ]
 
@@ -60,7 +58,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ExceptionDisciplineRule(),
     GuardedFieldsRule(),
     LockOrderRule(),
-    WriteLockBlockingRule(),
     AtomicWritesRule(),
 )
 

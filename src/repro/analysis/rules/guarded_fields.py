@@ -1,26 +1,16 @@
-"""RPR007 — guarded fields are touched only under their guarding lock.
+"""RPR007 — guarded module globals are touched only under their lock.
 
-The serve layer's consistency contract (DESIGN §9) hangs on a simple
-discipline: ``ServerState``'s cached tables/cube/models move only under
-the write lock, are read only under some lock, and the serve instrument
-globals are touched only under ``_INSTRUMENT_LOCK`` (the metrics registry
-is single-threaded by design).  The discipline lives in
-:data:`repro.analysis.guards.CLASS_GUARDS` / ``MODULE_GUARDS``; this rule
-makes it checkable:
+The :mod:`repro.obs` metrics registry is single-threaded by design (plain
+``+=`` counters); the query service is its one multi-threaded client, so
+every serve instrument global is touched only inside ``with
+_INSTRUMENT_LOCK:``.  The binding lives in
+:data:`repro.analysis.guards.MODULE_GUARDS`; this rule makes it
+checkable: any reference to a guarded global from a function body
+outside a scope of its lock is a finding.
 
-* a read of a guarded attribute needs *some* scope of the guard lock, a
-  write (assignment, ``del``, subscript store, mutating method call)
-  needs a ``write()`` scope;
-* ``self.m_locked()`` — the "caller holds the lock" naming contract —
-  may only be called inside a lock scope or from another ``*_locked``
-  method (the one-hop discipline);
-* calling a lock-*acquiring* method of the same class from inside a lock
-  scope is flagged: the RW lock is neither reentrant nor upgradable, so
-  that call is a self-deadlock.
-
-``__init__`` (pre-publication: no other thread can see the object) and
-``*_locked`` methods (their callers hold the lock; the runtime checker's
-``assert_holds_*`` verifies them dynamically) are exempt.
+The serving state proper needs no such rule — queries reach it only
+through one immutable published snapshot (DESIGN §9), so there is no
+guarded field left to police.
 """
 
 from __future__ import annotations
@@ -28,31 +18,17 @@ from __future__ import annotations
 import ast
 
 from ..engine import FileContext, Finding, Rule, Scope
-from ..guards import (
-    CLASS_GUARDS,
-    LOCKED_SUFFIX,
-    MODULE_GUARDS,
-    ClassGuard,
-    ModuleGuard,
-    classify_lock_acquisition,
-    function_lock_acquisitions,
-)
+from ..guards import MODULE_GUARDS, ModuleGuard, classify_lock_acquisition
 
 __all__ = ["GuardedFieldsRule"]
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SKIP_NODES = (*_FUNC_NODES, ast.Lambda, ast.ClassDef)
 
-#: Method calls that mutate the receiver in place.
-_MUTATORS = {
-    "clear", "pop", "popitem", "update", "setdefault", "append", "extend",
-    "insert", "remove", "add", "discard",
-}
-
 
 class GuardedFieldsRule(Rule):
     rule_id = "RPR007"
-    title = "guarded attributes are accessed only under their lock"
+    title = "guarded module globals are accessed only under their lock"
     default_scope = Scope(
         include=("src/repro",),
         # The analysis package implements the checking machinery itself.
@@ -63,267 +39,42 @@ class GuardedFieldsRule(Rule):
         raise NotImplementedError("RPR007 overrides check()")
 
     def check(self, ctx: FileContext, engine) -> list[Finding]:
+        guard = MODULE_GUARDS.get(ctx.relpath)
+        if guard is None:
+            return []
         findings: list[Finding] = []
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name in CLASS_GUARDS:
-                _ClassChecker(
-                    self, ctx, CLASS_GUARDS[node.name], node, findings
-                ).run()
-        module_guard = MODULE_GUARDS.get(ctx.relpath)
-        if module_guard is not None:
-            _ModuleChecker(self, ctx, module_guard, findings).run()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, _FUNC_NODES):
+                self._check_function(ctx, guard, node, findings)
         return findings
 
-
-class _ClassChecker:
-    """Checks one guarded class, method by method."""
-
-    def __init__(
-        self,
-        rule: Rule,
-        ctx: FileContext,
-        guard: ClassGuard,
-        node: ast.ClassDef,
-        findings: list[Finding],
-    ):
-        self.rule = rule
-        self.ctx = ctx
-        self.guard = guard
-        self.node = node
-        self.findings = findings
-        self.class_name = node.name
-        #: Methods whose own body acquires the guard lock — calling one
-        #: while holding the lock deadlocks (non-reentrant).
-        self.acquiring = {
-            m.name
-            for m in node.body
-            if isinstance(m, _FUNC_NODES)
-            and guard.lock_name
-            in function_lock_acquisitions(m, node.name)
-        }
-
-    def run(self) -> None:
-        for method in self.node.body:
-            if not isinstance(method, _FUNC_NODES):
-                continue
-            if method.name == "__init__" or method.name.endswith(LOCKED_SUFFIX):
-                continue
-            self._depth_any = 0
-            self._depth_write = 0
-            self._handled: set[int] = set()
-            self._walk_body(method.body)
-
-    # --------------------------------------------------------------- walking
-
-    def _walk_body(self, stmts) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt)
-
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, _SKIP_NODES):
-            return
-        if isinstance(stmt, ast.With):
-            delta_any = delta_write = 0
-            for item in stmt.items:
-                scope = classify_lock_acquisition(
-                    item.context_expr, self.class_name
-                )
-                if scope is not None and scope.name == self.guard.lock_name:
-                    delta_any += 1
-                    if scope.grants_write:
-                        delta_write += 1
-            self._depth_any += delta_any
-            self._depth_write += delta_write
-            self._walk_body(stmt.body)
-            self._depth_any -= delta_any
-            self._depth_write -= delta_write
-            return
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                self._check_store(target)
-            self._visit_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._check_store(stmt.target)
-            self._visit_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.AnnAssign):
-            self._check_store(stmt.target)
-            if stmt.value is not None:
-                self._visit_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._check_store(target)
-            return
-        # Generic statement: visit nested statements + expressions.
-        self._walk_generic(stmt)
-
-    def _walk_generic(self, node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt):
-                self._walk_stmt(child)
-            elif isinstance(child, ast.expr):
-                self._visit_expr(child)
-            else:
-                # ExceptHandler, withitem, keyword, ... — recurse through.
-                self._walk_generic(child)
-
-    def _check_store(self, target: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._check_store(element)
-            return
-        attr = self._guarded_attr(target)
-        if attr is None and isinstance(target, ast.Subscript):
-            attr = self._guarded_attr(target.value)
-            self._visit_expr(target.slice)
-        if attr is not None:
-            self._handled.add(id(target))
-            self._report_write(target, attr)
-            return
-        self._visit_expr(target)
-
-    def _visit_expr(self, expr: ast.expr) -> None:
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _SKIP_NODES) or id(node) in self._handled:
-                continue
-            if isinstance(node, ast.Call):
-                self._check_call(node)
-            elif isinstance(node, ast.Attribute):
-                attr = self._guarded_attr(node)
-                if attr is not None:
-                    self._handled.add(id(node))
-                    self._report_read(node, attr)
-                    continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_call(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        # self.<guarded>.clear() and friends mutate under the hood.
-        attr = self._guarded_attr(func.value)
-        if attr is not None and func.attr in _MUTATORS:
-            self._handled.add(id(func.value))
-            self._report_write(node, attr)
-            return
-        if not (isinstance(func.value, ast.Name) and func.value.id == "self"):
-            return
-        method = func.attr
-        if method.endswith(LOCKED_SUFFIX) and self._depth_any == 0:
-            self._add(
-                node,
-                f"call to {self.class_name}.{method} (contract: "
-                f"{self.guard.lock_name} held) outside any lock scope",
-            )
-        elif method in self.acquiring and self._depth_any > 0:
-            self._add(
-                node,
-                f"call to {self.class_name}.{method} acquires "
-                f"{self.guard.lock_name} while it is already held — the "
-                "lock is not reentrant; this deadlocks",
-            )
-
-    # --------------------------------------------------------------- helpers
-
-    def _guarded_attr(self, node: ast.expr) -> str | None:
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr in self.guard.guarded
-        ):
-            return node.attr
-        return None
-
-    def _report_read(self, node: ast.AST, attr: str) -> None:
-        if self._depth_any == 0:
-            self._add(
-                node,
-                f"read of {self.class_name}.{attr} guarded by "
-                f"{self.guard.lock_name} outside any lock scope",
-            )
-
-    def _report_write(self, node: ast.AST, attr: str) -> None:
-        if not self.guard.rw:
-            if self._depth_any == 0:
-                self._add(
-                    node,
-                    f"write to {self.class_name}.{attr} guarded by "
-                    f"{self.guard.lock_name} outside the lock",
-                )
-            return
-        if self._depth_write == 0:
-            where = (
-                "under the read lock (needs a write() scope)"
-                if self._depth_any > 0
-                else "outside any lock scope"
-            )
-            self._add(
-                node,
-                f"write to {self.class_name}.{attr} guarded by "
-                f"{self.guard.lock_name} {where}",
-            )
-
-    def _add(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            self.ctx.finding(node, self.rule.rule_id, message)
-        )
-
-
-class _ModuleChecker:
-    """Checks a module guard: globals behind a module-level lock."""
-
-    def __init__(
-        self,
-        rule: Rule,
-        ctx: FileContext,
-        guard: ModuleGuard,
-        findings: list[Finding],
-    ):
-        self.rule = rule
-        self.ctx = ctx
-        self.guard = guard
-        self.findings = findings
-
-    def run(self) -> None:
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, _FUNC_NODES):
-                self._check_function(node)
-
-    def _check_function(self, fn) -> None:
+    def _check_function(
+        self, ctx: FileContext, guard: ModuleGuard, fn, findings: list[Finding]
+    ) -> None:
         def walk(node: ast.AST, depth: int) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, _SKIP_NODES):
                     continue
                 if isinstance(child, ast.With):
-                    delta = 0
-                    for item in child.items:
-                        scope = classify_lock_acquisition(
-                            item.context_expr, None
-                        )
-                        if (
-                            scope is not None
-                            and scope.name == self.guard.lock_name
-                        ):
-                            delta += 1
+                    delta = sum(
+                        classify_lock_acquisition(item.context_expr, None)
+                        == guard.lock_name
+                        for item in child.items
+                    )
                     walk(child, depth + delta)
                     continue
                 if (
                     isinstance(child, ast.Name)
-                    and child.id in self.guard.guarded
+                    and child.id in guard.guarded
                     and depth == 0
                 ):
-                    self.findings.append(
-                        self.ctx.finding(
+                    findings.append(
+                        ctx.finding(
                             child,
-                            self.rule.rule_id,
+                            self.rule_id,
                             f"serve instrument {child.id} guarded by "
-                            f"{self.guard.lock_name} touched outside "
-                            f"{self.guard.lock_global}",
+                            f"{guard.lock_name} touched outside "
+                            f"{guard.lock_global}",
                         )
                     )
                     continue

@@ -1,14 +1,13 @@
 """Runtime lock-order and lock-discipline checking for the serve stack.
 
-The static rules (RPR007–RPR009) see lexical scopes and one call hop;
+The static rules (RPR007–RPR008) see lexical scopes and one call hop;
 this module covers the rest at runtime, cheaply enough to leave compiled
 into the hot path:
 
-* Every instrumented lock (the serve :class:`~repro.serve.locks.RWLock`,
-  plus the :class:`TrackedLock` wrappers around the instrument / cache /
-  journal mutexes) reports ``acquiring`` / ``acquired`` / ``released``
-  through the module-level hooks below.  When no checker is installed the
-  hooks are a global read and a ``None`` test — nothing else.
+* Every instrumented lock (a :class:`TrackedLock` around the serve writer
+  / instrument / cache / journal mutexes) reports ``acquiring`` /
+  ``acquired`` / ``released`` to the installed checker.  When none is
+  installed that is a global read and a ``None`` test — nothing else.
 
 * :func:`enable_lockcheck` installs a process-wide :class:`LockChecker`:
   per-thread held-lock stacks, an online lock-acquisition graph with
@@ -16,10 +15,6 @@ into the hot path:
   checks.  ``acquiring`` runs *before* the lock blocks, so in strict
   mode an inversion raises :class:`LockOrderError` deterministically
   instead of deadlocking the repro.
-
-* :func:`assert_holds_read` / :func:`assert_holds_write` make the
-  ``*_locked`` method contract executable: ``ServerState`` hot paths
-  assert the RW lock is genuinely held whenever the checker is on.
 
 Counters land in the :mod:`repro.obs` registry under ``analysis.lock.*``
 (incremented under the checker's own mutex — the registry itself is
@@ -37,7 +32,6 @@ from pathlib import Path
 from repro.exceptions import ReproError
 from repro.obs.catalog import (
     ANALYSIS_LOCK_ACQUISITIONS,
-    ANALYSIS_LOCK_ASSERTS,
     ANALYSIS_LOCK_EDGES,
     ANALYSIS_LOCK_VIOLATIONS,
 )
@@ -47,36 +41,29 @@ from .guards import (
     AQP_JOURNAL_IO,
     CUBE_TABLES_IO,
     SERVE_INSTRUMENT,
-    SERVE_STATE_RW,
+    SERVE_STATE_WRITER,
     SUFFSTATS_CACHE_IO,
 )
 
 __all__ = [
     "AQP_JOURNAL_IO",
     "CUBE_TABLES_IO",
-    "LockAssertionError",
     "LockCheckError",
     "LockChecker",
     "LockOrderError",
     "SERVE_INSTRUMENT",
-    "SERVE_STATE_RW",
+    "SERVE_STATE_WRITER",
     "SUFFSTATS_CACHE_IO",
     "TrackedLock",
-    "assert_holds_read",
-    "assert_holds_write",
     "disable_lockcheck",
     "enable_lockcheck",
     "get_lockchecker",
-    "lock_acquired",
-    "lock_acquiring",
-    "lock_released",
     "set_lockchecker",
 ]
 
 _REGISTRY = get_registry()
 _ACQUISITIONS = _REGISTRY.counter(ANALYSIS_LOCK_ACQUISITIONS)
 _EDGES = _REGISTRY.counter(ANALYSIS_LOCK_EDGES)
-_ASSERTS = _REGISTRY.counter(ANALYSIS_LOCK_ASSERTS)
 _VIOLATIONS = _REGISTRY.counter(ANALYSIS_LOCK_VIOLATIONS)
 
 
@@ -86,16 +73,6 @@ class LockCheckError(ReproError):
 
 class LockOrderError(LockCheckError):
     """Acquiring this lock would close a cycle in the acquisition graph."""
-
-
-class LockAssertionError(LockCheckError):
-    """A ``*_locked`` code path ran without the lock it documents."""
-
-
-#: Modes that satisfy a "holds for reading" assertion.
-_READ_MODES = ("read", "write", "exclusive")
-#: Modes that satisfy a "holds for writing" assertion.
-_WRITE_MODES = ("write", "exclusive")
 
 
 class LockChecker:
@@ -120,53 +97,47 @@ class LockChecker:
 
     # ------------------------------------------------------- per-thread state
 
-    def _held(self) -> list[tuple[str, str]]:
+    def _held(self) -> list[str]:
+        """Names of the locks the calling thread holds, oldest first."""
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = self._tls.stack = []
         return stack
 
-    def held_modes(self, name: str) -> list[str]:
-        """Modes under which the calling thread holds ``name`` right now."""
-        return [mode for held, mode in self._held() if held == name]
-
     # ------------------------------------------------------------------ hooks
 
-    def acquiring(self, name: str, mode: str, reentrant: bool = False) -> None:
+    def acquiring(self, name: str, reentrant: bool = False) -> None:
         """Called before blocking on ``name``; raises rather than deadlocks."""
         held = self._held()
         violation: dict | None = None
         with self._mu:
             _ACQUISITIONS.inc()
-            if any(h == name for h, _ in held) and not reentrant:
+            if name in held and not reentrant:
                 violation = {
                     "kind": "reacquire",
                     "lock": name,
-                    "mode": mode,
-                    "held": [h for h, _ in held],
+                    "held": list(held),
                     "detail": (
                         f"thread already holds non-reentrant lock {name!r} "
-                        f"(held stack: {[h for h, _ in held]}); re-acquiring "
-                        "would deadlock (the RW lock is not upgradable)"
+                        f"(held stack: {held}); re-acquiring would deadlock"
                     ),
                 }
             else:
                 cycle_via = self._reaches_locked(
-                    name, {h for h, _ in held if h != name}
+                    name, {h for h in held if h != name}
                 )
                 if cycle_via is not None:
                     violation = {
                         "kind": "order",
                         "lock": name,
-                        "mode": mode,
-                        "held": [h for h, _ in held],
+                        "held": list(held),
                         "detail": (
                             f"acquiring {name!r} while holding {cycle_via!r} "
                             f"closes a cycle: the graph already orders "
                             f"{name!r} before {cycle_via!r}"
                         ),
                     }
-                for h, _ in held:
+                for h in held:
                     if h == name:
                         continue
                     edge = (h, name)
@@ -201,38 +172,15 @@ class LockChecker:
                     stack.append(nxt)
         return None
 
-    def acquired(self, name: str, mode: str) -> None:
-        self._held().append((name, mode))
+    def acquired(self, name: str) -> None:
+        self._held().append(name)
 
     def released(self, name: str) -> None:
         held = self._held()
         for i in range(len(held) - 1, -1, -1):
-            if held[i][0] == name:
+            if held[i] == name:
                 del held[i]
                 return
-
-    # ------------------------------------------------------------- assertions
-
-    def assert_holds(self, name: str, modes: tuple[str, ...], want: str) -> None:
-        with self._mu:
-            _ASSERTS.inc()
-        held = self.held_modes(name)
-        if any(mode in modes for mode in held):
-            return
-        detail = (
-            f"code path documents '{want} lock held' on {name!r} but this "
-            f"thread holds {held or 'nothing'} (wanted one of {list(modes)})"
-        )
-        with self._mu:
-            key = ("assert", name, want)
-            if key not in self._seen_violations:
-                self._seen_violations.add(key)
-                self._violations.append(
-                    {"kind": "assert", "lock": name, "mode": want,
-                     "held": held, "detail": detail}
-                )
-                _VIOLATIONS.inc()
-        raise LockAssertionError(detail)
 
     # -------------------------------------------------------------- reporting
 
@@ -259,7 +207,7 @@ class LockChecker:
             return [dict(v) for v in self._violations]
 
 
-# ------------------------------------------------------------- module hooks
+# -------------------------------------------------------- process-wide checker
 
 _CHECKER: LockChecker | None = None
 
@@ -286,38 +234,6 @@ def set_lockchecker(checker: LockChecker | None) -> None:
     _CHECKER = checker
 
 
-def lock_acquiring(name: str, mode: str, reentrant: bool = False) -> None:
-    checker = _CHECKER
-    if checker is not None:
-        checker.acquiring(name, mode, reentrant)
-
-
-def lock_acquired(name: str, mode: str) -> None:
-    checker = _CHECKER
-    if checker is not None:
-        checker.acquired(name, mode)
-
-
-def lock_released(name: str) -> None:
-    checker = _CHECKER
-    if checker is not None:
-        checker.released(name)
-
-
-def assert_holds_read(name: str) -> None:
-    """Assert the calling thread holds ``name`` at least for reading."""
-    checker = _CHECKER
-    if checker is not None:
-        checker.assert_holds(name, _READ_MODES, "read")
-
-
-def assert_holds_write(name: str) -> None:
-    """Assert the calling thread holds ``name`` exclusively."""
-    checker = _CHECKER
-    if checker is not None:
-        checker.assert_holds(name, _WRITE_MODES, "write")
-
-
 class TrackedLock:
     """A mutex that reports to the checker; drop-in for ``threading.Lock``.
 
@@ -332,15 +248,23 @@ class TrackedLock:
         self._inner = threading.RLock() if reentrant else threading.Lock()
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        lock_acquiring(self.name, "exclusive", self._reentrant)
+        checker = _CHECKER
+        if checker is not None:
+            checker.acquiring(self.name, self._reentrant)
         ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            lock_acquired(self.name, "exclusive")
+        if ok and checker is not None:
+            checker.acquired(self.name)
         return ok
 
     def release(self) -> None:
         self._inner.release()
-        lock_released(self.name)
+        checker = _CHECKER
+        if checker is not None:
+            checker.released(self.name)
+
+    def locked(self) -> bool:
+        """Is the mutex held right now, by any thread?  (non-reentrant only)"""
+        return self._inner.locked()
 
     def __enter__(self) -> "TrackedLock":
         self.acquire()

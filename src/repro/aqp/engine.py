@@ -2,9 +2,9 @@
 
 One :class:`AqpEngine` lives inside a :class:`~repro.serve.ServerState`.
 It owns the workload journal and the current :class:`SurfaceModel`, but it
-is **not** internally synchronized for model access — the server holds its
-read lock while answering and its write lock while retraining, so the
-model reference swap is as safe as every other piece of serving state.
+is **not** internally synchronized for model access — the server retrains
+under its writer mutex, the swap is one reference assignment of an
+immutable model, and each query loads that reference once.
 What the engine does guard (with the serve layer's instrument lock, passed
 in) is the metrics registry, which is single-threaded by design.
 
@@ -12,7 +12,7 @@ Drift has two faces here:
 
 * **version drift** — the store moved past the model's trained version
   (an ``apply_delta``); detected per query, answered exactly, and repaired
-  by the server retraining behind the write lock;
+  by the server retraining under its writer mutex;
 * **workload drift** — recent queries keep missing the trained key set;
   detected by a windowed miss-rate and surfaced via
   :attr:`drift_detected`, the adaptive-retraining trigger of Savva et
@@ -128,7 +128,7 @@ class AqpEngine:
         return model
 
     def try_answer_bellwether(self, store_version: int, budget, ids, tolerance):
-        """Surface answer or :class:`ApproxMiss` (caller holds the read lock)."""
+        """Surface answer or :class:`ApproxMiss`."""
         self._note_query()
         model = self._gate(store_version)
         answer = model.answer_bellwether(budget, ids, tolerance)
@@ -136,7 +136,7 @@ class AqpEngine:
         return model, answer
 
     def try_answer_predict(self, store_version: int, ids, budget, region_key):
-        """Artifact answer or :class:`ApproxMiss` (caller holds the read lock)."""
+        """Artifact answer or :class:`ApproxMiss`."""
         self._note_query()
         model = self._gate(store_version)
         payload = model.answer_predict(ids, budget, region_key)
@@ -153,7 +153,7 @@ class AqpEngine:
         predict_fn=None,
         drift: bool = False,
     ) -> SurfaceModel:
-        """(Re)train from the journal.  Caller holds the write lock.
+        """(Re)train from the journal.  Caller holds the server's writer mutex.
 
         A journal read failure flips degraded mode (exact-only serving)
         and re-raises the :class:`~repro.storage.StorageError`.

@@ -83,7 +83,7 @@ class AqpConfig:
     u0: float = 0.05           # unseen-mass prior, decays as 1/(1 + n_key)
     quantization: int = 8      # feature grid resolution
     seed: int = 0              # provenance stamp; training is deterministic
-    auto_retrain: bool = True  # retrain behind the write lock on drift
+    auto_retrain: bool = True  # retrain under the writer mutex on drift
     drift_window: int = 16     # recent queries considered by the detector
     drift_threshold: float = 0.5  # miss-rate above which drift is declared
 

@@ -13,8 +13,9 @@ produced.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -96,6 +97,29 @@ class BasicBellwetherResult:
         return float(np.mean([r.rmse for r in self.feasible]))
 
 
+def select_bellwether(
+    evaluated: Sequence[RegionResult], criterion: Criterion
+) -> BasicBellwetherResult:
+    """The pure selection step: minimum objective among admitted regions.
+
+    Touches nothing but its arguments, so a caller holding an evaluated
+    profile (e.g. the query service's published snapshot) can answer any
+    budget from it without a search object or a store.
+    """
+    feasible = tuple(
+        r for r in evaluated if criterion.admits(r.cost, r.coverage)
+    )
+    best = (
+        min(
+            feasible,
+            key=lambda r: criterion.objective(r.rmse, r.cost, r.coverage),
+        )
+        if feasible
+        else None
+    )
+    return BasicBellwetherResult(best, feasible, criterion)
+
+
 class BasicBellwetherSearch:
     """Scan-once, query-many basic bellwether search.
 
@@ -137,27 +161,25 @@ class BasicBellwetherSearch:
         # asks the store what changed since then.
         self._profile_version: int = store.version
 
-    # --------------------------------------------------------------- warmth
-
-    @property
-    def profile_version(self) -> int:
-        """Store version the cached all-items profile was evaluated at."""
-        return self._profile_version
+    # --------------------------------------------------------- cached state
 
     @property
     def costs(self) -> dict:
         """Per-region evaluation costs as currently known (a copy)."""
         return dict(self._costs)
 
-    def has_profile(self, item_ids: Sequence | None = None) -> bool:
-        """Is a profile cached for this item restriction (``None`` = all)?
+    @property
+    def profiles(self) -> Mapping[frozenset | None, Sequence[RegionResult]]:
+        """A read-only copy of every cached profile, keyed like the cache.
 
-        Lets callers (e.g. the query service) distinguish the warm path —
-        :meth:`evaluate_all` returning a cached list without touching the
-        store — from a cold evaluation, without triggering either.
+        Keys are ``frozenset(item_ids)`` (``None`` = all items); a key's
+        presence is the warm path — :meth:`evaluate_all` would return the
+        cached list without touching the store.  The per-key sequences
+        are the cached objects themselves — a profile is replaced, never
+        edited in place — so successive copies share them, and later
+        evaluations or refreshes never show through.
         """
-        key = frozenset(item_ids) if item_ids is not None else None
-        return key in self._profile
+        return MappingProxyType(dict(self._profile))
 
     # -------------------------------------------------------------- evaluate
 
@@ -394,19 +416,7 @@ class BasicBellwetherSearch:
             else self.task.criterion.with_budget(budget)
         )
         with _TRACER.span("search.run", budget=budget):
-            evaluated = self.evaluate_all(item_ids)
-            feasible = tuple(
-                r for r in evaluated if criterion.admits(r.cost, r.coverage)
-            )
-        best = (
-            min(
-                feasible,
-                key=lambda r: criterion.objective(r.rmse, r.cost, r.coverage),
-            )
-            if feasible
-            else None
-        )
-        return BasicBellwetherResult(best, feasible, criterion)
+            return select_bellwether(self.evaluate_all(item_ids), criterion)
 
     def sweep(
         self,

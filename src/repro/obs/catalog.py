@@ -121,12 +121,11 @@ AQP_JOURNAL_ERRORS = "aqp.journal_errors"
 # ------------------------------------------------- runtime lock checking
 # Counted by repro.analysis.runtime when the opt-in lock checker is on
 # (observe(lockcheck=True) / --lockcheck): tracked acquisitions, distinct
-# acquisition-order edges observed, held-lock assertions evaluated, and
-# discipline violations (order inversions, non-reentrant re-acquisition,
-# failed assertions).  All zero when the checker is off.
+# acquisition-order edges observed, and discipline violations (order
+# inversions, non-reentrant re-acquisition).  All zero when the checker
+# is off.
 ANALYSIS_LOCK_ACQUISITIONS = "analysis.lock.acquisitions"
 ANALYSIS_LOCK_EDGES = "analysis.lock.edges"
-ANALYSIS_LOCK_ASSERTS = "analysis.lock.asserts"
 ANALYSIS_LOCK_VIOLATIONS = "analysis.lock.violations"
 
 
@@ -174,7 +173,6 @@ COUNTERS: tuple[str, ...] = (
     AQP_JOURNAL_ERRORS,
     ANALYSIS_LOCK_ACQUISITIONS,
     ANALYSIS_LOCK_EDGES,
-    ANALYSIS_LOCK_ASSERTS,
     ANALYSIS_LOCK_VIOLATIONS,
 )
 

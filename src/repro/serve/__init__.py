@@ -4,10 +4,11 @@ The interactive counterpart of the batch CLI: a stdlib-only
 ``ThreadingHTTPServer`` answering "which region predicts item subset S
 under budget B" (``POST /bellwether``) and "what aggregate does region r
 predict for S" (``POST /predict``) in milliseconds, plus model/region/cube
-browse endpoints — all request threads sharing one versioned
-:class:`ServerState` behind an RW lock, answering warm queries with zero
-fact scans from the PR 7 materialized cube tables, and adopting store
-deltas live through the PR 3 patch-forward path.
+browse endpoints — all request threads answering, lock-free, from the one
+immutable snapshot a versioned :class:`ServerState` publishes: warm
+queries with zero fact scans from the PR 7 materialized cube tables,
+store deltas adopted live through the PR 3 patch-forward path and
+published with one reference swap.
 
 Quickstart::
 
@@ -32,7 +33,6 @@ from .errors import (
     ServeError,
 )
 from .loadgen import LoadgenResult, run_loadgen
-from .locks import RWLock
 from .state import ENDPOINTS, ServerState
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "LoadgenResult",
     "MethodNotAllowedError",
     "NotFoundError",
-    "RWLock",
     "ServeClient",
     "ServeError",
     "ServeHTTPError",

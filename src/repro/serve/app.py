@@ -69,8 +69,9 @@ class _Handler(BaseHTTPRequestHandler):
         start = time.perf_counter()
         endpoint = "unknown"
         error = False
-        self._body_consumed = False
+        self._unread = 0  # request-body bytes still on the socket
         try:
+            self._unread = self._content_length()
             path, params = self._split_path()
             endpoint = path.lstrip("/") or "unknown"
             status, payload = 200, self._route(method, path, params)
@@ -83,7 +84,7 @@ class _Handler(BaseHTTPRequestHandler):
         # An error raised before the route read its body (405, bad level
         # param, ...) would leave the bytes on the socket and desync the
         # next keep-alive request — drain them before replying.
-        self._drain_body()
+        self._read_body()
         self._send_json(status, payload)
         record_request(endpoint, time.perf_counter() - start, error)
 
@@ -109,7 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
             if path == "/aqp/train":
                 # The journal is the input; any body is drained (keep-alive
                 # connections must not leave unread bytes) and ignored.
-                self._drain_body()
+                self._read_body()
                 return state.aqp_train()
             body = self._read_json()
             if path == "/bellwether":
@@ -146,23 +147,34 @@ class _Handler(BaseHTTPRequestHandler):
                 f"level must be comma-separated integers: {values[0]!r}"
             ) from exc
 
-    def _drain_body(self) -> None:
-        if self._body_consumed:
-            return
-        self._body_consumed = True
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(length)
+    def _content_length(self) -> int:
+        """The declared body length, parsed once per request.
+
+        Anything but a non-negative integer loses the message framing:
+        answer 400 and close the connection rather than guess where the
+        next request starts (``read(-1)`` would wait for the client to
+        hang up).
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        return int(raw)
+
+    def _read_body(self) -> bytes:
+        """Whatever of the request body is still on the socket."""
+        length, self._unread = self._unread, 0
+        return self.rfile.read(length) if length else b""
 
     def _read_json(self) -> dict:
-        self._body_consumed = True
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             raise BadRequestError("request body must be a JSON object")
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise BadRequestError(f"malformed JSON body: {exc}") from exc
         if not isinstance(body, dict):
             raise BadRequestError("request body must be a JSON object")
@@ -176,6 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

@@ -18,15 +18,12 @@ from __future__ import annotations
 from repro.core.exceptions import SearchError, TaskError
 from repro.exceptions import ConfigError, ReproError
 
-from .locks import LockTimeoutError
-
 __all__ = [
     "BadRequestError",
     "InfeasibleQueryError",
     "MethodNotAllowedError",
     "NotFoundError",
     "ServeError",
-    "ServiceUnavailableError",
     "error_payload",
     "status_of",
 ]
@@ -62,12 +59,6 @@ class InfeasibleQueryError(ServeError):
     status = 409
 
 
-class ServiceUnavailableError(ServeError):
-    """The service is up but cannot answer right now (wedged writer)."""
-
-    status = 503
-
-
 def status_of(exc: ReproError) -> int:
     """The HTTP status a :class:`ReproError` answers with."""
     if isinstance(exc, ServeError):
@@ -78,10 +69,6 @@ def status_of(exc: ReproError) -> int:
         # The engine's "cannot satisfy this query" outcome: infeasible
         # budget, empty training set, estimator/table mismatch.
         return 409
-    if isinstance(exc, LockTimeoutError):
-        # A request deadline elapsed while a writer held the state: the
-        # service is alive but momentarily unable to answer.
-        return 503
     return 500
 
 

@@ -1,19 +1,25 @@
 """Process-wide serving state shared by every request thread.
 
 One :class:`ServerState` owns the versioned store, the
-:class:`~repro.core.BasicBellwetherSearch` profile, the materialized cube
-tables (:mod:`repro.storage.cubetables`) and a small per-version model
-cache, all behind a writer-preferring :class:`~repro.serve.locks.RWLock`:
+:class:`~repro.core.BasicBellwetherSearch` profile and the materialized
+cube tables (:mod:`repro.storage.cubetables`), and publishes what queries
+may see of them as one immutable :class:`~repro.serve.snapshot.Snapshot`
+held in a single attribute:
 
-* **Warm queries** take the read lock and answer from cached state only —
-  no fact scans, no mutation, any number in parallel.
-* **Cold queries** (first touch of an item subset, or the store moved)
-  take the write lock, bring the state up to the store's current version
-  through the adopt-and-patch path (:func:`build_cube_tables` +
-  :meth:`BasicBellwetherSearch.refresh`), recompute what is missing, and
-  then answer.  A live server therefore tracks an appending store without
-  restarts, and every response is stamped with the ``store_version`` it
-  was computed at.
+* **Readers** load that attribute once and answer from the snapshot with
+  no lock — no fact scans, no mutation, any number in parallel, and never
+  two store versions in one response.
+* **Writers** — store deltas, version adoption, the first touch of an
+  item subset or /predict model — take the one writer mutex, bring the
+  search and tables forward through the adopt-and-patch path
+  (:func:`build_cube_tables` + :meth:`BasicBellwetherSearch.refresh`),
+  build the next snapshot off to the side and publish it with one
+  reference assignment.  A query the published snapshot can answer never
+  waits on that mutex, even while a delta is in flight
+  (:meth:`ServerState._current` is the whole rule).
+
+Every response is stamped with the ``store_version`` of the snapshot it
+was computed from.
 
 The :mod:`repro.obs` registry is single-threaded by design, so all serve
 instrument updates go through ``_INSTRUMENT_LOCK`` here
@@ -22,20 +28,19 @@ instrument updates go through ``_INSTRUMENT_LOCK`` here
 
 from __future__ import annotations
 
+import math
 import time
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis.runtime import (
     SERVE_INSTRUMENT,
-    SERVE_STATE_RW,
+    SERVE_STATE_WRITER,
     TrackedLock,
-    assert_holds_read,
-    assert_holds_write,
 )
 from repro.aqp import ApproxMiss, AqpConfig, AqpEngine
 from repro.core import BasicBellwetherSearch, BellwetherCubeBuilder
+from repro.core.exceptions import SearchError
 from repro.exceptions import ConfigError
 from repro.exec import ParallelConfig
 from repro.incremental import build_cube_tables
@@ -57,18 +62,11 @@ from repro.obs.catalog import (
     STORE_FULL_SCANS,
 )
 from repro.obs.metrics import get_registry
-from repro.core.exceptions import SearchError
-from repro.incremental import versions_behind
 from repro.storage import StorageError, TrainingDataStore
 from repro.storage.columnar import region_from_json, region_to_json
 
-from .errors import (
-    BadRequestError,
-    InfeasibleQueryError,
-    NotFoundError,
-    ServiceUnavailableError,
-)
-from .locks import LockTimeoutError, RWLock
+from .errors import BadRequestError, InfeasibleQueryError, NotFoundError
+from .snapshot import FittedModel, Snapshot, infeasible
 
 __all__ = ["ENDPOINTS", "ServerState", "record_request"]
 
@@ -135,8 +133,21 @@ def _record_zero_scan() -> None:
         _ZERO_SCAN_QUERIES.inc()
 
 
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number as a float; anything else is a 400."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadRequestError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadRequestError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 class ServerState:
-    """The one shared, versioned serving state behind the RW lock.
+    """The one shared, versioned serving state: a published snapshot.
 
     Parameters
     ----------
@@ -164,10 +175,6 @@ class ServerState:
         endpoints; omitted = exact-only serving, exactly as before.
     aqp_config:
         Optional :class:`~repro.aqp.AqpConfig` tuning the learned surface.
-    health_timeout:
-        Seconds ``/healthz`` waits for the read lock before answering 503
-        (a wedged writer must degrade the health check, not hang it).
-        ``None`` waits forever, as every other endpoint does.
     """
 
     def __init__(
@@ -184,7 +191,6 @@ class ServerState:
         min_examples: int | None = None,
         aqp_dir: str | Path | None = None,
         aqp_config: AqpConfig | None = None,
-        health_timeout: float | None = 1.0,
     ):
         est = task.error_estimator
         algebraic = (
@@ -210,8 +216,10 @@ class ServerState:
                 "ParallelConfig(backend='thread') (or workers=1)"
             )
         self.task = task
-        self.store = store
         self.dataset_name = dataset_name
+        # Writer-side state: the store, the search and the builder move
+        # only under ``_writer``; requests see them through ``_snapshot``.
+        self.store = store
         self.search = BasicBellwetherSearch(
             task, store, costs=costs, min_examples=min_examples
         )
@@ -227,21 +235,14 @@ class ServerState:
             else None
         )
         self._tables_dir = None if tables_dir is None else Path(tables_dir)
-        self._tables = None
-        self._tables_version: int | None = None
-        self._cube = None
-        self._cube_version: int | None = None
-        # (region, item-id tuple | None, store version) -> (model, block, mean)
-        self._models: dict = {}
-        self._rw = RWLock(name=SERVE_STATE_RW)
         self._parallel = parallel
+        self._writer = TrackedLock(SERVE_STATE_WRITER)
         self._known_items = {int(i) for i in task.item_ids}
         self._t0 = time.monotonic()
-        self._health_timeout = health_timeout
         # The approximate tier: journal + learned surface.  Counter updates
         # share the serve instrument lock (the registry is single-threaded
-        # by design); the model reference itself is guarded by the RW lock
-        # like every other piece of serving state.
+        # by design); the engine swaps its model reference under the
+        # writer mutex, and readers load that reference once per query.
         self.aqp = (
             AqpEngine(
                 aqp_dir,
@@ -253,57 +254,146 @@ class ServerState:
             if aqp_dir is not None
             else None
         )
+        # The version-independent part of /model.
+        self._model_static = {
+            "service": "repro.serve",
+            "dataset": dataset_name,
+            "backend": type(store).__name__,
+            "n_items": int(task.n_items),
+            "item_ids": sorted(self._known_items),
+            "feature_names": list(store.feature_names),
+            "lattice": None
+            if self.builder is None
+            else {
+                "n_levels": self.builder.n_levels,
+                "n_significant_subsets": len(self.builder.significant_subsets),
+                "min_subset_size": self.builder.min_subset_size,
+                "min_examples": self.builder.min_examples,
+                "geometry": self.builder.geometry_signature(),
+            },
+            "aqp_enabled": self.aqp is not None,
+            "endpoints": list(ENDPOINTS),
+        }
         # Pre-warm: first table build + profile, before any thread exists.
-        # The write lock is uncontended here; taking it anyway keeps the
-        # runtime checker's "write lock held" contract uniform.
-        with self._rw.write():
-            self._refresh_locked()
+        self._snapshot: Snapshot | None = None
+        self._adopt()
 
-    # ------------------------------------------------------------ versioning
+    # ----------------------------------------------------- snapshot lifecycle
 
-    def _is_warm(self, key) -> bool:
-        """Cached profile current for this item-subset key?  (lock held)"""
-        return (
-            self.search.profile_version == self.store.version
-            and self.search.has_profile(key)
-        )
+    @property
+    def _tables(self):
+        """The published level tables (``None`` without hierarchies)."""
+        return self._snapshot.tables
 
-    def _refresh_locked(self) -> None:
-        """Bring tables + profile to the store's version.  (write lock held)
+    def _current(self) -> Snapshot:
+        """The freshness rule: the snapshot a request starting now answers from.
+
+        The published one, whenever the store has not moved past it or a
+        writer is already active — that writer publishes the successor
+        before it returns, and until then the old version is the
+        consistent answer.  Only a store that moved with nobody adopting
+        it (mutated behind the server's back) sends the request through
+        the writer path first.  ``store.version`` is a single int load,
+        the one piece of writer-side state read outside the writer mutex.
+        """
+        snap = self._snapshot
+        if snap.version != self.store.version and not self._writer.locked():
+            with self._writer:
+                snap = self._adopt()
+        return snap
+
+    def _answer(self, render, build=None) -> dict:
+        """``render(snapshot)`` from the current snapshot, else via the writer.
+
+        ``render`` returns ``None`` when the snapshot lacks something;
+        ``build(snapshot)`` then runs under the writer mutex and returns
+        a published successor that has it.
+        """
+        payload = render(self._current())
+        if payload is not None:
+            _record_cache(hit=True)
+            return payload
+        with self._writer:
+            snap = self._adopt()
+            _record_cache(hit=False)
+            payload = render(snap)
+            if payload is None:
+                payload = render(build(snap))
+            return payload
+
+    def _publish(self, snapshot: Snapshot) -> Snapshot:
+        """Make ``snapshot`` the one requests see.  (writer mutex held)"""
+        self._snapshot = snapshot
+        return snapshot
+
+    def _adopt(self) -> Snapshot:
+        """Publish a snapshot at the store's version.  (writer mutex held)
 
         Cube tables adopt the newest persisted snapshot and patch forward
         through the store changelog (:func:`build_cube_tables` reuses the
         incremental maintainer), then the search profile refreshes from
         them — region reads at most, never a fact scan once tables exist.
+        The previous snapshot keeps answering until the assignment.
         """
-        assert_holds_write(SERVE_STATE_RW)
-        v = int(self.store.version)
-        adopted = False
-        if self.builder is not None and self._tables_dir is not None:
-            if self._tables is None or self._tables_version != v:
-                self._tables = build_cube_tables(self.builder, self._tables_dir)
-                self._tables_version = v
-                self._cube = None
-                adopted = True
-        if not self._is_warm(None):
-            self.search.refresh(parallel=self._parallel, tables=self._tables)
-            adopted = True
-        if adopted:
-            self._models.clear()
-            _record_adoption()
+        version = int(self.store.version)
+        snap = self._snapshot
+        if snap is not None and snap.version == version:
+            return snap
+        tables = None
+        if self.builder is not None:
+            tables = tuple(build_cube_tables(self.builder, self._tables_dir))
+        self.search.refresh(parallel=self._parallel, tables=tables)
+        _record_adoption()
+        return self._publish(
+            Snapshot(
+                version=version,
+                regions=tuple(self.store.regions()),
+                n_examples_total=int(self.store.n_examples_total),
+                profiles=self.search.profiles,
+                tables=tables,
+            )
+        )
+
+    def _add_profile(self, snap: Snapshot, ids) -> Snapshot:
+        """Evaluate a never-seen item subset.  (writer mutex held)"""
+        self.search.evaluate_all(item_ids=ids, parallel=self._parallel)
+        return self._publish(replace(snap, profiles=self.search.profiles))
+
+    def _add_cube(self, snap: Snapshot) -> Snapshot:
+        """Build the /cube browse cube.  (writer mutex held)"""
+        return self._publish(
+            replace(snap, cube=self.builder.build_from_tables(snap.tables))
+        )
+
+    def _add_predict(self, snap: Snapshot, criterion, budget, ids, region) -> Snapshot:
+        """Profile + fit whatever /predict lacks.  (writer mutex held)"""
+        if region is None and frozenset(ids) not in snap.profiles:
+            snap = self._add_profile(snap, ids)
+        region = snap.resolve_region(criterion, budget, ids, region)
+        if (region, tuple(ids)) in snap.models:
+            return snap
+        entry = FittedModel.from_block(
+            self.search.fit_model(region, item_ids=ids),
+            self.store.read(region),
+            ids,
+        )
+        return self._publish(
+            replace(snap, models={**snap.models, (region, tuple(ids)): entry})
+        )
 
     def apply_delta(self, delta) -> dict:
-        """Apply a store delta and adopt it immediately (exclusive).
+        """Apply a store delta and publish its snapshot before returning.
 
-        The approximate tier's model is deliberately left stale: the next
-        ``mode=approx`` query sees the version gap, answers exactly, and
-        (with ``auto_retrain``) triggers the retrain behind the write lock
-        — the fallback-then-retrain sequence the blitz pins down.
+        Requests the previous snapshot can answer keep being answered
+        from it, at its version, for the whole build.  The approximate
+        tier's model is deliberately left stale: the next ``mode=approx``
+        query sees the version gap, answers exactly, and (with
+        ``auto_retrain``) triggers the retrain under the writer mutex —
+        the fallback-then-retrain sequence the blitz pins down.
         """
-        with self._rw.write():
+        with self._writer:
             self.store.apply_delta(delta)
-            self._refresh_locked()
-            version = int(self.store.version)
+            version = self._adopt().version
         if self.aqp is not None:
             self.aqp.journal.log_delta(store_version=version)
         return {"store_version": version}
@@ -311,15 +401,19 @@ class ServerState:
     # ---------------------------------------------------------- validation
 
     def _canonical_items(self, items) -> list[int] | None:
-        """Sorted unique python ints, validated against the item table."""
+        """Sorted unique item ids, validated against the item table."""
         if items is None:
             return None
         if not isinstance(items, (list, tuple)) or not items:
             raise BadRequestError("items must be a non-empty list of item ids")
-        try:
-            ids = sorted({int(i) for i in items})
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"items must be integers: {exc}") from exc
+        # JSON integers only: 1.9, true or "3" would silently answer for an
+        # item set the caller did not name.
+        bad = [
+            i for i in items if isinstance(i, bool) or not isinstance(i, int)
+        ]
+        if bad:
+            raise BadRequestError(f"items must be integers, got {bad[:8]!r}")
+        ids = sorted(set(items))
         unknown = [i for i in ids if i not in self._known_items]
         if unknown:
             raise BadRequestError(f"unknown item ids: {unknown[:8]}")
@@ -333,11 +427,7 @@ class ServerState:
 
     @staticmethod
     def _check_budget(budget):
-        if budget is None:
-            return None
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)):
-            raise BadRequestError(f"budget must be a number, got {budget!r}")
-        return float(budget)
+        return None if budget is None else _finite_number(budget, "budget")
 
     @staticmethod
     def _check_mode(mode, tolerance):
@@ -350,86 +440,42 @@ class ServerState:
                 raise BadRequestError(
                     "tolerance is only meaningful with mode='approx'"
                 )
-            if (
-                isinstance(tolerance, bool)
-                or not isinstance(tolerance, (int, float))
-                or not tolerance > 0
-            ):
+            tolerance = _finite_number(tolerance, "tolerance")
+            if not tolerance > 0:
                 raise BadRequestError(
                     f"tolerance must be a positive number, got {tolerance!r}"
                 )
-            tolerance = float(tolerance)
         return mode, tolerance
 
-    # ------------------------------------------------------------- payloads
-
-    def _region_result_json(self, r) -> dict:
-        return {
-            "region": region_to_json(r.region),
-            "region_str": str(r.region),
-            "cost": float(r.cost),
-            "coverage": float(r.coverage),
-            "n_examples": int(r.n_items),
-            "rmse": float(r.rmse),
-            "sse": None if r.error.sse is None else float(r.error.sse),
-            "dof": int(r.error.dof),
-            "error_kind": r.error.kind,
-        }
+    def _criterion(self, budget):
+        criterion = self.task.criterion
+        return criterion if budget is None else criterion.with_budget(budget)
 
     # ---------------------------------------------------------------- /model
 
     def model_info(self) -> dict:
-        with self._rw.read():
-            lattice = None
-            if self.builder is not None:
-                lattice = {
-                    "n_levels": self.builder.n_levels,
-                    "n_significant_subsets": len(
-                        self.builder.significant_subsets
-                    ),
-                    "min_subset_size": self.builder.min_subset_size,
-                    "min_examples": self.builder.min_examples,
-                    "geometry": self.builder.geometry_signature(),
-                }
-            return {
-                "service": "repro.serve",
-                "dataset": self.dataset_name,
-                "backend": type(self.store).__name__,
-                "store_version": int(self.store.version),
-                "n_regions": len(self.store.regions()),
-                "n_items": int(self.task.n_items),
-                "item_ids": sorted(self._known_items),
-                "n_examples_total": int(self.store.n_examples_total),
-                "feature_names": list(self.store.feature_names),
-                "lattice": lattice,
-                "aqp_enabled": self.aqp is not None,
-                "endpoints": list(ENDPOINTS),
-            }
+        snap = self._current()
+        return {
+            **self._model_static,
+            "store_version": snap.version,
+            "n_regions": len(snap.regions),
+            "n_examples_total": snap.n_examples_total,
+        }
 
     # -------------------------------------------------------------- /healthz
 
     def healthz(self) -> dict:
-        try:
-            with self._rw.read(timeout=self._health_timeout):
-                return {
-                    "status": "ok",
-                    "dataset": self.dataset_name,
-                    "store_version": int(self.store.version),
-                    "uptime_s": round(time.monotonic() - self._t0, 3),
-                }
-        except LockTimeoutError as exc:
-            # A writer has wedged the state past the health deadline: the
-            # process is alive but cannot answer — degrade to 503 rather
-            # than hanging the probe (which reads as a dead process).
-            raise ServiceUnavailableError(
-                f"state write-locked for over {self._health_timeout:.3f}s"
-            ) from exc
+        return {
+            "status": "ok",
+            "dataset": self.dataset_name,
+            "store_version": self._snapshot.version,
+            "uptime_s": round(time.monotonic() - self._t0, 3),
+        }
 
     # ------------------------------------------------------------- /metricsz
 
     def metricsz(self) -> dict:
-        with self._rw.read():
-            version = int(self.store.version)
+        version = self._snapshot.version
         with _INSTRUMENT_LOCK:
             snapshot = _REGISTRY.as_dict()
         return {"store_version": version, "metrics": snapshot}
@@ -437,39 +483,7 @@ class ServerState:
     # -------------------------------------------------------------- /regions
 
     def regions_info(self) -> dict:
-        with self._rw.read():
-            if self._is_warm(None):
-                _record_cache(hit=True)
-                return self._regions_locked()
-        with self._rw.write():
-            self._refresh_locked()
-            _record_cache(hit=False)
-            return self._regions_locked()
-
-    def _regions_locked(self) -> dict:
-        assert_holds_read(SERVE_STATE_RW)
-        profile = self.search.evaluate_all()
-        by_region = {r.region: r for r in profile}
-        entries = []
-        for index, region in enumerate(self.store.regions()):
-            rr = by_region.get(region)
-            entries.append(
-                {
-                    "index": index,
-                    "key": region_to_json(region),
-                    "region": str(region),
-                    "cost": float(rr.cost if rr else self.task.cost(region)),
-                    "evaluable": rr is not None,
-                    "coverage": None if rr is None else float(rr.coverage),
-                    "n_examples": None if rr is None else int(rr.n_items),
-                    "rmse": None if rr is None else float(rr.rmse),
-                }
-            )
-        return {
-            "store_version": int(self.store.version),
-            "n_regions": len(entries),
-            "regions": entries,
-        }
+        return self._answer(lambda snap: snap.regions_info(self.task.cost))
 
     # ----------------------------------------------------------------- /cube
 
@@ -478,78 +492,25 @@ class ServerState:
             raise NotFoundError(
                 "this deployment serves no item hierarchies; /cube needs them"
             )
-        with self._rw.read():
-            if (
-                self._cube is not None
-                and self._cube_version == self.store.version
-            ):
-                _record_cache(hit=True)
-                return self._cube_locked(level)
-        with self._rw.write():
-            self._refresh_locked()
-            if self._cube is None or self._cube_version != self.store.version:
-                self._cube = self.builder.build_from_tables(self._tables)
-                self._cube_version = int(self.store.version)
-            _record_cache(hit=False)
-            return self._cube_locked(level)
-
-    def _cube_locked(self, level: tuple[int, ...] | None) -> dict:
-        assert_holds_read(SERVE_STATE_RW)
-        cube = self._cube
-        levels = sorted({s.level for s in cube.subsets})
-        if level is None:
-            counts = {
-                lv: sum(1 for s in cube.subsets if s.level == lv)
-                for lv in levels
-            }
-            return {
-                "store_version": int(self.store.version),
-                "n_subsets": len(cube),
-                "levels": [
-                    {"level": list(lv), "n_subsets": counts[lv]}
-                    for lv in levels
-                ],
-            }
-        if level not in levels:
-            raise NotFoundError(
-                f"no lattice level {list(level)}; have "
-                f"{[list(lv) for lv in levels]}"
-            )
-        entries = []
-        for e in cube.crosstab(level):
-            entries.append(
-                {
-                    "nodes": [str(n) for n in e.subset.nodes],
-                    "n_items": int(e.n_items),
-                    "found": e.found,
-                    "region": None if e.region is None else region_to_json(e.region),
-                    "region_str": None if e.region is None else str(e.region),
-                    "rmse": None if e.error is None else float(e.error.rmse),
-                }
-            )
-        return {
-            "store_version": int(self.store.version),
-            "level": list(level),
-            "n_subsets": len(entries),
-            "subsets": entries,
-        }
+        return self._answer(lambda snap: snap.cube_info(level), self._add_cube)
 
     # ------------------------------------------------------------ /bellwether
 
     def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
         """Best region for item subset ``items`` under ``budget``.
 
-        Exact path — warm (profile current for this subset): read lock,
-        zero scans.  Cold: write lock, version adoption, then at most one
-        scan for a never-seen restricted subset (the all-items profile
-        never rescans once tables exist).
+        Exact path — the published snapshot profiles this subset: answered
+        from it, no lock, zero scans.  Otherwise the writer adopts the
+        store's version if it moved and evaluates the never-seen subset
+        (at most one scan; the all-items profile never rescans once
+        tables exist), then publishes.
 
         ``mode="approx"`` (needs ``aqp_dir``): answer from the learned
-        surface under the read lock — no store access at all — with a
-        declared ``tolerance`` bounding the rmse deviation.  Any miss
-        (untrained key, version drift, out-of-tolerance self-estimate)
-        answers exactly instead, annotated with ``fallback_reason``, and
-        may trigger an adaptive retrain behind the write lock.
+        surface — no store access at all — with a declared ``tolerance``
+        bounding the rmse deviation.  Any miss (untrained key, version
+        drift, out-of-tolerance self-estimate) answers exactly instead,
+        annotated with ``fallback_reason``, and may trigger an adaptive
+        retrain under the writer mutex.
         """
         mode, tolerance = self._check_mode(mode, tolerance)
         budget = self._check_budget(budget)
@@ -557,23 +518,19 @@ class ServerState:
         fallback_reason = None
         if mode == "approx":
             engine = self._require_aqp_mode()
-            with self._rw.read():
-                try:
-                    model, answer = engine.try_answer_bellwether(
-                        int(self.store.version), budget, ids, tolerance
-                    )
-                    if not answer.found:
-                        raise InfeasibleQueryError(
-                            f"no feasible region for budget={budget!r} over "
-                            f"{'all items' if ids is None else f'{len(ids)} items'}"
-                        )
-                    _record_cache(hit=True)
-                    _record_zero_scan()
-                    return self._approx_bellwether_payload(
-                        model, answer, budget, ids, tolerance
-                    )
-                except ApproxMiss as miss:
-                    fallback_reason = miss.reason
+            try:
+                model, answer = engine.try_answer_bellwether(
+                    self._current().version, budget, ids, tolerance
+                )
+                if not answer.found:
+                    raise infeasible(budget, ids)
+                _record_cache(hit=True)
+                _record_zero_scan()
+                return self._approx_bellwether_payload(
+                    model, answer, budget, ids, tolerance
+                )
+            except ApproxMiss as miss:
+                fallback_reason = miss.reason
             engine.note_fallback()
         payload = self._bellwether_exact(budget, ids)
         if fallback_reason is not None:
@@ -583,29 +540,17 @@ class ServerState:
         return payload
 
     def _bellwether_exact(self, budget, ids) -> dict:
-        key = frozenset(ids) if ids is not None else None
+        criterion = self._criterion(budget)
         # Unlocked `.value` reads below are a CPython-atomic int load; a
         # racing scan from another request at worst skips one zero-scan
         # tally, it cannot corrupt the counter.
         scans_before = _FULL_SCANS.value  # lint: ignore[RPR007]
-        payload = None
-        with self._rw.read():
-            if self._is_warm(key):
-                _record_cache(hit=True)
-                payload = self._bellwether_locked(budget, ids)
-                if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
-                    _record_zero_scan()
-        if payload is None:
-            with self._rw.write():
-                self._refresh_locked()
-                if key is not None and not self.search.has_profile(key):
-                    self.search.evaluate_all(
-                        item_ids=ids, parallel=self._parallel
-                    )
-                _record_cache(hit=False)
-                payload = self._bellwether_locked(budget, ids)
-                if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
-                    _record_zero_scan()
+        payload = self._answer(
+            lambda snap: snap.bellwether(criterion, budget, ids),
+            lambda snap: self._add_profile(snap, ids),
+        )
+        if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
+            _record_zero_scan()
         if self.aqp is not None:
             self.aqp.journal.log_bellwether(
                 store_version=payload["store_version"],
@@ -614,27 +559,6 @@ class ServerState:
                 winner=payload["bellwether"]["region_str"],
             )
         return payload
-
-    def _bellwether_locked(self, budget, ids) -> dict:
-        assert_holds_read(SERVE_STATE_RW)
-        result = self.search.run(budget=budget, item_ids=ids)
-        if result.bellwether is None:
-            raise InfeasibleQueryError(
-                f"no feasible region for budget={budget!r} over "
-                f"{'all items' if ids is None else f'{len(ids)} items'}"
-            )
-        return {
-            "store_version": int(self.store.version),
-            "mode": "exact",
-            "budget": budget,
-            "items": ids,
-            "found": True,
-            "bellwether": self._region_result_json(result.bellwether),
-            "n_feasible": len(result.feasible),
-            "feasible": [
-                self._region_result_json(r) for r in result.feasible
-            ],
-        }
 
     def _approx_bellwether_payload(
         self, model, answer, budget, ids, tolerance
@@ -692,23 +616,22 @@ class ServerState:
         fallback_reason = None
         if mode == "approx":
             engine = self._require_aqp_mode()
-            with self._rw.read():
-                try:
-                    model, artifact = engine.try_answer_predict(
-                        int(self.store.version), ids, budget, region
-                    )
-                    _record_cache(hit=True)
-                    _record_zero_scan()
-                    payload = dict(artifact)
-                    payload["mode"] = "approx"
-                    payload["model_version"] = model.model_version
-                    payload["tolerance"] = (
-                        0.0 if tolerance is None else float(tolerance)
-                    )
-                    payload["estimated_error"] = 0.0
-                    return payload
-                except ApproxMiss as miss:
-                    fallback_reason = miss.reason
+            try:
+                model, artifact = engine.try_answer_predict(
+                    self._current().version, ids, budget, region
+                )
+                _record_cache(hit=True)
+                _record_zero_scan()
+                payload = dict(artifact)
+                payload["mode"] = "approx"
+                payload["model_version"] = model.model_version
+                payload["tolerance"] = (
+                    0.0 if tolerance is None else float(tolerance)
+                )
+                payload["estimated_error"] = 0.0
+                return payload
+            except ApproxMiss as miss:
+                fallback_reason = miss.reason
             engine.note_fallback()
         payload = self._predict_exact(ids, region, budget)
         if fallback_reason is not None:
@@ -719,28 +642,13 @@ class ServerState:
 
     def _predict_exact(self, ids, region, budget) -> dict:
         region_obj = None if region is None else self._decode_region(region)
-        key = frozenset(ids)
-        payload = None
-        with self._rw.read():
-            if self._is_warm(key if region_obj is None else None) or (
-                region_obj is not None
-            ):
-                payload = self._predict_locked(
-                    ids, region_obj, budget, allow_build=False
-                )
-                if payload is not None:
-                    _record_cache(hit=True)
-        if payload is None:
-            with self._rw.write():
-                self._refresh_locked()
-                if region_obj is None and not self.search.has_profile(key):
-                    self.search.evaluate_all(
-                        item_ids=ids, parallel=self._parallel
-                    )
-                _record_cache(hit=False)
-                payload = self._predict_locked(
-                    ids, region_obj, budget, allow_build=True
-                )
+        criterion = self._criterion(budget)
+        payload = self._answer(
+            lambda snap: snap.predict(criterion, budget, ids, region_obj),
+            lambda snap: self._add_predict(
+                snap, criterion, budget, ids, region_obj
+            ),
+        )
         if self.aqp is not None:
             self.aqp.journal.log_predict(
                 store_version=payload["store_version"],
@@ -749,58 +657,6 @@ class ServerState:
                 region=region,
             )
         return payload
-
-    def _predict_locked(self, ids, region, budget, allow_build: bool) -> dict | None:
-        assert_holds_read(SERVE_STATE_RW)
-        if region is None:
-            if not self.search.has_profile(frozenset(ids)):
-                return None
-            result = self.search.run(budget=budget, item_ids=ids)
-            if result.bellwether is None:
-                raise InfeasibleQueryError(
-                    f"no feasible region for budget={budget!r} "
-                    f"over {len(ids)} items"
-                )
-            region = result.bellwether.region
-        elif region not in set(self.store.regions()):
-            raise NotFoundError(f"unknown region {region}")
-        cache_key = (region, tuple(ids), int(self.store.version))
-        entry = self._models.get(cache_key)
-        if entry is None:
-            if not allow_build:
-                return None
-            model = self.search.fit_model(region, item_ids=ids)
-            block = self.store.read(region)
-            train = block.restrict_to(np.asarray(ids))
-            train_mean = float(train.y.mean()) if train.n_examples else 0.0
-            entry = (model, block, train_mean)
-            self._models[cache_key] = entry
-        model, block, train_mean = entry
-        predictions = []
-        total = 0.0
-        for item in ids:
-            hit = np.flatnonzero(block.item_ids == item)
-            if hit.size:
-                value = float(model.predict(block.x[hit[0]])[0])
-                fallback = False
-            else:
-                value = train_mean
-                fallback = True
-            total += value
-            predictions.append(
-                {"item": int(item), "value": value, "fallback": fallback}
-            )
-        return {
-            "store_version": int(self.store.version),
-            "mode": "exact",
-            "budget": budget,
-            "items": ids,
-            "region": region_to_json(region),
-            "region_str": str(region),
-            "coef": [float(c) for c in model.coef],
-            "predictions": predictions,
-            "aggregate": float(total),
-        }
 
     # ------------------------------------------------------------------ /aqp
 
@@ -813,19 +669,18 @@ class ServerState:
 
     def aqp_status(self) -> dict:
         """GET /aqp: engine/model/journal status (never 404s)."""
-        with self._rw.read():
-            version = int(self.store.version)
-            if self.aqp is None:
-                return {"store_version": version, "enabled": False}
-            status = self.aqp.status()
-            status["store_version"] = version
-            model = self.aqp.model
-            status["versions_behind"] = (
-                None
-                if model is None
-                else versions_behind(self.store, model.store_version)
-            )
-            return status
+        if self.aqp is None:
+            return {"store_version": self._current().version, "enabled": False}
+        # Status before snapshot: a model is trained at a published
+        # version, so the snapshot read second is never behind it.
+        status = self.aqp.status()
+        version = status["store_version"] = self._current().version
+        model = status["model"]
+        # One version per applied delta, so the gap is the delta count.
+        status["versions_behind"] = (
+            None if model is None else version - model["store_version"]
+        )
+        return status
 
     def aqp_train(self) -> dict:
         """POST /aqp/train: (re)train the surface from the journal."""
@@ -833,29 +688,32 @@ class ServerState:
             raise NotFoundError(
                 "this deployment has no approximate tier; serve with aqp_dir"
             )
-        with self._rw.write():
-            self._refresh_locked()
-            model = self._train_locked(drift=False)
-            return {
-                "store_version": int(self.store.version),
-                "model_version": model.model_version,
-                "n_records": model.n_records,
-                "n_trained_keys": len(model.bounds),
-                "n_artifacts": len(model.artifacts),
-            }
+        with self._writer:
+            version = self._adopt().version
+            model = self._train(drift=False)
+        return {
+            "store_version": version,
+            "model_version": model.model_version,
+            "n_records": model.n_records,
+            "n_trained_keys": len(model.bounds),
+            "n_artifacts": len(model.artifacts),
+        }
 
-    def _train_locked(self, drift: bool):
-        """Retrain the surface at the current version.  (write lock held)"""
-        assert_holds_write(SERVE_STATE_RW)
-        return self.aqp.train(
+    def _train(self, drift: bool):
+        """Retrain the surface at the current version.  (writer mutex held)"""
+        model = self.aqp.train(
             self.search,
             costs=self.search.costs,
-            predict_fn=self._replay_predict_locked,
+            predict_fn=self._replay_predict,
             drift=drift,
         )
+        # Training profiled the journaled subsets straight on the search;
+        # let queries see them too.
+        self._publish(replace(self._snapshot, profiles=self.search.profiles))
+        return model
 
-    def _replay_predict_locked(self, ids, region_key, budget):
-        """Replay one journaled predict query exactly.  (write lock held)
+    def _replay_predict(self, ids, region_key, budget):
+        """Replay one journaled predict query exactly.  (writer mutex held)
 
         Returns None when the query no longer answers at this version
         (region dropped, budget now infeasible) — the artifact is skipped.
@@ -863,17 +721,17 @@ class ServerState:
         region_obj = (
             None if region_key is None else self._decode_region(region_key)
         )
+        criterion = self._criterion(budget)
         try:
-            if region_obj is None and not self.search.has_profile(
-                frozenset(ids)
-            ):
-                self.search.evaluate_all(item_ids=ids, parallel=self._parallel)
-            return self._predict_locked(ids, region_obj, budget, allow_build=True)
+            snap = self._add_predict(
+                self._snapshot, criterion, budget, ids, region_obj
+            )
+            return snap.predict(criterion, budget, ids, region_obj)
         except (InfeasibleQueryError, NotFoundError, SearchError):
             return None
 
     def _maybe_retrain(self, reason: str) -> None:
-        """Adaptive retrain after an approx fallback (no locks held).
+        """Adaptive retrain after an approx fallback (writer mutex not held).
 
         Version drift always retrains (the store moved; the journal is the
         up-to-date workload); otherwise only a drifting workload — a
@@ -887,10 +745,10 @@ class ServerState:
         drift = engine.drift_detected
         if reason != "version_drift" and not drift:
             return
-        with self._rw.write():
-            self._refresh_locked()
+        with self._writer:
+            self._adopt()
             try:
-                self._train_locked(drift=drift and reason != "version_drift")
+                self._train(drift=drift and reason != "version_drift")
             except StorageError:
                 # Degraded mode is set; serving continues exact-only.
                 return

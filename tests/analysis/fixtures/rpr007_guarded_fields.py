@@ -1,35 +1,33 @@
-"""Deliberate RPR007 violations: guarded ServerState fields off-lock."""
+"""Deliberate RPR007 violations: serve instrument globals off-lock.
+
+``test_rules.py`` binds this file to the ``repro/serve/state.py`` entry of
+``MODULE_GUARDS`` (guards are keyed by path).
+"""
+
+_INSTRUMENT_LOCK = None
+_REQUESTS = None
+_LATENCY = {}
 
 
-class ServerState:
-    def __init__(self, rw):
-        self._rw = rw
-        self._tables = None
-        self._cube = None
-        self._cube_version = -1
-        self._models = {}
+def count_request():
+    _REQUESTS.inc()  # expect: RPR007
 
-    def tables(self):
-        return self._tables  # expect: RPR007
 
-    def drop_cube(self):
-        self._cube = None  # expect: RPR007
+def observe(endpoint, seconds):
+    with _INSTRUMENT_LOCK:
+        hist = _LATENCY.get(endpoint)
+    if hist is None:
+        hist = _LATENCY["other"]  # expect: RPR007
+    hist.observe(seconds)
 
-    def cache_model(self, key, model):
-        with self._rw.read():
-            self._models[key] = model  # expect: RPR007
 
-    def snapshot(self):
-        return self._snapshot_locked()  # expect: RPR007
+def peek():
+    with _INSTRUMENT_LOCK:
+        pass
+    return _REQUESTS.value  # expect: RPR007
 
-    def warm(self):
-        with self._rw.read():
-            return self.refresh()  # expect: RPR007
 
-    def refresh(self):
-        with self._rw.write():
-            self._tables = object()
-            return self._snapshot_locked()
-
-    def _snapshot_locked(self):
-        return (self._tables, self._cube, dict(self._models))
+def count_request_properly():
+    with _INSTRUMENT_LOCK:
+        _REQUESTS.inc()
+        return _REQUESTS.value

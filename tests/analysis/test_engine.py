@@ -211,8 +211,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for n in range(1, 11):
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 10):  # RPR009 went with the RW lock
             assert f"RPR{n:03d}" in out
+        assert "RPR009" not in out
 
     def test_shipped_tree_is_clean_via_cli(self, capsys):
         assert main(["--root", str(REPO_ROOT)]) == 0

@@ -2,8 +2,8 @@
 
 The fixtures cover the rules end to end; these tests pin the shared
 vocabulary underneath them — how ``with`` items map to canonical lock
-names and modes, how the one-hop graph extraction sees call chains, and
-that :data:`MODULE_GUARDS` binds module globals to their lock.
+names, how the one-hop graph extraction sees call chains, and that
+:data:`MODULE_GUARDS` binds module globals to their lock.
 """
 
 import ast
@@ -13,42 +13,32 @@ from repro.analysis import Engine, Scope
 from repro.analysis.guards import (
     MODULE_GUARDS,
     SERVE_INSTRUMENT,
-    SERVE_STATE_RW,
+    SERVE_STATE_WRITER,
     ModuleGuard,
     classify_lock_acquisition,
     extract_lock_edges,
 )
 
 
-def _scope(source: str, class_name=None):
+def _lock(source: str, class_name=None):
     expr = ast.parse(source, mode="eval").body
     return classify_lock_acquisition(expr, class_name)
 
 
 class TestClassification:
-    def test_rw_protocol_on_server_state(self):
-        read = _scope("self._rw.read()", "ServerState")
-        write = _scope("self._rw.write()", "ServerState")
-        assert (read.name, read.mode) == (SERVE_STATE_RW, "read")
-        assert (write.name, write.mode) == (SERVE_STATE_RW, "write")
-        assert not read.grants_write and write.grants_write
-
-    def test_timeout_argument_is_the_same_scope(self):
-        scope = _scope("self._rw.read(timeout=0.1)", "ServerState")
-        assert (scope.name, scope.mode) == (SERVE_STATE_RW, "read")
+    def test_serve_writer_mutex(self):
+        assert _lock("self._writer", "ServerState") == SERVE_STATE_WRITER
 
     def test_instrument_global(self):
-        scope = _scope("_INSTRUMENT_LOCK")
-        assert (scope.name, scope.mode) == (SERVE_INSTRUMENT, "exclusive")
-        assert scope.grants_write
+        assert _lock("_INSTRUMENT_LOCK") == SERVE_INSTRUMENT
 
     def test_generic_lock_suffix_fallback(self):
-        scope = _scope("self._io_lock", "Anything")
-        assert scope.name == "Anything._io_lock"
+        assert _lock("self._io_lock", "Anything") == "Anything._io_lock"
 
     def test_non_locks_are_none(self):
-        assert _scope("self.store", "ServerState") is None
-        assert _scope("open(path)") is None
+        assert _lock("self.store", "ServerState") is None
+        assert _lock("self._writer", "SomethingElse") is None
+        assert _lock("open(path)") is None
 
 
 class TestLockGraph:
@@ -90,11 +80,11 @@ class TestLockGraph:
                 """
                 class ServerState:
                     def f(self):
-                        with self._rw.read():
+                        with self._writer:
                             self.g()
 
                     def g(self):
-                        with self._rw.write():
+                        with self._writer:
                             pass
                 """
             )

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_RULES, Engine, Scope
+from repro.analysis.guards import MODULE_GUARDS
 from repro.analysis.rules import get_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -24,6 +25,16 @@ _EXPECT_RE = re.compile(r"#\s*expect:\s*(RPR\d+)")
 # Every rule scoped everywhere, so fixtures outside the production scopes
 # (and inside the engine's global fixture exclude) still get linted.
 _ALL_SCOPES = {rule.rule_id: Scope() for rule in ALL_RULES}
+
+
+@pytest.fixture(autouse=True)
+def _rpr007_fixture_stands_in_for_serve_state(monkeypatch):
+    """Module guards are keyed by path: bind the serve one to its fixture."""
+    monkeypatch.setitem(
+        MODULE_GUARDS,
+        "tests/analysis/fixtures/rpr007_guarded_fields.py",
+        MODULE_GUARDS["src/repro/serve/state.py"],
+    )
 
 
 def _expected(path: Path) -> list[tuple[int, str]]:

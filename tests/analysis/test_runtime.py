@@ -1,6 +1,6 @@
-"""The runtime lock checker: order cycles, reentrancy, assertions.
+"""The runtime lock checker: order cycles and reentrancy.
 
-The static rules (RPR007–RPR009) and this checker speak the same
+The static rules (RPR007–RPR008) and this checker speak the same
 canonical lock names, so a violation caught here reads identically to
 its lint-time twin.  The headline property: a two-thread lock-order
 inversion raises :class:`LockOrderError` deterministically *before*
@@ -14,19 +14,15 @@ import time
 import pytest
 
 from repro.analysis.runtime import (
-    LockAssertionError,
     LockCheckError,
     LockOrderError,
     TrackedLock,
-    assert_holds_read,
-    assert_holds_write,
     disable_lockcheck,
     enable_lockcheck,
     get_lockchecker,
     set_lockchecker,
 )
 from repro.obs.metrics import get_registry
-from repro.serve.locks import RWLock
 
 
 @pytest.fixture()
@@ -119,41 +115,6 @@ class TestReentrancy:
         with lock:
             with pytest.raises(LockCheckError):
                 lock.acquire()
-
-    def test_rwlock_upgrade_raises(self, checker):
-        """read → write on the same thread is the non-upgradable deadlock."""
-        rw = RWLock(name="up.rw")
-        with rw.read():
-            with pytest.raises(LockCheckError):
-                rw.acquire_write()
-        # The failed upgrade left the lock usable.
-        with rw.write():
-            pass
-
-
-class TestAssertions:
-    def test_read_assert_satisfied_by_any_scope(self, checker):
-        rw = RWLock(name="as.rw")
-        with rw.read():
-            assert_holds_read("as.rw")
-        with rw.write():
-            assert_holds_read("as.rw")
-            assert_holds_write("as.rw")
-
-    def test_write_assert_rejects_read_scope(self, checker):
-        rw = RWLock(name="as2.rw")
-        with rw.read():
-            with pytest.raises(LockAssertionError):
-                assert_holds_write("as2.rw")
-
-    def test_assert_without_lock_raises(self, checker):
-        with pytest.raises(LockAssertionError):
-            assert_holds_read("as3.never")
-
-    def test_asserts_are_noops_when_disabled(self):
-        disable_lockcheck()
-        assert_holds_read("nobody.home")
-        assert_holds_write("nobody.home")
 
 
 class TestLifecycle:

@@ -18,9 +18,9 @@ import pytest
 def lockcheck():
     """A strict runtime lock checker for the duration of one test.
 
-    Any lock-order inversion, non-reentrant re-acquire, or failed
-    ``assert_holds_*`` anywhere in the process raises immediately — the
-    hammer tests opt in so their thread storms double as race detectors.
+    Any lock-order inversion or non-reentrant re-acquire anywhere in the
+    process raises immediately — the hammer tests opt in so their thread
+    storms double as race detectors.
     On teardown the observed lock graph is exported to
     ``$REPRO_LOCKGRAPH_OUT`` when set (the nightly CI failure artifact).
     """

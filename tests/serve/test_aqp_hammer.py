@@ -1,8 +1,8 @@
-"""32-thread hammer on the approx tier's model-swap lock.
+"""32-thread hammer on the approx tier's model swap.
 
 Clients pound ``mode=approx`` while the main thread lands deltas (each
-one forces fallback-then-retrain, i.e. a model swap under the write
-lock).  Every response must be internally consistent — version stamps
+one forces fallback-then-retrain, i.e. a model swap under the writer
+mutex).  Every response must be internally consistent — version stamps
 never mix, approx rmse stays within its declared tolerance of the exact
 answer *at that exact store version*, and each thread observes
 monotonically non-decreasing (store_version, model_version) pairs.

@@ -3,8 +3,8 @@
 A mixed query stream is answered once serially (which also warms every
 profile), then replayed by 32 concurrent clients.  Every concurrent
 response must equal the serial payload exactly — same winner, same float
-bits, same feasible ordering — i.e. the RW-locked shared state never
-bleeds a partially-updated answer.
+bits, same feasible ordering — i.e. the shared snapshot never bleeds a
+partially-updated answer.
 """
 
 import threading
@@ -70,11 +70,11 @@ def test_lockcheck_hammer_under_delta_stream(dataset, tmp_path, lockcheck):
     """Nightly race detector: 32 readers race writers under the checker.
 
     A mixed endpoint storm runs while the main thread lands month-append
-    deltas (each adoption takes the write lock, the caches' IO locks and
+    deltas (each adoption takes the writer mutex, the caches' IO locks and
     the instrument lock).  The strict checker raises out of any handler
-    on an inversion / re-acquire / failed assert, so the pass criterion
-    is simply: every request answers and the checker recorded zero
-    violations across the full lock-acquisition graph it observed.
+    on an inversion / re-acquire, so the pass criterion is simply: every
+    request answers and the checker recorded zero violations across the
+    full lock-acquisition graph it observed.
     """
     base_month = 3
     gen, regions, store = month_split_store(dataset.task, base_month)
@@ -127,4 +127,4 @@ def test_lockcheck_hammer_under_delta_stream(dataset, tmp_path, lockcheck):
     assert snapshot["violations"] == []
     observed = {(e["from"], e["to"]) for e in snapshot["edges"]}
     # The serve stack's one sanctioned nesting must have been exercised.
-    assert ("serve.state.rw", "serve.instrument") in observed
+    assert ("serve.state.writer", "serve.instrument") in observed

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -61,6 +62,61 @@ def test_non_numeric_budget_is_400(served):
     )
     assert status == 400
     _assert_error(payload, 400, "BadRequestError")
+
+
+# json.loads accepts NaN/Infinity and floats/bools/strings where an item id
+# goes; each of these used to answer 200 for a query the caller did not
+# make (or echo ``Infinity`` back as invalid JSON).
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/bellwether", b'{"items": [1.9, 2, 3]}'),
+        ("/bellwether", b'{"items": [true, 2, 3]}'),
+        ("/bellwether", b'{"items": ["3", 2, 4]}'),
+        ("/predict", b'{"items": [1.0, 2, 4]}'),
+        ("/bellwether", b'{"budget": NaN}'),
+        ("/bellwether", b'{"budget": Infinity}'),
+        ("/bellwether", b'{"budget": -Infinity}'),
+        ("/bellwether", b'{"budget": 1e999}'),
+        ("/bellwether", b'{"budget": 1' + b"0" * 400 + b"}"),
+        ("/predict", b'{"items": [1, 2, 4], "budget": NaN}'),
+        ("/bellwether", b'{"mode": "approx", "tolerance": NaN}'),
+        ("/bellwether", b'{"mode": "approx", "tolerance": Infinity}'),
+        ("/bellwether", b'{"budget": 50, "items": [1, 2, \xff]}'),
+    ],
+    ids=[
+        "float-item", "bool-item", "string-item", "integral-float-item",
+        "nan-budget", "inf-budget", "neg-inf-budget", "overflow-float-budget",
+        "overflow-int-budget", "nan-predict-budget", "nan-tolerance",
+        "inf-tolerance", "non-utf8-body",
+    ],
+)
+def test_uncoercible_query_values_are_400(served, path, body):
+    status, payload = _raw(served, "POST", path, body)
+    assert status == 400
+    _assert_error(payload, 400, "BadRequestError")
+
+
+@pytest.mark.parametrize(
+    "length", ["abc", "-1", "-5", "1.5", "1_0", "+7"],
+)
+@pytest.mark.parametrize("method, path", [("POST", "/bellwether"), ("GET", "/model")])
+def test_bad_content_length_is_400_and_closes(served, method, path, length):
+    """A length that is not a non-negative integer loses the framing: the
+    reply is a structured 400 (never a hang, a 500 or silence) and the
+    server hangs up instead of guessing where the next request starts."""
+    with socket.create_connection((served.host, served.port), timeout=10) as sock:
+        sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}".encode()
+        )
+        raw = b""
+        while chunk := sock.recv(65536):  # until the server closes
+            raw += chunk
+    head, __, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"connection: close" in head.lower()
+    _assert_error(json.loads(body), 400, "BadRequestError")
 
 
 def test_unknown_endpoint_is_404(served):

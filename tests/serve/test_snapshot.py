@@ -1,0 +1,136 @@
+"""The snapshot invariant, stated as behaviour.
+
+(a) A query the published snapshot can answer never waits on the writer:
+    with ``apply_delta`` parked mid-build, warm /bellwether, warm /predict
+    and /healthz answer at the old version; once the delta lands, the next
+    answers carry the new version and equal the in-process reference.
+(b) A :class:`Snapshot` cannot be edited, and successive snapshots share
+    what did not change.
+"""
+
+import dataclasses
+import threading
+import time
+
+import pytest
+
+import repro.serve.state as state_module
+from repro.core import BasicBellwetherSearch
+from repro.incremental import month_append_delta, month_split_store
+from repro.serve import ServeClient, ServerState, serve_in_thread
+from repro.serve.snapshot import Snapshot
+
+from .conftest import SUBSET
+
+BASE_MONTH = 3
+BUDGET = 60.0
+OTHER_SUBSET = list(range(5, 19))
+
+
+@pytest.fixture()
+def live(dataset, tmp_path):
+    gen, regions, store = month_split_store(dataset.task, BASE_MONTH)
+    state = ServerState(
+        dataset.task,
+        store,
+        dataset.hierarchies,
+        tables_dir=tmp_path / "tables",
+        min_subset_size=3,
+    )
+    with serve_in_thread(state) as handle:
+        yield handle, month_append_delta(gen, regions, BASE_MONTH + 1)
+
+
+def _timed(call):
+    start = time.monotonic()
+    return call(), time.monotonic() - start
+
+
+def test_reads_do_not_wait_for_a_delta_in_flight(live, monkeypatch, lockcheck):
+    handle, delta = live
+    state = handle.state
+    entered, release = threading.Event(), threading.Event()
+    real_build = state_module.build_cube_tables
+
+    def parked_build(*args, **kwargs):
+        entered.set()
+        assert release.wait(30), "test never released the parked delta"
+        return real_build(*args, **kwargs)
+
+    with ServeClient(handle.host, handle.port) as client:
+        warm_bellwether = client.bellwether(budget=BUDGET, items=SUBSET)
+        warm_predict = client.predict(items=SUBSET, budget=BUDGET)
+        version = warm_bellwether["store_version"]
+
+        monkeypatch.setattr(state_module, "build_cube_tables", parked_build)
+        applied: dict = {}
+        writer = threading.Thread(
+            target=lambda: applied.update(state.apply_delta(delta))
+        )
+        writer.start()
+        try:
+            assert entered.wait(30), "apply_delta never reached the table build"
+            # The store has moved; the published snapshot has not.
+            assert int(state.store.version) == version + 1
+            for call, want in (
+                (lambda: client.bellwether(budget=BUDGET, items=SUBSET), warm_bellwether),
+                (lambda: client.predict(items=SUBSET, budget=BUDGET), warm_predict),
+            ):
+                got, elapsed = _timed(call)
+                assert elapsed < 1.0
+                assert got == want
+            health, elapsed = _timed(client.healthz)
+            assert elapsed < 1.0
+            assert (health["status"], health["store_version"]) == ("ok", version)
+        finally:
+            release.set()
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert applied == {"store_version": version + 1}
+
+        # apply_delta has returned: every later request answers at v+1.
+        assert client.healthz()["store_version"] == version + 1
+        got = client.bellwether(budget=BUDGET, items=SUBSET)
+        predicted = client.predict(items=SUBSET, budget=BUDGET)
+
+    direct = BasicBellwetherSearch(state.task, state.store)
+    expected = direct.run(budget=BUDGET, item_ids=SUBSET)
+    assert got["store_version"] == predicted["store_version"] == version + 1
+    assert got["bellwether"]["region_str"] == str(expected.bellwether.region)
+    assert got["bellwether"]["rmse"] == float(expected.bellwether.rmse)
+    assert [e["region_str"] for e in got["feasible"]] == [
+        str(r.region) for r in expected.feasible
+    ]
+    assert predicted["region_str"] == str(expected.bellwether.region)
+    model = direct.fit_model(expected.bellwether.region, item_ids=SUBSET)
+    assert predicted["coef"] == [float(c) for c in model.coef]
+    assert lockcheck.snapshot()["violations"] == []
+
+
+def test_snapshot_is_frozen_and_its_mappings_read_only(live):
+    handle, __ = live
+    snap = handle.state._snapshot
+    assert isinstance(snap, Snapshot)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.version = 99
+    with pytest.raises(TypeError):
+        snap.profiles[frozenset({1})] = []
+    with pytest.raises(TypeError):
+        snap.models[("r", (1,))] = None
+    assert isinstance(snap.regions, tuple) and isinstance(snap.tables, tuple)
+
+
+def test_cold_subset_build_shares_the_old_profiles(live):
+    handle, __ = live
+    state = handle.state
+    with ServeClient(handle.host, handle.port) as client:
+        client.bellwether(budget=BUDGET, items=SUBSET)
+        before = state._snapshot
+        client.bellwether(budget=BUDGET, items=OTHER_SUBSET)  # cold build
+        after = state._snapshot
+    assert after is not before and after.version == before.version
+    assert frozenset(OTHER_SUBSET) not in before.profiles  # old one untouched
+    assert set(after.profiles) == set(before.profiles) | {frozenset(OTHER_SUBSET)}
+    for key, profile in before.profiles.items():
+        assert after.profiles[key] is profile
+    assert after.tables is before.tables

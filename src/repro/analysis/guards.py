@@ -132,6 +132,7 @@ MODULE_GUARDS: dict[str, ModuleGuard] = {
                 "_ZERO_SCAN_QUERIES",
                 "_FULL_SCANS",
                 "_LATENCY",
+                "_STAGES",
             }
         ),
     ),

@@ -13,7 +13,7 @@ produced.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -180,6 +180,16 @@ class BasicBellwetherSearch:
         evaluations or refreshes never show through.
         """
         return MappingProxyType(dict(self._profile))
+
+    def forget(self, item_ids: Iterable) -> None:
+        """Drop the cached profile of one item subset, if held.
+
+        For a caller that evaluates an open-ended stream of subsets and
+        must bound what stays cached; the next :meth:`evaluate_all` for
+        the subset scans again.  The all-items profile is not a subset
+        and stays.
+        """
+        self._profile.pop(frozenset(item_ids), None)
 
     # -------------------------------------------------------------- evaluate
 

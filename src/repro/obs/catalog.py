@@ -102,6 +102,11 @@ SERVE_LATENCY_BELLWETHER = "serve.latency.bellwether.s"
 SERVE_LATENCY_PREDICT = "serve.latency.predict.s"
 SERVE_LATENCY_AQP = "serve.latency.aqp.s"
 SERVE_LATENCY_AQP_TRAIN = "serve.latency.aqp_train.s"
+# What each of those latencies splits into, over all endpoints: request
+# framing + body decode, the ServerState call, the one socket write.
+SERVE_STAGE_PARSE = "serve.stage.parse.s"
+SERVE_STAGE_ANSWER = "serve.stage.answer.s"
+SERVE_STAGE_WRITE = "serve.stage.write.s"
 
 # ------------------------------------------------- approximate answering (AQP)
 # Counted by repro.aqp: queries asking mode=approx, how many were answered
@@ -189,6 +194,9 @@ HISTOGRAMS: tuple[str, ...] = (
     SERVE_LATENCY_PREDICT,
     SERVE_LATENCY_AQP,
     SERVE_LATENCY_AQP_TRAIN,
+    SERVE_STAGE_PARSE,
+    SERVE_STAGE_ANSWER,
+    SERVE_STAGE_WRITE,
 )
 
 

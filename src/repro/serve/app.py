@@ -12,12 +12,18 @@ Endpoints (all JSON; see DESIGN.md §9):
 * ``GET /aqp`` / ``POST /aqp/train`` — approximate-tier status / retrain.
 * ``GET /healthz`` / ``GET /metricsz`` — liveness / registry snapshot.
 
-One thread per request (``ThreadingHTTPServer``); every handler funnels
-through :meth:`_Handler._dispatch`, which maps any
-:class:`~repro.exceptions.ReproError` onto the structured JSON error
-payload of :mod:`repro.serve.errors` and keeps the thread alive on any
-other failure.  Latency/request counters are recorded through
-:func:`repro.serve.state.record_request` under the instrument lock.
+One thread per *connection* (``ThreadingHTTPServer``); the requests of a
+keep-alive connection reuse it.  Every request funnels through
+:meth:`_Handler._dispatch`, which times its three stages — parse, answer,
+write — maps any :class:`~repro.exceptions.ReproError` onto the structured
+JSON error payload of :mod:`repro.serve.errors` and keeps the thread alive
+on any other failure; http.server's own refusals (unknown method,
+unparsable request line) get the same payload through
+:meth:`_Handler.send_error`.  The read endpoints' bodies arrive from
+:class:`ServerState` as bytes and are written straight through; every
+reply leaves in one write (:meth:`_Handler._reply`).  Latency/request
+counters are recorded through :func:`repro.serve.state.record_request`
+under the instrument lock.
 """
 
 from __future__ import annotations
@@ -25,12 +31,16 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections.abc import Callable
+from functools import partial
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ReproError
 
 from .errors import BadRequestError, MethodNotAllowedError, NotFoundError, error_payload
+from .snapshot import dumps
 from .state import ServerState, record_request
 
 __all__ = ["BellwetherHTTPServer", "ServerHandle", "make_server", "serve_in_thread"]
@@ -40,7 +50,7 @@ _POST_ROUTES = ("/bellwether", "/predict", "/aqp/train")
 
 
 class BellwetherHTTPServer(ThreadingHTTPServer):
-    """Thread-per-request server sharing one :class:`ServerState`."""
+    """Thread-per-connection server sharing one :class:`ServerState`."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -53,57 +63,106 @@ class BellwetherHTTPServer(ThreadingHTTPServer):
         self.state = state
 
 
+def _dumped(call: Callable[[], dict]) -> Callable[[], bytes]:
+    """``call``'s dict answer serialised per request: the small or rare bodies."""
+    return lambda: dumps(call())
+
+
+def _error_body(exc: Exception, status: int | None = None) -> tuple[int, bytes]:
+    status, payload = error_payload(exc, status)
+    return status, dumps(payload)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on the accepted socket (socketserver sets it in setup()).
+    disable_nagle_algorithm = True
     server: BellwetherHTTPServer
 
     # ------------------------------------------------------------ dispatching
 
     def do_GET(self) -> None:  # noqa: N802 (http.server's naming)
-        self._dispatch("GET")
+        self._dispatch()
 
     def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
+        self._dispatch()
 
-    def _dispatch(self, method: str) -> None:
+    def send_error(self, code, message=None, explain=None) -> None:
+        """http.server's own refusals, through the same wall as ours.
+
+        It calls this for a method without a ``do_*`` (501: the request
+        itself parsed, so it is dispatched like any other and ``_route``
+        answers 405) and for a request line or header block it cannot
+        parse (400, 414, 431, 505): the framing is lost, so the
+        connection closes, and the request was never timed.
+        """
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            self._dispatch()
+            return
+        self.close_connection = True
+        refusal = BadRequestError(message or self.responses[code][0])
+        self._reply(*_error_body(refusal, status=int(code)))
+        record_request("unknown", 0.0, True)
+
+    def _dispatch(self) -> None:
         start = time.perf_counter()
         endpoint = "unknown"
         error = False
+        parsed = None
         self._unread = 0  # request-body bytes still on the socket
         try:
             self._unread = self._content_length()
             path, params = self._split_path()
             endpoint = path.lstrip("/") or "unknown"
-            status, payload = 200, self._route(method, path, params)
+            call = self._route(self.command, path, params)
+            parsed = time.perf_counter()
+            status, body = 200, call()
         except ReproError as exc:
             error = True
-            status, payload = error_payload(exc)
+            status, body = _error_body(exc)
         except Exception as exc:  # lint: ignore[RPR006] — a request thread answers 500, it must not die
             error = True
-            status, payload = error_payload(exc, status=500)
+            status, body = _error_body(exc, status=500)
         # An error raised before the route read its body (405, bad level
         # param, ...) would leave the bytes on the socket and desync the
         # next keep-alive request — drain them before replying.
         self._read_body()
-        self._send_json(status, payload)
-        record_request(endpoint, time.perf_counter() - start, error)
+        answered = time.perf_counter()
+        if parsed is None:  # refused while parsing: no answer stage ran
+            parsed = answered
+        parse, answer = parsed - start, answered - parsed
+        # Milliseconds; the write cannot be known before it is sent.
+        self._reply(
+            status, body, f"parse;dur={parse * 1e3:.3f}, answer;dur={answer * 1e3:.3f}"
+        )
+        done = time.perf_counter()
+        record_request(endpoint, done - start, error, (parse, answer, done - answered))
 
-    def _route(self, method: str, path: str, params: dict) -> dict:
+    def _route(self, method: str, path: str, params: dict) -> Callable[[], bytes]:
+        """The parse stage: check method and path, read and decode the body.
+
+        Returns the :class:`ServerState` call that answers, bound to its
+        arguments; running it is the answer stage.
+        """
         state = self.server.state
+        if method not in ("GET", "POST"):
+            raise MethodNotAllowedError(
+                f"method {method} is not supported; endpoints answer GET or POST"
+            )
         if path in _GET_ROUTES:
             if method != "GET":
                 raise MethodNotAllowedError(f"{path} answers GET only")
             if path == "/model":
-                return state.model_info()
+                return state.model_body
             if path == "/regions":
-                return state.regions_info()
+                return state.regions_body
             if path == "/cube":
-                return state.cube_info(self._level_param(params))
+                return partial(state.cube_body, self._level_param(params))
             if path == "/aqp":
-                return state.aqp_status()
+                return _dumped(state.aqp_status)
             if path == "/healthz":
-                return state.healthz()
-            return state.metricsz()
+                return _dumped(state.healthz)
+            return _dumped(state.metricsz)
         if path in _POST_ROUTES:
             if method != "POST":
                 raise MethodNotAllowedError(f"{path} answers POST only")
@@ -111,16 +170,18 @@ class _Handler(BaseHTTPRequestHandler):
                 # The journal is the input; any body is drained (keep-alive
                 # connections must not leave unread bytes) and ignored.
                 self._read_body()
-                return state.aqp_train()
+                return _dumped(state.aqp_train)
             body = self._read_json()
             if path == "/bellwether":
-                return state.bellwether(
+                return partial(
+                    state.bellwether_body,
                     budget=body.get("budget"),
                     items=body.get("items"),
                     mode=body.get("mode"),
                     tolerance=body.get("tolerance"),
                 )
-            return state.predict(
+            return partial(
+                state.predict_body,
                 items=body.get("items"),
                 region=body.get("region"),
                 budget=body.get("budget"),
@@ -182,16 +243,27 @@ class _Handler(BaseHTTPRequestHandler):
 
     # --------------------------------------------------------------- replies
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
+    def _reply(self, status: int, body: bytes, timing: str | None = None) -> None:
+        """The one send site: status line, headers and body in one write.
+
+        Two writes would let Nagle park the second until the client's
+        delayed ACK (~40 ms a keep-alive request).  A HEAD reply is the
+        head alone.
+        """
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        if self.close_connection:
+            lines.append("Connection: close")
+        if timing is not None:
+            lines.append(f"Server-Timing: {timing}")
+        head = "\r\n".join([*lines, "", ""]).encode("latin-1")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(head if self.command == "HEAD" else head + body)
         except (BrokenPipeError, ConnectionResetError):
             # Client hung up mid-reply; nothing to answer anymore.
             self.close_connection = True

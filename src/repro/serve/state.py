@@ -19,7 +19,11 @@ held in a single attribute:
   (:meth:`ServerState._current` is the whole rule).
 
 Every response is stamped with the ``store_version`` of the snapshot it
-was computed from.
+was computed from.  Each read endpoint comes twice: ``*_body`` returns the
+reply as JSON bytes, assembled from what the snapshot already rendered,
+for the HTTP layer to write straight through; the dict-returning method
+beside it is ``json.loads`` of those bytes, so in-process and HTTP callers
+cannot disagree.
 
 The :mod:`repro.obs` registry is single-threaded by design, so all serve
 instrument updates go through ``_INSTRUMENT_LOCK`` here
@@ -28,6 +32,7 @@ instrument updates go through ``_INSTRUMENT_LOCK`` here
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -57,6 +62,9 @@ from repro.obs.catalog import (
     SERVE_LATENCY_PREDICT,
     SERVE_LATENCY_REGIONS,
     SERVE_REQUESTS,
+    SERVE_STAGE_ANSWER,
+    SERVE_STAGE_PARSE,
+    SERVE_STAGE_WRITE,
     SERVE_VERSION_ADOPTIONS,
     SERVE_ZERO_SCAN_QUERIES,
     STORE_FULL_SCANS,
@@ -66,7 +74,15 @@ from repro.storage import StorageError, TrainingDataStore
 from repro.storage.columnar import region_from_json, region_to_json
 
 from .errors import BadRequestError, InfeasibleQueryError, NotFoundError
-from .snapshot import FittedModel, Snapshot, infeasible
+from .snapshot import (
+    FittedModel,
+    Profile,
+    Snapshot,
+    dumps,
+    infeasible,
+    render_cube,
+    render_regions,
+)
 
 __all__ = ["ENDPOINTS", "ServerState", "record_request"]
 
@@ -82,6 +98,10 @@ ENDPOINTS = (
     "GET /healthz",
     "GET /metricsz",
 )
+
+#: Item-subset profiles kept warm at once (the all-items profile is not
+#: counted and never evicted).  The largest pool any caller keeps warm is 4.
+MAX_SUBSET_PROFILES = 64
 
 # The registry's increments are plain ``+=`` (single-threaded by design);
 # the service is the one multi-threaded client, so it brings its own lock.
@@ -105,10 +125,19 @@ _LATENCY = {
     "aqp": _REGISTRY.histogram(SERVE_LATENCY_AQP),
     "aqp/train": _REGISTRY.histogram(SERVE_LATENCY_AQP_TRAIN),
 }
+_STAGES = tuple(
+    _REGISTRY.histogram(name)
+    for name in (SERVE_STAGE_PARSE, SERVE_STAGE_ANSWER, SERVE_STAGE_WRITE)
+)
 
 
-def record_request(endpoint: str, elapsed_s: float, error: bool) -> None:
-    """Count one answered request and observe its latency (thread-safe)."""
+def record_request(
+    endpoint: str, elapsed_s: float, error: bool, stages=None
+) -> None:
+    """Count one answered request and observe its latency (thread-safe).
+
+    ``stages``: the ``(parse, answer, write)`` seconds the latency splits into.
+    """
     with _INSTRUMENT_LOCK:
         _REQUESTS.inc()
         if error:
@@ -116,6 +145,9 @@ def record_request(endpoint: str, elapsed_s: float, error: bool) -> None:
         hist = _LATENCY.get(endpoint)
         if hist is not None:
             hist.observe(elapsed_s)
+        if stages is not None:
+            for hist, seconds in zip(_STAGES, stages):
+                hist.observe(seconds)
 
 
 def _record_cache(hit: bool) -> None:
@@ -302,24 +334,27 @@ class ServerState:
                 snap = self._adopt()
         return snap
 
-    def _answer(self, render, build=None) -> dict:
+    def _answer(self, render, build=None) -> tuple[Snapshot, object]:
         """``render(snapshot)`` from the current snapshot, else via the writer.
 
         ``render`` returns ``None`` when the snapshot lacks something;
         ``build(snapshot)`` then runs under the writer mutex and returns
-        a published successor that has it.
+        a published successor that has it.  Returns the snapshot that
+        answered beside the answer.
         """
-        payload = render(self._current())
-        if payload is not None:
+        snap = self._current()
+        answer = render(snap)
+        if answer is not None:
             _record_cache(hit=True)
-            return payload
+            return snap, answer
         with self._writer:
             snap = self._adopt()
             _record_cache(hit=False)
-            payload = render(snap)
-            if payload is None:
-                payload = render(build(snap))
-            return payload
+            answer = render(snap)
+            if answer is None:
+                snap = build(snap)
+                answer = render(snap)
+            return snap, answer
 
     def _publish(self, snapshot: Snapshot) -> Snapshot:
         """Make ``snapshot`` the one requests see.  (writer mutex held)"""
@@ -344,26 +379,66 @@ class ServerState:
             tables = tuple(build_cube_tables(self.builder, self._tables_dir))
         self.search.refresh(parallel=self._parallel, tables=tables)
         _record_adoption()
+        regions = tuple(self.store.regions())
+        profiles = {
+            key: Profile.render(results)
+            for key, results in self.search.profiles.items()
+        }
         return self._publish(
             Snapshot(
                 version=version,
-                regions=tuple(self.store.regions()),
-                n_examples_total=int(self.store.n_examples_total),
-                profiles=self.search.profiles,
+                regions=regions,
+                profiles=profiles,
+                model_body=dumps(
+                    {
+                        **self._model_static,
+                        "store_version": version,
+                        "n_regions": len(regions),
+                        "n_examples_total": int(self.store.n_examples_total),
+                    }
+                ),
+                regions_body=render_regions(
+                    version, regions, profiles[None], self.task.cost
+                ),
                 tables=tables,
             )
         )
 
+    def _with_profiles(self, snap: Snapshot) -> Snapshot:
+        """Publish every profile the search holds.  (writer mutex held)
+
+        New ones are rendered and go last; past ``MAX_SUBSET_PROFILES``
+        the oldest-inserted subsets leave the snapshot and the search,
+        their /predict models with them.  An evicted subset asked again
+        is an ordinary miss.
+        """
+        profiles = dict(snap.profiles)
+        for key, results in self.search.profiles.items():
+            if key not in profiles:
+                profiles[key] = Profile.render(results)
+        subsets = [key for key in profiles if key is not None]
+        evicted = set(subsets[:-MAX_SUBSET_PROFILES])
+        models = snap.models
+        if evicted:
+            for key in evicted:
+                del profiles[key]
+                self.search.forget(key)
+            models = {
+                key: entry
+                for key, entry in models.items()
+                if frozenset(key[1]) not in evicted
+            }
+        return self._publish(replace(snap, profiles=profiles, models=models))
+
     def _add_profile(self, snap: Snapshot, ids) -> Snapshot:
         """Evaluate a never-seen item subset.  (writer mutex held)"""
         self.search.evaluate_all(item_ids=ids, parallel=self._parallel)
-        return self._publish(replace(snap, profiles=self.search.profiles))
+        return self._with_profiles(snap)
 
     def _add_cube(self, snap: Snapshot) -> Snapshot:
-        """Build the /cube browse cube.  (writer mutex held)"""
-        return self._publish(
-            replace(snap, cube=self.builder.build_from_tables(snap.tables))
-        )
+        """Build and render the /cube browse cube.  (writer mutex held)"""
+        cube = self.builder.build_from_tables(snap.tables)
+        return self._publish(replace(snap, cube=render_cube(snap.version, cube)))
 
     def _add_predict(self, snap: Snapshot, criterion, budget, ids, region) -> Snapshot:
         """Profile + fit whatever /predict lacks.  (writer mutex held)"""
@@ -372,9 +447,10 @@ class ServerState:
         region = snap.resolve_region(criterion, budget, ids, region)
         if (region, tuple(ids)) in snap.models:
             return snap
-        entry = FittedModel.from_block(
+        entry = FittedModel.fit(
             self.search.fit_model(region, item_ids=ids),
             self.store.read(region),
+            region,
             ids,
         )
         return self._publish(
@@ -453,14 +529,11 @@ class ServerState:
 
     # ---------------------------------------------------------------- /model
 
+    def model_body(self) -> bytes:
+        return self._current().model_body
+
     def model_info(self) -> dict:
-        snap = self._current()
-        return {
-            **self._model_static,
-            "store_version": snap.version,
-            "n_regions": len(snap.regions),
-            "n_examples_total": snap.n_examples_total,
-        }
+        return json.loads(self.model_body())
 
     # -------------------------------------------------------------- /healthz
 
@@ -482,21 +555,33 @@ class ServerState:
 
     # -------------------------------------------------------------- /regions
 
+    def regions_body(self) -> bytes:
+        return self._answer(lambda snap: snap.regions_body)[1]
+
     def regions_info(self) -> dict:
-        return self._answer(lambda snap: snap.regions_info(self.task.cost))
+        return json.loads(self.regions_body())
 
     # ----------------------------------------------------------------- /cube
 
-    def cube_info(self, level: tuple[int, ...] | None = None) -> dict:
+    def cube_body(self, level: tuple[int, ...] | None = None) -> bytes:
         if self.builder is None:
             raise NotFoundError(
                 "this deployment serves no item hierarchies; /cube needs them"
             )
-        return self._answer(lambda snap: snap.cube_info(level), self._add_cube)
+        return self._answer(lambda snap: snap.cube_level(level), self._add_cube)[1]
+
+    def cube_info(self, level: tuple[int, ...] | None = None) -> dict:
+        return json.loads(self.cube_body(level))
 
     # ------------------------------------------------------------ /bellwether
 
     def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
+        """:meth:`bellwether_body`, parsed."""
+        return json.loads(self.bellwether_body(budget, items, mode, tolerance))
+
+    def bellwether_body(
+        self, budget=None, items=None, mode=None, tolerance=None
+    ) -> bytes:
         """Best region for item subset ``items`` under ``budget``.
 
         Exact path — the published snapshot profiles this subset: answered
@@ -526,26 +611,34 @@ class ServerState:
                     raise infeasible(budget, ids)
                 _record_cache(hit=True)
                 _record_zero_scan()
-                return self._approx_bellwether_payload(
-                    model, answer, budget, ids, tolerance
+                return dumps(
+                    self._approx_bellwether_payload(
+                        model, answer, budget, ids, tolerance
+                    )
                 )
             except ApproxMiss as miss:
                 fallback_reason = miss.reason
             engine.note_fallback()
-        payload = self._bellwether_exact(budget, ids)
+        body = self._bellwether_exact(budget, ids)
         if fallback_reason is not None:
-            payload["requested_mode"] = "approx"
-            payload["fallback_reason"] = fallback_reason
-            self._maybe_retrain(fallback_reason)
-        return payload
+            body = self._fell_back(body, fallback_reason)
+        return body
 
-    def _bellwether_exact(self, budget, ids) -> dict:
+    def _fell_back(self, body: bytes, reason: str) -> bytes:
+        """An exact ``body`` annotated as an approx fallback; may retrain."""
+        self._maybe_retrain(reason)
+        return b'%s, "requested_mode": "approx", "fallback_reason": %s}' % (
+            body[:-1],
+            dumps(reason),
+        )
+
+    def _bellwether_exact(self, budget, ids) -> bytes:
         criterion = self._criterion(budget)
         # Unlocked `.value` reads below are a CPython-atomic int load; a
         # racing scan from another request at worst skips one zero-scan
         # tally, it cannot corrupt the counter.
         scans_before = _FULL_SCANS.value  # lint: ignore[RPR007]
-        payload = self._answer(
+        snap, (body, winner) = self._answer(
             lambda snap: snap.bellwether(criterion, budget, ids),
             lambda snap: self._add_profile(snap, ids),
         )
@@ -553,12 +646,12 @@ class ServerState:
             _record_zero_scan()
         if self.aqp is not None:
             self.aqp.journal.log_bellwether(
-                store_version=payload["store_version"],
+                store_version=snap.version,
                 budget=budget,
                 items=ids,
-                winner=payload["bellwether"]["region_str"],
+                winner=str(winner.region),
             )
-        return payload
+        return body
 
     def _approx_bellwether_payload(
         self, model, answer, budget, ids, tolerance
@@ -595,6 +688,12 @@ class ServerState:
     def predict(
         self, items, region=None, budget=None, mode=None, tolerance=None
     ) -> dict:
+        """:meth:`predict_body`, parsed."""
+        return json.loads(self.predict_body(items, region, budget, mode, tolerance))
+
+    def predict_body(
+        self, items, region=None, budget=None, mode=None, tolerance=None
+    ) -> bytes:
         """Predicted per-item values and aggregate for ``items`` from a region.
 
         ``region`` (a /regions ``key``) defaults to the bellwether for
@@ -629,21 +728,19 @@ class ServerState:
                     0.0 if tolerance is None else float(tolerance)
                 )
                 payload["estimated_error"] = 0.0
-                return payload
+                return dumps(payload)
             except ApproxMiss as miss:
                 fallback_reason = miss.reason
             engine.note_fallback()
-        payload = self._predict_exact(ids, region, budget)
+        body = self._predict_exact(ids, region, budget)
         if fallback_reason is not None:
-            payload["requested_mode"] = "approx"
-            payload["fallback_reason"] = fallback_reason
-            self._maybe_retrain(fallback_reason)
-        return payload
+            body = self._fell_back(body, fallback_reason)
+        return body
 
-    def _predict_exact(self, ids, region, budget) -> dict:
+    def _predict_exact(self, ids, region, budget) -> bytes:
         region_obj = None if region is None else self._decode_region(region)
         criterion = self._criterion(budget)
-        payload = self._answer(
+        snap, body = self._answer(
             lambda snap: snap.predict(criterion, budget, ids, region_obj),
             lambda snap: self._add_predict(
                 snap, criterion, budget, ids, region_obj
@@ -651,12 +748,12 @@ class ServerState:
         )
         if self.aqp is not None:
             self.aqp.journal.log_predict(
-                store_version=payload["store_version"],
+                store_version=snap.version,
                 budget=budget,
                 items=ids,
                 region=region,
             )
-        return payload
+        return body
 
     # ------------------------------------------------------------------ /aqp
 
@@ -709,7 +806,7 @@ class ServerState:
         )
         # Training profiled the journaled subsets straight on the search;
         # let queries see them too.
-        self._publish(replace(self._snapshot, profiles=self.search.profiles))
+        self._with_profiles(self._snapshot)
         return model
 
     def _replay_predict(self, ids, region_key, budget):
@@ -726,7 +823,7 @@ class ServerState:
             snap = self._add_predict(
                 self._snapshot, criterion, budget, ids, region_obj
             )
-            return snap.predict(criterion, budget, ids, region_obj)
+            return json.loads(snap.predict(criterion, budget, ids, region_obj))
         except (InfeasibleQueryError, NotFoundError, SearchError):
             return None
 

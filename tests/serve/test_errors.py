@@ -119,6 +119,93 @@ def test_bad_content_length_is_400_and_closes(served, method, path, length):
     _assert_error(json.loads(body), 400, "BadRequestError")
 
 
+# http.server refuses these itself, before any ``do_*`` runs; they used to
+# get its text/html page, in two writes, uncounted.
+@pytest.mark.parametrize(
+    "request_bytes, status, error_type",
+    [
+        (
+            b"PUT /bellwether HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: 14\r\n\r\n{\"budget\": 50}",
+            405, "MethodNotAllowedError",
+        ),
+        (
+            b"DELETE /model HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            405, "MethodNotAllowedError",
+        ),
+        (
+            b"BREW /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            405, "MethodNotAllowedError",
+        ),
+        (b"GET\r\n\r\n", 400, "BadRequestError"),
+        (b"GET /model HTTP/1.1 extra\r\n\r\n", 400, "BadRequestError"),
+        (b"GET /model HTTP/one\r\n\r\n", 400, "BadRequestError"),
+        (b"GET /model HTTP/9.9\r\nHost: x\r\n\r\n", 505, "BadRequestError"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "BadRequestError"),
+        (
+            b"GET /model HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 200 + b"\r\n",
+            431, "BadRequestError",
+        ),
+    ],
+    ids=[
+        "put", "delete", "unknown-method", "short-request-line",
+        "long-request-line", "bad-version", "unsupported-version",
+        "uri-too-long", "too-many-headers",
+    ],
+)
+def test_http_server_refusals_are_structured_and_counted(
+    served, request_bytes, status, error_type
+):
+    before = served.state.metricsz()["metrics"]
+    with socket.create_connection((served.host, served.port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        raw = b""
+        while chunk := sock.recv(65536):  # until the server closes
+            raw += chunk
+    head, __, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"content-type: application/json" in head.lower()
+    assert b"connection: close" in head.lower()
+    assert b"content-length: %d" % len(body) in head.lower()
+    _assert_error(json.loads(body), status, error_type)
+    after = served.state.metricsz()["metrics"]
+    for counter in ("serve.requests", "serve.errors"):
+        assert after[counter] == before[counter] + 1
+
+
+def test_head_is_refused_with_the_head_alone(served):
+    conn = http.client.HTTPConnection(served.host, served.port, timeout=30)
+    try:
+        conn.request("HEAD", "/model")
+        response = conn.getresponse()
+        assert response.status == 405
+        assert response.getheader("Content-Type") == "application/json"
+        assert int(response.getheader("Content-Length")) > 0
+        assert response.read() == b""
+        # no body bytes were left behind to desync the next reply
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        conn.close()
+
+
+def test_a_refused_method_keeps_the_connection_in_sync(served):
+    conn = http.client.HTTPConnection(served.host, served.port, timeout=30)
+    try:
+        conn.request("PUT", "/bellwether", body=b'{"budget": 50}')
+        response = conn.getresponse()
+        assert response.status == 405
+        _assert_error(json.loads(response.read()), 405, "MethodNotAllowedError")
+        conn.request("GET", "/healthz")  # the PUT's body was drained
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        conn.close()
+
+
 def test_unknown_endpoint_is_404(served):
     status, payload = _raw(served, "GET", "/nope")
     assert status == 404

@@ -13,7 +13,7 @@ produced.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -24,6 +24,7 @@ from repro.exec import ParallelConfig, ParallelExecutor
 from repro.ml import (
     ErrorEstimate,
     LinearRegression,
+    StackedSuffStats,
     TrainingSetEstimator,
     default_model_factory,
 )
@@ -120,6 +121,52 @@ def select_bellwether(
     return BasicBellwetherResult(best, feasible, criterion)
 
 
+def results_from_stats(
+    regions: Sequence[Region],
+    stats: StackedSuffStats,
+    n_total: int,
+    cost_of: Callable[[Region], float],
+    min_examples: int,
+) -> list[RegionResult]:
+    """The training-set profile of stacked per-region statistics.
+
+    ``stats`` holds one problem per entry of ``regions``; those with at
+    least ``min_examples`` rows are fit by one batched solve and come back
+    in order, coverage measured against ``n_total`` items.  Each error is
+    the :class:`~repro.ml.TrainingSetEstimator` estimate of the same
+    statistics, bit for bit (:meth:`StackedSuffStats.sse`).  Counted under
+    ``search.regions_evaluated``.
+    """
+    results: list[RegionResult] = []
+    cand = np.flatnonzero(stats.n >= min_examples)
+    if len(cand):
+        stats = stats.select(cand)
+        sse = stats.sse()
+        denom = stats.n - stats.p
+        denom = np.where(denom <= 0, stats.n, denom)
+        rmse = np.sqrt(sse / denom)
+        dof = stats.dof
+        for k, idx in enumerate(cand):
+            region = regions[int(idx)]
+            n = int(stats.n[k])
+            results.append(
+                RegionResult(
+                    region=region,
+                    cost=cost_of(region),
+                    coverage=n / n_total,
+                    n_items=n,
+                    error=ErrorEstimate(
+                        rmse=float(rmse[k]),
+                        kind="training",
+                        sse=float(sse[k]),
+                        dof=int(dof[k]),
+                    ),
+                )
+            )
+    _REGIONS_EVALUATED.inc(len(results))
+    return results
+
+
 class BasicBellwetherSearch:
     """Scan-once, query-many basic bellwether search.
 
@@ -184,10 +231,10 @@ class BasicBellwetherSearch:
     def forget(self, item_ids: Iterable) -> None:
         """Drop the cached profile of one item subset, if held.
 
-        For a caller that evaluates an open-ended stream of subsets and
-        must bound what stays cached; the next :meth:`evaluate_all` for
-        the subset scans again.  The all-items profile is not a subset
-        and stays.
+        For a caller that bounds what stays cached (the query service
+        evicts what AQP training profiled here along with its own subset
+        profiles); the next :meth:`evaluate_all` for the subset scans
+        again.  The all-items profile is not a subset and stays.
         """
         self._profile.pop(frozenset(item_ids), None)
 
@@ -201,7 +248,10 @@ class BasicBellwetherSearch:
         """One scan over the store: a RegionResult per region.
 
         ``item_ids`` restricts training to a subset S of items (used by
-        trees/cubes); coverage is then measured against |S|.
+        trees/cubes); coverage is then measured against |S|, the distinct
+        ids named.  The query service answers the same question from rows
+        it keeps in memory (:class:`~repro.core.regionrows.RegionRows`);
+        this scan is the reference those answers must equal bit for bit.
 
         ``parallel`` (default: the process-wide :mod:`repro.exec` config)
         fans the per-region error estimation out over workers.  The scan
@@ -214,7 +264,9 @@ class BasicBellwetherSearch:
         if key in self._profile:
             return self._profile[key]
         restrict = np.asarray(list(item_ids)) if item_ids is not None else None
-        n_total = len(restrict) if restrict is not None else self.task.n_items
+        # The key's size, not the list's: a repeated id names no new item,
+        # and the profile is cached (and served) under the set.
+        n_total = len(key) if key is not None else self.task.n_items
         results: list[RegionResult] = []
         before = self.store.stats.snapshot()
         with _TRACER.span(
@@ -293,37 +345,17 @@ class BasicBellwetherSearch:
                 "no root-level (all-items) cube table; the builder's "
                 "min_subset_size must admit the full item set"
             )
-        results: list[RegionResult] = []
         with _TRACER.span("search.from_tables", regions=root.n_regions) as sp:
-            cand = np.flatnonzero(root.stats.n >= self.min_examples)
-            if len(cand):
-                stats = root.stats.select(cand)
-                sse = stats.sse()
-                denom = stats.n - stats.p
-                denom = np.where(denom <= 0, stats.n, denom)
-                rmse = np.sqrt(sse / denom)
-                dof = stats.dof
-                for k, idx in enumerate(cand):
-                    region = root.regions[int(idx)]
-                    n = int(stats.n[k])
-                    results.append(
-                        RegionResult(
-                            region=region,
-                            cost=self._costs.setdefault(
-                                region, self.task.cost(region)
-                            ),
-                            coverage=n / self.task.n_items,
-                            n_items=n,
-                            error=ErrorEstimate(
-                                rmse=float(rmse[k]),
-                                kind="training",
-                                sse=float(sse[k]),
-                                dof=int(dof[k]),
-                            ),
-                        )
-                    )
+            results = results_from_stats(
+                root.regions,
+                root.stats,
+                self.task.n_items,
+                lambda region: self._costs.setdefault(
+                    region, self.task.cost(region)
+                ),
+                self.min_examples,
+            )
             sp.annotate(evaluated=len(results))
-        _REGIONS_EVALUATED.inc(len(results))
         self._profile[None] = results
         self._profile_version = self.store.version
         return results

@@ -6,7 +6,7 @@ job.  This figure measures that regime end to end: a live
 :mod:`repro.serve` process over an on-disk store, hit by N concurrent
 seeded synthetic clients (:mod:`repro.serve.loadgen`).  The warm-up pass
 pays every cold evaluation once; the measured pass then runs entirely on
-the server's read-locked, zero-scan path, so p50/p99 latency and
+the server's lock-free, zero-scan path, so p50/p99 latency and
 throughput characterize the materialized-tables serving architecture, not
 ad-hoc rescans.
 
@@ -146,10 +146,11 @@ def run_fig13(
                 after = _counter_snapshot()
         deltas = {k: after[k] - before[k] for k in _OP_METRICS}
         # The delta brackets warm-up + measured pass.  Warm-up pays one scan
-        # per cold subset profile; the measured pass answers from the
-        # read-locked cached state, so the total stays a small constant of
-        # the plan — hundreds of measured queries falling off the warm path
-        # would blow the sentinel's two-sided ops band immediately.
+        # in total (the first cold subset builds the snapshot's region rows;
+        # the others are evaluated from them); the measured pass answers
+        # from the published snapshot, so the total stays that constant —
+        # measured queries falling back to scans would blow the sentinel's
+        # two-sided ops band immediately.
         full_scans = int(deltas[STORE_FULL_SCANS])
         row = {
             "backend": backend,

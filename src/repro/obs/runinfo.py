@@ -8,7 +8,10 @@ with this module's context:
 * ``run_id`` — one random 12-hex token per *process*, so all records a
   single bench session writes group together;
 * ``git_sha`` — the checked-out commit (short sha), tying a record to the
-  code that produced it; ``None`` outside a git work tree;
+  code that produced it, with git's ``-dirty`` suffix when tracked files
+  other than the ``BENCH_*.json`` journals differ from that commit (a
+  change measured before it was committed must not read as its parent);
+  ``None`` outside a git work tree;
 * ``hostname`` / ``python`` — where and on what the record was measured.
 
 ``workers`` deliberately does **not** live here: :mod:`repro.obs` is a leaf
@@ -38,7 +41,8 @@ def current_run_id() -> str:
 
 
 def git_sha() -> str | None:
-    """The short sha of HEAD, or ``None`` when git/worktree is unavailable."""
+    """The short sha of HEAD (``-dirty`` if tracked files differ from it,
+    journals aside), or ``None`` when git/worktree is unavailable."""
     global _GIT_SHA
     if _GIT_SHA is False:
         try:
@@ -49,7 +53,18 @@ def git_sha() -> str | None:
                 timeout=5,
                 check=True,
             )
-            _GIT_SHA = out.stdout.strip() or None
+            sha = out.stdout.strip() or None
+            if sha:
+                # Journals aside: appending a record must not dirty the next.
+                differs = subprocess.run(
+                    ["git", "diff-index", "--quiet", "HEAD", "--",
+                     ":(top,exclude)BENCH_*.json"],
+                    capture_output=True,
+                    timeout=5,
+                )
+                if differs.returncode == 1:
+                    sha += "-dirty"
+            _GIT_SHA = sha
         except (OSError, subprocess.SubprocessError):
             _GIT_SHA = None
     return _GIT_SHA

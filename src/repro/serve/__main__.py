@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="thread fan-out for cold evaluations (1 = serial)",
+        help="thread fan-out for re-evaluating delta-touched regions (1 = serial)",
     )
     parser.add_argument(
         "--store-dir",

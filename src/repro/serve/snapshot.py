@@ -2,8 +2,9 @@
 
 A :class:`Snapshot` is everything a query may look at, frozen at one
 store version: the region list, the evaluated profiles (all items plus
-every item subset seen at this version), the level tables they were
-rolled from, the fitted-model cache and the /model, /regions and /cube
+the item subsets kept warm at this version), the level tables the
+all-items profile was rolled from, the region rows any other subset is
+evaluated from, the fitted-model cache and the /model, /regions and /cube
 bodies.  :class:`~repro.serve.state.ServerState` holds exactly one
 published snapshot; a request reads that reference once and then calls
 only the methods below, which touch nothing but ``self`` and their
@@ -20,9 +21,11 @@ echo, feasible count); selection still runs per request, so any budget is
 answered.  Nothing is filled in lazily, and nothing is keyed by request.
 
 A method returns ``None`` when the snapshot lacks what the answer needs
-(a never-seen subset's profile, an unfitted model, the cube); the caller
-then has the writer build it and publish a successor snapshot.  Successor
-snapshots share every unchanged piece with their predecessor.
+(a never-seen subset's profile, an unfitted model, the cube).  A subset's
+profile is a pure function of ``rows`` (:meth:`Snapshot.evaluate`), so a
+reader computes it itself; for anything else the caller has the writer
+build it and publish a successor snapshot.  Successor snapshots share
+every unchanged piece with their predecessor.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.core.basic import RegionResult, select_bellwether
+from repro.core.regionrows import RegionRows
 from repro.core.rowindex import RowIndex
 from repro.dimensions import Region
 from repro.ml import LinearRegression
@@ -215,15 +219,29 @@ class Snapshot:
     cube: Mapping[tuple[int, ...] | None, bytes] | None = None
     #: ``(region, item-id tuple)`` -> fitted /predict model.
     models: Mapping[tuple, FittedModel] = field(default_factory=dict)
+    #: Per-region evaluation cost and the search's row threshold, for
+    #: results evaluated from ``rows``.
+    costs: Mapping[Region, float] = field(default_factory=dict)
+    min_examples: int = 0
+    #: Every region's training rows: what a never-seen item subset is
+    #: evaluated from.  ``None`` until the first subset question at a
+    #: deployment (one scan builds it); carried across deltas after that.
+    rows: RegionRows | None = None
 
     def __post_init__(self):
         # Own read-only copies: nothing the builder keeps can alias in.
-        for name in ("profiles", "models", "cube"):
+        for name in ("profiles", "models", "cube", "costs"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, MappingProxyType(dict(value)))
 
     # ------------------------------------------------------------ /bellwether
+
+    def evaluate(self, ids) -> Profile:
+        """The profile of item subset ``ids``, computed from ``rows``."""
+        return Profile.render(
+            self.rows.evaluate(ids, self.costs, self.min_examples)
+        )
 
     def bellwether(
         self, criterion, budget, ids
@@ -232,6 +250,13 @@ class Snapshot:
         profile = self.profiles.get(None if ids is None else frozenset(ids))
         if profile is None:
             return None
+        return self.bellwether_of(profile, criterion, budget, ids)
+
+    def bellwether_of(
+        self, profile: Profile, criterion, budget, ids
+    ) -> tuple[bytes, RegionResult]:
+        """:meth:`bellwether` from ``profile``: ``ids``' own, held here or
+        just computed by :meth:`evaluate`."""
         result = select_bellwether(profile.results, criterion)
         best = result.bellwether
         if best is None:

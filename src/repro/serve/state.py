@@ -8,11 +8,16 @@ held in a single attribute:
 
 * **Readers** load that attribute once and answer from the snapshot with
   no lock — no fact scans, no mutation, any number in parallel, and never
-  two store versions in one response.
-* **Writers** — store deltas, version adoption, the first touch of an
-  item subset or /predict model — take the one writer mutex, bring the
-  search and tables forward through the adopt-and-patch path
-  (:func:`build_cube_tables` + :meth:`BasicBellwetherSearch.refresh`),
+  two store versions in one response.  That includes a /bellwether over
+  an item subset nobody asked before: the snapshot holds every region's
+  rows (:class:`~repro.core.regionrows.RegionRows`), the subset's profile
+  is a pure function of them, and the reader that computed it takes the
+  mutex only to offer it for reuse (:meth:`ServerState._offer`).
+* **Writers** — store deltas, version adoption, the one scan that first
+  builds the region rows, the first touch of a /predict model — take the
+  one writer mutex, bring the search, tables and rows forward through
+  the adopt-and-patch path (:func:`build_cube_tables` +
+  :meth:`BasicBellwetherSearch.refresh` + :meth:`RegionRows.advance`),
   build the next snapshot off to the side and publish it with one
   reference assignment.  A query the published snapshot can answer never
   waits on that mutex, even while a delta is in flight
@@ -46,6 +51,7 @@ from repro.analysis.runtime import (
 from repro.aqp import ApproxMiss, AqpConfig, AqpEngine
 from repro.core import BasicBellwetherSearch, BellwetherCubeBuilder
 from repro.core.exceptions import SearchError
+from repro.core.regionrows import RegionRows
 from repro.exceptions import ConfigError
 from repro.exec import ParallelConfig
 from repro.incremental import build_cube_tables
@@ -100,7 +106,9 @@ ENDPOINTS = (
 )
 
 #: Item-subset profiles kept warm at once (the all-items profile is not
-#: counted and never evicted).  The largest pool any caller keeps warm is 4.
+#: counted and never evicted).  The largest pool any caller keeps warm is
+#: 4; an evicted subset costs one evaluation from the region rows (~6 ms
+#: over 156 regions) against ~0.03 ms for selecting from a kept profile.
 MAX_SUBSET_PROFILES = 64
 
 # The registry's increments are plain ``+=`` (single-threaded by design);
@@ -185,6 +193,9 @@ class ServerState:
     ----------
     task, store:
         The problem definition and its (possibly appending) training store.
+        The task's error estimator must be the plain
+        :class:`~repro.ml.TrainingSetEstimator`: every served error is
+        solved from sufficient statistics (cube tables, region rows).
     hierarchies:
         Item hierarchies enabling the /cube drill-down endpoints and the
         materialized-tables warm path; requires ``tables_dir``.
@@ -194,9 +205,9 @@ class ServerState:
     costs:
         Optional precomputed per-region costs (else from ``task.cost``).
     parallel:
-        Fan cold evaluations out over this :class:`ParallelConfig`.  Use a
-        thread backend — forking from a multi-threaded server process is
-        deadlock-prone.
+        Fan the all-items profile's raw re-evaluations out over this
+        :class:`ParallelConfig`.  Use a thread backend — forking from a
+        multi-threaded server process is deadlock-prone.
     dataset_name:
         Advertised by /model and /healthz.
     min_subset_size, min_examples:
@@ -225,20 +236,21 @@ class ServerState:
         aqp_config: AqpConfig | None = None,
     ):
         est = task.error_estimator
-        algebraic = (
+        if not (
             isinstance(est, TrainingSetEstimator)
             and est.model_factory is default_model_factory
-        )
+        ):
+            raise ConfigError(
+                "the query service answers the algebraic training-set "
+                "estimator only: cube tables and region rows hold its "
+                "sufficient statistics, and an item subset's profile is "
+                "solved from them — build the task with "
+                "error_estimator=TrainingSetEstimator()"
+            )
         if hierarchies is not None and tables_dir is None:
             raise ConfigError(
                 "serving with hierarchies requires tables_dir (the "
                 "materialized cube tables back the /cube and warm paths)"
-            )
-        if tables_dir is not None and not algebraic:
-            raise ConfigError(
-                "materialized cube tables answer the algebraic training-set "
-                "estimator only; this task's estimator needs raw rows — "
-                "serve without tables_dir/hierarchies"
             )
         if parallel is not None and parallel.workers > 1 and (
             parallel.backend == "process"
@@ -367,8 +379,9 @@ class ServerState:
         Cube tables adopt the newest persisted snapshot and patch forward
         through the store changelog (:func:`build_cube_tables` reuses the
         incremental maintainer), then the search profile refreshes from
-        them — region reads at most, never a fact scan once tables exist.
-        The previous snapshot keeps answering until the assignment.
+        them and the region rows re-read what the changelog names —
+        region reads at most, never a fact scan once tables exist.  The
+        previous snapshot keeps answering until the assignment.
         """
         version = int(self.store.version)
         snap = self._snapshot
@@ -401,18 +414,34 @@ class ServerState:
                     version, regions, profiles[None], self.task.cost
                 ),
                 tables=tables,
+                costs=self.search.costs,
+                min_examples=self.search.min_examples,
+                rows=self._carried_rows(snap),
             )
         )
 
-    def _with_profiles(self, snap: Snapshot) -> Snapshot:
-        """Publish every profile the search holds.  (writer mutex held)
+    def _carried_rows(self, snap: Snapshot | None) -> RegionRows | None:
+        """``snap``'s region rows at the store's version.  (writer mutex held)"""
+        if snap is None or snap.rows is None:
+            return None
+        try:
+            deltas = self.store.deltas_since(snap.version)
+        except StorageError:
+            # A changelog gap: the next subset question rebuilds by scan.
+            return None
+        return snap.rows.advance(self.store, deltas)
 
-        New ones are rendered and go last; past ``MAX_SUBSET_PROFILES``
-        the oldest-inserted subsets leave the snapshot and the search,
-        their /predict models with them.  An evicted subset asked again
-        is an ordinary miss.
+    def _with_profiles(self, snap: Snapshot, fresh=()) -> Snapshot:
+        """Publish ``fresh`` and every profile the search holds.  (writer mutex held)
+
+        ``fresh`` maps item subsets to profiles evaluated from
+        ``snap.rows``; the search's are what AQP training profiled on it.
+        New ones go last; past ``MAX_SUBSET_PROFILES`` the oldest-inserted
+        subsets leave the snapshot and the search, their /predict models
+        with them.  An evicted subset asked again is an ordinary miss.
         """
         profiles = dict(snap.profiles)
+        profiles.update(fresh)
         for key, results in self.search.profiles.items():
             if key not in profiles:
                 profiles[key] = Profile.render(results)
@@ -431,9 +460,29 @@ class ServerState:
         return self._publish(replace(snap, profiles=profiles, models=models))
 
     def _add_profile(self, snap: Snapshot, ids) -> Snapshot:
-        """Evaluate a never-seen item subset.  (writer mutex held)"""
-        self.search.evaluate_all(item_ids=ids, parallel=self._parallel)
-        return self._with_profiles(snap)
+        """Evaluate a never-seen item subset.  (writer mutex held)
+
+        The first one at a deployment pays the one scan that builds the
+        region rows, as the first /cube pays for the cube.
+        """
+        if snap.rows is None:
+            rows = RegionRows.from_store(self.store, self.task.item_ids)
+            snap = replace(snap, rows=rows)
+        return self._with_profiles(snap, {frozenset(ids): snap.evaluate(ids)})
+
+    def _offer(self, snap: Snapshot, ids, profile) -> None:
+        """Publish a profile a reader evaluated from ``snap.rows``, if that is free.
+
+        Never behind an active writer, and only onto the snapshot it was
+        computed from; otherwise it has served its one reply.
+        """
+        if not self._writer.acquire(blocking=False):
+            return
+        try:
+            if self._snapshot is snap:
+                self._with_profiles(snap, {frozenset(ids): profile})
+        finally:
+            self._writer.release()
 
     def _add_cube(self, snap: Snapshot) -> Snapshot:
         """Build and render the /cube browse cube.  (writer mutex held)"""
@@ -585,10 +634,10 @@ class ServerState:
         """Best region for item subset ``items`` under ``budget``.
 
         Exact path — the published snapshot profiles this subset: answered
-        from it, no lock, zero scans.  Otherwise the writer adopts the
-        store's version if it moved and evaluates the never-seen subset
-        (at most one scan; the all-items profile never rescans once
-        tables exist), then publishes.
+        from it, no lock, zero scans.  A never-seen subset is evaluated
+        from the snapshot's region rows on this thread — still no lock,
+        zero scans — and offered for reuse; only the first one at a
+        deployment goes to the writer, which scans once to build the rows.
 
         ``mode="approx"`` (needs ``aqp_dir``): answer from the learned
         surface — no store access at all — with a declared ``tolerance``
@@ -638,10 +687,23 @@ class ServerState:
         # racing scan from another request at worst skips one zero-scan
         # tally, it cannot corrupt the counter.
         scans_before = _FULL_SCANS.value  # lint: ignore[RPR007]
-        snap, (body, winner) = self._answer(
-            lambda snap: snap.bellwether(criterion, budget, ids),
-            lambda snap: self._add_profile(snap, ids),
-        )
+        snap = self._current()
+        if (
+            ids is not None
+            and snap.rows is not None
+            and frozenset(ids) not in snap.profiles
+        ):
+            # A never-seen subset is a pure function of the snapshot's
+            # rows: one miss, answered here — no store, no wait on a writer.
+            _record_cache(hit=False)
+            profile = snap.evaluate(ids)
+            self._offer(snap, ids, profile)
+            body, winner = snap.bellwether_of(profile, criterion, budget, ids)
+        else:
+            snap, (body, winner) = self._answer(
+                lambda snap: snap.bellwether(criterion, budget, ids),
+                lambda snap: self._add_profile(snap, ids),
+            )
         if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
             _record_zero_scan()
         if self.aqp is not None:

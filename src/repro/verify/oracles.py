@@ -433,7 +433,7 @@ def _direct_predict(search, store, region, ids):
     return model, values, float(total)
 
 
-def _serve_round(w: Workload, ds, store, client, subset, label) -> list[Mismatch]:
+def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatch]:
     """Diff one round of live HTTP answers against fresh in-process calls.
 
     The all-items reference profile is evaluated from scratch-built exact
@@ -444,7 +444,9 @@ def _serve_round(w: Workload, ds, store, client, subset, label) -> list[Mismatch
     across a delta stream add suffstats in a different order than a
     scratch rollup, so all-items rmse is compared under the store's
     cancellation tolerance; everything else — winners, feasible sets,
-    versions, and the raw-path subset profiles and models — stays EXACT.
+    versions, and the subset profiles and models — stays EXACT: the
+    server evaluates a subset from the region rows it holds, the reference
+    from a raw scan, and the two take the same statistics of the same rows.
     """
     from repro.serve import ServeHTTPError
 
@@ -462,7 +464,7 @@ def _serve_round(w: Workload, ds, store, client, subset, label) -> list[Mismatch
     direct.evaluate_from_tables(maintainer.level_tables())
     out: list[Mismatch] = []
     for budget in w.budgets:
-        for items in (None, subset):
+        for items in (None, *subsets):
             tag = (
                 f"{label}.budget[{budget:g}]"
                 + ("" if items is None else f".subset{len(items)}")
@@ -500,7 +502,8 @@ def _serve_round(w: Workload, ds, store, client, subset, label) -> list[Mismatch
             # server patches its tables forward delta by delta while the
             # reference rolls up from scratch — same suffstats, different
             # addition order, so the SSE difference carries cancellation
-            # noise.  Subset profiles are raw-path on both sides: exact.
+            # noise.  Subset profiles are raw rows on both sides (held in
+            # memory by the server, scanned by the reference): exact.
             rmse_tol = error_tolerance(store) if items is None else EXACT
             if not rmse_tol.close(
                 float(expected.bellwether.rmse), float(win["rmse"])
@@ -566,10 +569,15 @@ def _serve_endpoints(w: Workload) -> list[Mismatch]:
     ds, gen, regions, store = w.deployed()
     rng = np.random.default_rng([w.seed, 977])
     ids = sorted(int(i) for i in ds.task.item_ids)
-    size = min(len(ids), max(3, len(ids) // 2))
-    subset = sorted(
-        int(ids[i]) for i in rng.choice(len(ids), size=size, replace=False)
+    # Half the items, and a fifth: small enough that some regions fall
+    # under min_examples and must be skipped on both sides.
+    sizes = sorted(
+        {min(len(ids), max(3, len(ids) // k)) for k in (2, 5)}, reverse=True
     )
+    subsets = [
+        sorted(int(ids[i]) for i in rng.choice(len(ids), size=size, replace=False))
+        for size in sizes
+    ]
     out: list[Mismatch] = []
     with tempfile.TemporaryDirectory(prefix="repro-serve-oracle-") as tmp:
         state = ServerState(
@@ -582,11 +590,11 @@ def _serve_endpoints(w: Workload) -> list[Mismatch]:
         )
         with serve_in_thread(state) as handle:
             with ServeClient(handle.host, handle.port) as client:
-                out += _serve_round(w, ds, store, client, subset, label="base")
+                out += _serve_round(w, ds, store, client, subsets, label="base")
                 # The stream mutates the server's own store mid-flight; the
                 # next queries must adopt the new version, never mix two.
                 w.apply_stream(gen, regions, store)
-                out += _serve_round(w, ds, store, client, subset, label="stream")
+                out += _serve_round(w, ds, store, client, subsets, label="stream")
     return out
 
 

@@ -42,6 +42,20 @@ class TestEvaluateAll:
         assert common
         assert any(abs(full[r] - sub[r]) > 1e-12 for r in common)
 
+    def test_repeated_ids_do_not_dilute_coverage(self, small_task, small_store):
+        """Coverage is measured against the distinct items named — the key
+        the profile is cached under — not the length of the list."""
+        store, costs, __ = small_store
+        ids = [int(i) for i in small_task.item_ids[:20]]
+        clean = BasicBellwetherSearch(small_task, store, costs=costs)
+        repeated = BasicBellwetherSearch(small_task, store, costs=costs)
+        want = clean.evaluate_all(item_ids=ids)
+        got = repeated.evaluate_all(item_ids=ids + ids[:10])
+        assert max(r.coverage for r in got) == 1.0
+        assert got == want
+        # and what the deduplicated key is then served is not poisoned
+        assert repeated.evaluate_all(item_ids=ids) == want
+
 
 class TestRun:
     def test_budget_respected(self, search):

@@ -2,8 +2,9 @@
 
 import json
 import re
+import subprocess
 
-from repro.obs import BenchJournal, current_run_id, run_context
+from repro.obs import BenchJournal, current_run_id, run_context, runinfo
 from repro.obs.runinfo import git_sha
 
 
@@ -18,10 +19,30 @@ class TestRunId:
 class TestGitSha:
     def test_short_sha_or_none(self):
         sha = git_sha()
-        assert sha is None or re.fullmatch(r"[0-9a-f]{4,40}", sha)
+        assert sha is None or re.fullmatch(r"[0-9a-f]{4,40}(-dirty)?", sha)
 
     def test_cached_across_calls(self):
         assert git_sha() == git_sha()
+
+    def test_uncommitted_change_is_marked_dirty(self, tmp_path, monkeypatch):
+        def git(*args):
+            subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "f").write_text("a")
+        (tmp_path / "BENCH_t.json").write_text("{}\n")
+        git("add", "f", "BENCH_t.json")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(runinfo, "_GIT_SHA", False)  # not probed yet
+        clean = git_sha()
+        assert re.fullmatch(r"[0-9a-f]{4,40}", clean)
+        (tmp_path / "BENCH_t.json").write_text("{}\n{}\n")  # a record appended
+        monkeypatch.setattr(runinfo, "_GIT_SHA", False)
+        assert git_sha() == clean
+        (tmp_path / "f").write_text("b")
+        monkeypatch.setattr(runinfo, "_GIT_SHA", False)
+        assert git_sha() == clean + "-dirty"
 
 
 class TestRunContext:

@@ -44,7 +44,6 @@ __all__ = [
     "ModuleGuard",
     "SERVE_INSTRUMENT",
     "SERVE_STATE_WRITER",
-    "SUFFSTATS_CACHE_IO",
     "build_lock_graph",
     "classify_lock_acquisition",
     "extract_lock_edges",
@@ -59,8 +58,6 @@ __all__ = [
 SERVE_STATE_WRITER = "serve.state.writer"
 #: ``repro.serve.state._INSTRUMENT_LOCK`` — guards the metrics registry.
 SERVE_INSTRUMENT = "serve.instrument"
-#: ``SuffStatsCache._io_lock`` — serializes cache save/load pairs.
-SUFFSTATS_CACHE_IO = "incremental.suffstats_cache.io"
 #: ``CubeTableStore._io_lock`` — serializes table save/load pairs.
 CUBE_TABLES_IO = "storage.cubetables.io"
 #: ``WorkloadJournal._lock`` — serializes journal appends.
@@ -69,7 +66,6 @@ AQP_JOURNAL_IO = "aqp.journal.io"
 #: ``(class name, attribute)`` -> canonical lock name, for `with self.X:`.
 _LOCK_ATTR_NAMES: dict[tuple[str, str], str] = {
     ("ServerState", "_writer"): SERVE_STATE_WRITER,
-    ("SuffStatsCache", "_io_lock"): SUFFSTATS_CACHE_IO,
     ("CubeTableStore", "_io_lock"): CUBE_TABLES_IO,
     ("WorkloadJournal", "_lock"): AQP_JOURNAL_IO,
     ("AqpEngine", "_ilock"): SERVE_INSTRUMENT,

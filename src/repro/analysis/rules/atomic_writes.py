@@ -9,9 +9,9 @@ spirit from scan accounting to durability: every file write under
 ``repro/storage`` and ``repro/incremental`` must either go through
 ``_atomic_write`` or follow the tmp-then-replace idiom by hand.
 
-Flagged: ``.write_bytes()`` / ``.write_text()``, ``np.savez*``, write- or
-append-mode ``open()``, and parquet ``write_table()`` whose target is not
-a temp path — plus the inverse bug, a temp write in a function that never
+Flagged: ``.write_bytes()`` / ``.write_text()``, ``np.savez*`` and write-
+or append-mode ``open()`` whose target is not a temp path — plus the
+inverse bug, a temp write in a function that never
 calls ``os.replace`` (the commit that never happens).  A path is "temp"
 when its variable name contains ``tmp`` or it is a handle opened from
 one; the reviewer-visible naming *is* the contract.
@@ -143,16 +143,6 @@ class AtomicWritesRule(Rule):
         ):
             target = call.args[0] if call.args else None
             what = f"np.{func.attr}()"
-        elif (
-            isinstance(func, (ast.Attribute, ast.Name))
-            and (func.attr if isinstance(func, ast.Attribute) else func.id)
-            == "write_table"
-        ):
-            # parquet: write_table(table, path) — the path is any argument.
-            target = next(
-                (a for a in call.args if _is_tmp_name(a, tmp_names)), None
-            ) or (call.args[-1] if call.args else None)
-            what = "write_table()"
         else:
             mode = _write_mode(call)
             if mode is None or not any(c in mode for c in "wax+"):

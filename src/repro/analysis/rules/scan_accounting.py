@@ -16,9 +16,6 @@ rule flags:
   ``np.memmap`` calls (``np.memmap`` is how the columnar backend maps its
   raw column files; outside ``repro.storage`` a mapping bypasses
   ``store.columnar.chunks_read`` and the byte counters).
-
-Legitimate non-store ``.npz`` persistence (the suffstats cache) carries an
-inline ``# lint: ignore[RPR001]`` with its justification.
 """
 
 from __future__ import annotations

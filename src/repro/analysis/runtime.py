@@ -42,7 +42,6 @@ from .guards import (
     CUBE_TABLES_IO,
     SERVE_INSTRUMENT,
     SERVE_STATE_WRITER,
-    SUFFSTATS_CACHE_IO,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "LockOrderError",
     "SERVE_INSTRUMENT",
     "SERVE_STATE_WRITER",
-    "SUFFSTATS_CACHE_IO",
     "TrackedLock",
     "disable_lockcheck",
     "enable_lockcheck",

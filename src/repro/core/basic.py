@@ -228,6 +228,12 @@ class BasicBellwetherSearch:
         """
         return MappingProxyType(dict(self._profile))
 
+    def _cost_of(self, region: Region) -> float:
+        """The region's cost; a region a delta added is priced on first sight."""
+        if region not in self._costs:
+            self._costs[region] = self.task.cost(region)
+        return self._costs[region]
+
     def forget(self, item_ids: Iterable) -> None:
         """Drop the cached profile of one item subset, if held.
 
@@ -291,7 +297,7 @@ class BasicBellwetherSearch:
                 results.append(
                     RegionResult(
                         region=region,
-                        cost=self._costs[region],
+                        cost=self._cost_of(region),
                         coverage=block.n_examples / n_total,
                         n_items=block.n_examples,
                         error=error,
@@ -350,9 +356,7 @@ class BasicBellwetherSearch:
                 root.regions,
                 root.stats,
                 self.task.n_items,
-                lambda region: self._costs.setdefault(
-                    region, self.task.cost(region)
-                ),
+                self._cost_of,
                 self.min_examples,
             )
             sp.annotate(evaluated=len(results))
@@ -429,7 +433,7 @@ class BasicBellwetherSearch:
             for (region, block), error in zip(pending, errors):
                 by_region[region] = RegionResult(
                     region=region,
-                    cost=self._costs.setdefault(region, self.task.cost(region)),
+                    cost=self._cost_of(region),
                     coverage=block.n_examples / self.task.n_items,
                     n_items=block.n_examples,
                     error=error,

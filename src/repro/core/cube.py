@@ -303,19 +303,18 @@ class BellwetherCubeBuilder:
         _SUBSETS_BUILT.inc(len(entries))
         return BellwetherCubeResult(entries, self.hierarchies, self.confidence)
 
-    def incremental(self, cache_dir=None, mode: str = "exact"):
+    def incremental(self, mode: str = "exact"):
         """A delta-aware maintainer for this builder's cube.
 
         Its ``refresh()`` returns the same
         :class:`BellwetherCubeResult` as ``build("optimized")`` — bit for
-        bit in ``"exact"`` mode — while replaying store deltas onto cached
-        sufficient statistics instead of rescanning.  ``cache_dir``
-        persists the statistics next to the store, keyed by store version.
+        bit in ``"exact"`` mode — while replaying store deltas onto held
+        sufficient statistics instead of rescanning.
         See :class:`repro.incremental.IncrementalCubeMaintainer`.
         """
         from repro.incremental import IncrementalCubeMaintainer
 
-        return IncrementalCubeMaintainer(self, cache_dir=cache_dir, mode=mode)
+        return IncrementalCubeMaintainer(self, mode=mode)
 
     # ------------------------------------------------------------ cube tables
 

@@ -13,15 +13,12 @@ Submodules
 ``maintain``
     :class:`IncrementalCubeMaintainer` — keeps a bellwether cube current
     across store deltas (one batched solve per dirty level, no full scan).
-``cache``
-    :class:`SuffStatsCache` — persistent per-region suffstats stacks keyed
-    by store version; :class:`StaleCacheError` on version mismatch.
 ``deltas``
     Month-append stream construction for the experiment configs.
 ``tables``
-    :func:`build_cube_tables` — load-or-materialize the persistent per-level
-    suffstats cube tables (:mod:`repro.storage.cubetables`) with
-    ``--skip-existing`` incremental builds.
+    :func:`build_cube_tables` — load-or-materialize the persistent suffstats
+    cube tables (:mod:`repro.storage.cubetables`, the one persisted
+    statistics artifact) with ``--skip-existing`` incremental builds.
 
 Counters (in :mod:`repro.obs`): ``incr.cache_hits``, ``incr.cache_misses``,
 ``incr.cells_resolved``, ``incr.regions_refreshed``, ``incr.full_rebuilds``.
@@ -29,7 +26,6 @@ The basic search's :meth:`~repro.core.BasicBellwetherSearch.refresh` shares
 the same instruments.
 """
 
-from .cache import StaleCacheError, SuffStatsCache
 from .deltas import (
     month_append_delta,
     month_split_store,
@@ -41,8 +37,6 @@ from .tables import build_cube_tables
 
 __all__ = [
     "IncrementalCubeMaintainer",
-    "StaleCacheError",
-    "SuffStatsCache",
     "build_cube_tables",
     "month_append_delta",
     "month_split_store",

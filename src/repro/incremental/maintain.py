@@ -1,13 +1,20 @@
 """Delta-aware bellwether-cube maintenance (Theorem 1, applied to updates).
 
-A built cube caches, per region, one :class:`~repro.ml.StackedSuffStats` of
-per-base-cell statistics — the same stacks the optimized builder scans for.
-When the store absorbs a delta (new months of orders, new or retired items),
-:class:`IncrementalCubeMaintainer.refresh` consumes the store's changelog,
-maps the touched item ids to their base cells, refreshes only those cells'
-statistics, re-rolls the touched regions up the lattice, and re-solves only
-the dirty (region, subset) problems — one batched solve per level, no full
-scan.  Untouched cells keep their cached statistics.
+A maintainer holds, per region, one :class:`~repro.ml.StackedSuffStats` of
+per-base-cell statistics — the same stacks the optimized builder scans for —
+and does two separate jobs on them:
+
+* **bringing the stacks to the store's version**
+  (:meth:`IncrementalCubeMaintainer.advance`): one scan the first time;
+  after that the store's changelog is replayed — touched item ids map to
+  their base cells and only those cells' statistics are refreshed.
+  Untouched cells keep their bits.  Statistics only: nothing is solved, so
+  a caller that wants tables (:meth:`~IncrementalCubeMaintainer.level_tables`,
+  :func:`~repro.incremental.build_cube_tables`) stops here;
+* **keeping solutions current** (:meth:`IncrementalCubeMaintainer.refresh`):
+  advance, solve every (subset, region) problem the first time a cube is
+  asked for, afterwards re-roll the touched regions and re-solve only the
+  dirty problems — one batched solve per level — and replay the winners.
 
 Two refresh modes:
 
@@ -44,7 +51,6 @@ from repro.ml import (
 from repro.exceptions import ConfigError
 from repro.obs.catalog import (
     INCR_CACHE_HITS,
-    INCR_CACHE_MISSES,
     INCR_CELLS_RESOLVED,
     INCR_FULL_REBUILDS,
     INCR_REGIONS_REFRESHED,
@@ -53,13 +59,10 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.storage import StorageError
 
-from .cache import SuffStatsCache
-
 __all__ = ["IncrementalCubeMaintainer"]
 
 _TRACER = get_tracer()
 _CACHE_HITS = get_registry().counter(INCR_CACHE_HITS)
-_CACHE_MISSES = get_registry().counter(INCR_CACHE_MISSES)
 _CELLS_RESOLVED = get_registry().counter(INCR_CELLS_RESOLVED)
 _REGIONS_REFRESHED = get_registry().counter(INCR_REGIONS_REFRESHED)
 _FULL_REBUILDS = get_registry().counter(INCR_FULL_REBUILDS)
@@ -74,21 +77,12 @@ class IncrementalCubeMaintainer:
         The cube builder whose geometry (hierarchies, significant subsets,
         ``min_examples``) and store this maintainer serves.  Requires a
         batchable task (training-set error — the measure Theorem 1 covers).
-    cache_dir:
-        Optional directory for a persistent :class:`SuffStatsCache`; a
-        maintainer constructed later against the same (unchanged) store
-        warm-starts from it without a full scan.
     mode:
         ``"exact"`` (bit-for-bit, rereads touched regions) or ``"merge"``
         (pure suffstats algebra, equal up to float associativity).
     """
 
-    def __init__(
-        self,
-        builder: BellwetherCubeBuilder,
-        cache_dir=None,
-        mode: str = "exact",
-    ):
+    def __init__(self, builder: BellwetherCubeBuilder, mode: str = "exact"):
         if mode not in ("exact", "merge"):
             raise ConfigError(f"unknown refresh mode {mode!r}")
         if not builder._batchable():
@@ -98,13 +92,16 @@ class IncrementalCubeMaintainer:
             )
         self.builder = builder
         self.mode = mode
-        self._cache = SuffStatsCache(cache_dir) if cache_dir is not None else None
-        self._version: int | None = None  # None = cold (nothing cached yet)
+        self._version: int | None = None  # None = cold (no stacks yet)
         self._stacks: dict[Region, StackedSuffStats] = {}
         # Per lattice level, per region: arrays over the level's significant
         # subsets — example count, and the solved rmse/sse/dof (NaN/0 where
-        # the subset has too few examples in that region).
-        self._errors: list[dict[Region, dict[str, np.ndarray]]] = []
+        # the subset has too few examples in that region).  None until a
+        # cube is asked for, and again after a scan replaced every stack.
+        self._errors: list[dict[Region, dict[str, np.ndarray]]] | None = None
+        # Regions whose stacks moved since ``_errors`` was last current,
+        # with the base cells that moved, in changelog order.
+        self._dirty: dict[Region, np.ndarray] = {}
 
     # --------------------------------------------------------------- geometry
 
@@ -117,82 +114,57 @@ class IncrementalCubeMaintainer:
         return len(self.builder.store.feature_names) + 1  # + intercept
 
     def _ordered_regions(self) -> list[Region]:
-        """Cached regions in store-scan order (the builder's region order)."""
+        """Held regions in store-scan order (the builder's region order)."""
         return [r for r in self.builder.store.regions() if r in self._stacks]
 
-    # ---------------------------------------------------------------- refresh
+    @property
+    def stacks(self) -> dict[Region, StackedSuffStats]:
+        """The base-cell table: every held region's stack, in store order."""
+        return {r: self._stacks[r] for r in self._ordered_regions()}
 
-    def refresh(self) -> BellwetherCubeResult:
-        """The cube for the store's current contents, updated incrementally.
+    # ----------------------------------------------------------------- stacks
 
-        Cold maintainers try the persistent cache, then fall back to one
-        full scan.  Warm maintainers replay ``store.deltas_since`` onto the
-        cached statistics; a changelog gap triggers a loud full rebuild.
+    def adopt(self, version: int, stacks: dict[Region, StackedSuffStats]) -> None:
+        """Start from ``stacks`` as they stood at store version ``version``.
+
+        For a cold maintainer handed a persisted base-cell table.  Raises
+        :class:`~repro.storage.StorageError` when the store's changelog no
+        longer reaches back to ``version`` (a reopened store, a version
+        ahead of the log) — the table cannot be patched forward, and the
+        maintainer stays cold.
         """
-        store = self.builder.store
-        with _TRACER.span("incr.refresh", mode=self.mode) as sp:
-            if self._version is None:
-                if self._cache is not None and self._try_cache_load():
-                    _CACHE_HITS.inc()
-                    sp.annotate(source="cache")
-                    return self._result_from_cache()
-                self._full_build()
-                sp.annotate(source="scan")
-                return self._result_from_cache()
-            try:
-                deltas = store.deltas_since(self._version)
-            except StorageError:
-                _FULL_REBUILDS.inc()
-                self._full_build()
-                sp.annotate(source="rebuild")
-                return self._result_from_cache()
-            if not deltas:
-                _CACHE_HITS.inc()
-                sp.annotate(source="noop")
-                return self._result_from_cache()
-            self._apply_deltas(deltas)
-            sp.annotate(source="delta", deltas=len(deltas))
-        return self._result_from_cache()
+        self.builder.store.deltas_since(version)
+        self._stacks = dict(stacks)
+        self._version = version
 
-    def _try_cache_load(self) -> bool:
-        store = self.builder.store
+    def advance(self) -> str:
+        """Bring the stacks to the store's current version.  No solves.
+
+        Cold maintainers pay one full scan.  Warm ones replay
+        ``store.deltas_since`` onto their stacks; a changelog gap triggers a
+        loud full rebuild.  Returns where the statistics came from
+        (``"scan"``, ``"rebuild"``, ``"delta"`` or ``"noop"``).
+        """
+        if self._version is None:
+            self._scan()
+            return "scan"
         try:
-            version, stacks = self._cache.load_versioned(self._n_cells, self._p)
+            deltas = self.builder.store.deltas_since(self._version)
         except StorageError:
-            _CACHE_MISSES.inc()
-            return False
-        if version != store.version:
-            # An older snapshot is still a warm start when the changelog
-            # covering the gap survives: adopt it and patch the dirty cells
-            # forward instead of rescanning.  A gap (reopened store, version
-            # ahead of the log) stays a miss -> full rebuild.
-            try:
-                deltas = store.deltas_since(version)
-            except StorageError:
-                _CACHE_MISSES.inc()
-                return False
-            self._stacks = stacks
-            self._solve_all_levels()
-            self._version = version
-            self._apply_deltas(deltas)
-            return True
-        self._stacks = stacks
-        self._solve_all_levels()
-        self._version = store.version
-        return True
+            _FULL_REBUILDS.inc()
+            self._scan()
+            return "rebuild"
+        if not deltas:
+            return "noop"
+        self._replay(deltas)
+        return "delta"
 
-    def _save_cache(self) -> None:
-        if self._cache is not None:
-            self._cache.save(
-                self._version, self._stacks, self._n_cells, self._p
-            )
-
-    # ------------------------------------------------------------- full build
-
-    def _full_build(self) -> None:
-        """One scan: per-region base-cell stacks + per-level solved errors."""
+    def _scan(self) -> None:
+        """One scan: every region's base-cell stack, from its rows."""
         builder = self.builder
         self._stacks = {}
+        self._errors = None
+        self._dirty = {}
         for region, block in builder.store.scan():
             block = block.restrict_to(builder._ids)
             if block.n_examples == 0:
@@ -202,12 +174,61 @@ class IncrementalCubeMaintainer:
             self._stacks[region] = builder._cell_stats_stack(
                 block, cell_of_row, self._n_cells
             )
-        self._solve_all_levels()
         self._version = builder.store.version
-        self._save_cache()
+
+    def _replay(self, deltas: list) -> None:
+        """Fold the changelog entries into the stacks, cell by dirty cell."""
+        builder = self.builder
+        store = builder.store
+        touched: dict[Region, list[np.ndarray]] = {}
+        for applied in deltas:
+            # Drops forget the region *in sequence*, so a later delta that
+            # re-adds it rebuilds from nothing instead of patching a stack
+            # whose rows are long gone.
+            for region in applied.delta.drop_regions:
+                self._forget_region(region)
+                touched.pop(region, None)
+            for region in applied.delta.blocks:
+                touched.setdefault(region, []).append(
+                    applied.touched_items(region)
+                )
+        _REGIONS_REFRESHED.inc(len(touched))
+        for region, id_lists in touched.items():
+            dirty_cells = self._dirty_cells(np.concatenate(id_lists))
+            block = store.read(region).restrict_to(builder._ids)
+            if block.n_examples == 0:
+                self._forget_region(region)
+                continue
+            self._stacks[region] = self._refresh_stack(
+                region, block, dirty_cells, deltas
+            )
+            self._dirty[region] = np.union1d(
+                self._dirty.pop(region, dirty_cells), dirty_cells
+            )
+        self._version = store.version
+
+    # ---------------------------------------------------------------- refresh
+
+    def refresh(self) -> BellwetherCubeResult:
+        """The cube for the store's current contents, updated incrementally.
+
+        Advances the stacks (:meth:`advance`), then brings the solutions
+        level with them: every (subset, region) problem the first time (and
+        after a scan), only the dirty ones after a changelog replay.
+        """
+        with _TRACER.span("incr.refresh", mode=self.mode) as sp:
+            source = self.advance()
+            sp.annotate(source=source)
+            if self._errors is None:
+                self._solve_all_levels()
+            elif self._dirty:
+                self._solve_dirty()
+            elif source == "noop":
+                _CACHE_HITS.inc()
+        return self._result_from_cache()
 
     def _solve_all_levels(self) -> None:
-        """(Re)solve every cached region's significant subsets, per level.
+        """(Re)solve every held region's significant subsets, per level.
 
         One concatenated batched solve per lattice level, like the
         optimized builder — the per-problem solutions are identical because
@@ -216,6 +237,7 @@ class IncrementalCubeMaintainer:
         builder = self.builder
         regions = self._ordered_regions()
         self._errors = []
+        self._dirty = {}
         for __, rm, keep in builder._levels:
             keep_sidx = np.array([s_idx for s_idx, __s, __n in keep])
             per: dict[Region, dict[str, np.ndarray]] = {}
@@ -263,42 +285,17 @@ class IncrementalCubeMaintainer:
             per[region]["dof"][cand] = dof[offset:offset + k]
             offset += k
 
-    # ---------------------------------------------------------- delta replay
-
-    def _apply_deltas(self, deltas: list) -> None:
-        """Fold the changelog entries into the cached stacks and errors."""
+    def _solve_dirty(self) -> None:
+        """Re-roll the regions whose stacks moved; re-solve what that dirtied."""
         builder = self.builder
-        store = builder.store
-        touched: dict[Region, list[np.ndarray]] = {}
-        for applied in deltas:
-            # Drops forget the region *in sequence*, so a later delta that
-            # re-adds it rebuilds from nothing instead of patching a stack
-            # whose rows are long gone.
-            for region in applied.delta.drop_regions:
-                self._forget_region(region)
-                touched.pop(region, None)
-            for region in applied.delta.blocks:
-                touched.setdefault(region, []).append(
-                    applied.touched_items(region)
-                )
-        _REGIONS_REFRESHED.inc(len(touched))
         # Per level: dirty problems gathered across every touched region,
         # solved by one batched call after the loop.
         pending: list[list[StackedSuffStats]] = [[] for __ in builder._levels]
         slots: list[list[tuple[Region, np.ndarray]]] = [
             [] for __ in builder._levels
         ]
-        for region, id_lists in touched.items():
-            dirty_cells = self._dirty_cells(np.concatenate(id_lists))
-            block = store.read(region).restrict_to(builder._ids)
-            if block.n_examples == 0:
-                self._forget_region(region)
-                continue
-            is_new = region not in self._stacks
-            stack = self._refresh_stack(region, block, dirty_cells, deltas)
-            self._stacks[region] = stack
-            if is_new:
-                dirty_cells = np.flatnonzero(stack.n > 0)
+        for region, dirty_cells in self._dirty.items():
+            stack = self._stacks[region]
             for lvl, (__, rm, keep) in enumerate(builder._levels):
                 keep_sidx = np.array([s_idx for s_idx, __s, __n in keep])
                 rolled = stack.rollup(rm.subset_of_base, len(rm.subsets)).select(
@@ -306,18 +303,19 @@ class IncrementalCubeMaintainer:
                 )
                 old = self._errors[lvl].get(region)
                 per = self._blank_errors(len(keep), rolled.n)
-                # Clean subsets' base cells did not move: their cached
-                # solutions are still bit-exact.  Only dirty subsets (those
-                # receiving a dirty base cell) re-enter the solver.
-                dirty_s = np.unique(rm.subset_of_base[dirty_cells])
-                dirty_pos = np.flatnonzero(np.isin(keep_sidx, dirty_s))
                 if old is not None:
+                    # Clean subsets' base cells did not move: their cached
+                    # solutions are still bit-exact.  Only dirty subsets
+                    # (those receiving a dirty base cell) re-enter the solver.
+                    dirty_s = np.unique(rm.subset_of_base[dirty_cells])
+                    dirty_pos = np.flatnonzero(np.isin(keep_sidx, dirty_s))
                     clean = np.setdiff1d(
                         np.arange(len(keep)), dirty_pos, assume_unique=True
                     )
                     for key in ("rmse", "sse", "dof"):
                         per[key][clean] = old[key][clean]
                 else:
+                    # A region the solutions have not seen: all of it.
                     dirty_pos = np.flatnonzero(rolled.n > 0)
                 self._errors[lvl][region] = per
                 cand = dirty_pos[rolled.n[dirty_pos] >= builder.min_examples]
@@ -326,12 +324,12 @@ class IncrementalCubeMaintainer:
                     slots[lvl].append((region, cand))
         for lvl in range(len(builder._levels)):
             self._scatter_solutions(self._errors[lvl], pending[lvl], slots[lvl])
-        self._version = store.version
-        self._save_cache()
+        self._dirty = {}
 
     def _forget_region(self, region: Region) -> None:
         self._stacks.pop(region, None)
-        for per in self._errors:
+        self._dirty.pop(region, None)
+        for per in self._errors or ():
             per.pop(region, None)
 
     def _dirty_cells(self, item_ids: np.ndarray) -> np.ndarray:
@@ -414,19 +412,20 @@ class IncrementalCubeMaintainer:
     # ------------------------------------------------------------ cube tables
 
     def level_tables(self) -> list:
-        """The cached statistics as materialized per-level cube tables.
+        """The stacks as materialized per-level cube tables.  No solves.
 
         One :class:`~repro.storage.cubetables.LevelTable` per significant
-        lattice level: every cached region's base cells rolled up to the
+        lattice level: every held region's base cells rolled up to the
         level's significant subsets, region-major — bit-identical to the
         rollup ``build("optimized")`` performs, so a cube built from these
         tables (:meth:`BellwetherCubeBuilder.build_from_tables`) matches a
-        scratch build exactly.  Requires a refreshed maintainer.
+        scratch build exactly.  Requires stacks (:meth:`advance` or
+        :meth:`refresh` first).
         """
         from repro.storage import LevelTable
 
         if self._version is None:
-            raise ConfigError("refresh() the maintainer before level_tables()")
+            raise ConfigError("advance() the maintainer before level_tables()")
         builder = self.builder
         regions = tuple(self._ordered_regions())
         tables: list = []

@@ -8,11 +8,13 @@ tables (see :mod:`repro.storage.cubetables`):
   facts are touched.
 * **miss** — anything else (absent, stale version, other geometry) falls
   through to a build (``cube.tables.misses`` then ``cube.tables.builds``).
-  The build runs through :class:`~repro.incremental.IncrementalCubeMaintainer`
-  with its persistent suffstats cache in the *same* directory, so a version
-  bump patches only the dirty base cells forward through the store changelog
-  instead of rescanning — the incremental ``--skip-existing`` behaviour —
-  and only a cold start (or a changelog gap) pays a full scan.
+  The build adopts the base-cell table persisted in the *same* artifact at
+  whatever version it was saved (``incr.cache_hits``) and patches only the
+  dirty base cells forward through the store changelog — the incremental
+  ``--skip-existing`` behaviour; only a base that is absent, unreadable, of
+  another geometry or behind a changelog gap (``incr.cache_misses``) pays a
+  full scan.  Either way the build is statistics only — scan or patch, roll
+  up, save; nothing is solved and no winner is selected.
 
 The returned tables feed
 :meth:`~repro.core.cube.BellwetherCubeBuilder.build_from_tables` (bit-for-bit
@@ -29,6 +31,8 @@ from repro.obs.catalog import (
     CUBE_TABLES_BUILDS,
     CUBE_TABLES_HITS,
     CUBE_TABLES_MISSES,
+    INCR_CACHE_HITS,
+    INCR_CACHE_MISSES,
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -40,21 +44,21 @@ _TRACER = get_tracer()
 _BUILDS = get_registry().counter(CUBE_TABLES_BUILDS)
 _HITS = get_registry().counter(CUBE_TABLES_HITS)
 _MISSES = get_registry().counter(CUBE_TABLES_MISSES)
+_BASE_HITS = get_registry().counter(INCR_CACHE_HITS)
+_BASE_MISSES = get_registry().counter(INCR_CACHE_MISSES)
 
 
 def build_cube_tables(
     builder: BellwetherCubeBuilder,
     directory: str | Path,
     skip_existing: bool = True,
-    mode: str = "exact",
 ) -> list[LevelTable]:
     """Load-or-materialize the cube tables for ``builder`` under ``directory``.
 
     With ``skip_existing`` (the default), a persisted table set that matches
     the builder's geometry at the store's current version is returned as-is;
-    pass ``skip_existing=False`` to force a rebuild.  ``mode`` is the
-    maintainer's refresh mode (``"exact"`` for bit-for-bit tables,
-    ``"merge"`` for pure-algebra patching).
+    pass ``skip_existing=False`` to roll the tables up and save them again
+    regardless.
     """
     table_store = CubeTableStore(directory)
     signature = builder.geometry_signature()
@@ -70,10 +74,14 @@ def build_cube_tables(
                 return tables
             except StorageError:
                 _MISSES.inc()
-        maintainer = builder.incremental(cache_dir=directory, mode=mode)
-        maintainer.refresh()
+        maintainer = builder.incremental()
+        try:
+            maintainer.adopt(*table_store.load_base(signature))
+            _BASE_HITS.inc()
+        except StorageError:
+            _BASE_MISSES.inc()
+        sp.annotate(source=maintainer.advance())
         tables = maintainer.level_tables()
-        table_store.save(tables, signature, store_version)
+        table_store.save(tables, signature, store_version, maintainer.stacks)
         _BUILDS.inc()
-        sp.annotate(source="build")
     return tables

@@ -200,8 +200,9 @@ class ServerState:
         Item hierarchies enabling the /cube drill-down endpoints and the
         materialized-tables warm path; requires ``tables_dir``.
     tables_dir:
-        Directory for the persisted cube tables + suffstats cache (the
-        PR 3/7 adopt-and-patch state).  Mandatory with ``hierarchies``.
+        Directory for the persisted cube tables (level tables + the
+        base-cell table they are patched from, one artifact).  Mandatory
+        with ``hierarchies``.
     costs:
         Optional precomputed per-region costs (else from ``task.cost``).
     parallel:
@@ -376,10 +377,10 @@ class ServerState:
     def _adopt(self) -> Snapshot:
         """Publish a snapshot at the store's version.  (writer mutex held)
 
-        Cube tables adopt the newest persisted snapshot and patch forward
-        through the store changelog (:func:`build_cube_tables` reuses the
-        incremental maintainer), then the search profile refreshes from
-        them and the region rows re-read what the changelog names —
+        Cube tables adopt the persisted base-cell table and patch it
+        forward through the store changelog (:func:`build_cube_tables` —
+        statistics only, nothing is solved for them), then the search
+        profile refreshes from them and the region rows re-read what the changelog names —
         region reads at most, never a fact scan once tables exist.  The
         previous snapshot keeps answering until the assignment.
         """

@@ -2,16 +2,16 @@
 
 Stores are versioned: :meth:`TrainingDataStore.apply_delta` absorbs appended
 or retracted training rows (see :mod:`repro.storage.delta`) and bumps a
-monotone ``version`` that downstream caches — notably the incremental
-suffstats cache of :mod:`repro.incremental` — key on.
+monotone ``version`` that downstream statistics — the persisted cube
+tables of :mod:`repro.storage.cubetables` — key on.
 
 Two on-disk backends implement the same interface: :class:`DiskStore` (one
 ``.npz`` per region, pickle manifest) and
 :class:`~repro.storage.columnar.ColumnarStore` (per-region raw column files,
 JSON manifest, memmap-backed bounded-memory chunked scans).
 :func:`open_store` sniffs which backend wrote a directory.
-:mod:`repro.storage.cubetables` persists per-level suffstats cube tables on
-top of either backend.
+:mod:`repro.storage.cubetables` persists the suffstats cube tables (per
+level, plus the base cells they roll up from) on top of either backend.
 """
 
 from .block_store import (

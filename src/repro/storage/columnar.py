@@ -19,11 +19,6 @@ whole-block) scan counts one full scan, and chunks additionally land on the
 ``store.columnar.chunks_read`` / ``store.bytes_read`` counters.  Writing is
 streamed through :class:`ColumnarWriter` (one block in RAM at a time) and
 counted on ``store.columnar.bytes_written`` / ``regions_written``.
-
-An optional Parquet codec (``codec="parquet"``) delegates the per-region
-files to ``pyarrow.parquet``; it is gated behind the ``repro[columnar]``
-extra and raises :class:`~repro.exceptions.ConfigError` when pyarrow is not
-installed — the raw codec has no dependencies beyond numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +54,8 @@ _REGIONS_WRITTEN = get_registry().counter(STORE_COLUMNAR_REGIONS_WRITTEN)
 
 _FORMAT = "repro-columnar"
 _LAYOUT_VERSION = 1
-_CODECS = ("raw", "parquet")
+_CODEC = "raw"  # the one on-disk encoding; the manifest names it
+_EXT = ".col"
 
 #: Default bounded-memory chunk size for :meth:`ColumnarStore.scan_chunks`.
 DEFAULT_CHUNK_ROWS = 65_536
@@ -89,7 +85,7 @@ def region_from_json(values: list) -> Region:
     return Region(tuple(decoded))
 
 
-# ------------------------------------------------------------------ raw codec
+# ---------------------------------------------------------------- column files
 
 
 def _encode_columns(block: RegionBlock) -> dict[str, np.ndarray]:
@@ -138,44 +134,6 @@ def _raw_column(path: Path, rows: int, col_meta: Mapping) -> np.ndarray:
     )
 
 
-# -------------------------------------------------------------- parquet codec
-
-
-def _pyarrow_parquet():
-    """The gated pyarrow.parquet module (``repro[columnar]`` extra)."""
-    try:
-        import pyarrow.parquet as pq
-    except ImportError as exc:
-        raise ConfigError(
-            "the parquet codec needs pyarrow; install the repro[columnar] "
-            "extra or use the dependency-free raw codec"
-        ) from exc
-    return pq
-
-
-def _write_parquet(path: Path, cols: Mapping[str, np.ndarray]) -> tuple[int, dict]:
-    pq = _pyarrow_parquet()
-    import pyarrow as pa
-
-    table = pa.table({name: pa.array(arr) for name, arr in cols.items()})
-    tmp = path.with_name(path.name + ".tmp")
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
-    # Offsets live in the parquet footer; the manifest records dtypes only.
-    meta = {name: {"dtype": arr.dtype.str} for name, arr in cols.items()}
-    return path.stat().st_size, meta
-
-
-def _read_parquet(path: Path, col_meta: Mapping) -> dict[str, np.ndarray]:
-    pq = _pyarrow_parquet()
-    table = pq.read_table(path)
-    out: dict[str, np.ndarray] = {}
-    for name in col_meta:
-        arr = table.column(name).to_numpy(zero_copy_only=False)
-        out[name] = arr.astype(np.dtype(col_meta[name]["dtype"]), copy=False)
-    return out
-
-
 # ----------------------------------------------------------------- the store
 
 
@@ -185,7 +143,7 @@ class ColumnarStore(TrainingDataStore):
     Directory layout::
 
         manifest.json          # schema, codec, version, per-column offsets
-        region_000000.col      # raw codec: typed buffers back-to-back
+        region_000000.col      # typed buffers back-to-back
         region_000001.col
         ...
 
@@ -217,9 +175,10 @@ class ColumnarStore(TrainingDataStore):
                     f"manifest layout v{layout} unsupported "
                     f"(this build reads v{_LAYOUT_VERSION})"
                 )
-            self._codec = str(manifest["codec"])
-            if self._codec not in _CODECS:
-                raise StorageError(f"unknown codec {self._codec!r} in manifest")
+            if manifest["codec"] != _CODEC:
+                raise StorageError(
+                    f"unknown codec {manifest['codec']!r} in manifest"
+                )
             self.feature_names = tuple(manifest["feature_names"])
             self.version = int(manifest["version"])
             self._meta: dict[Region, dict] = {}
@@ -248,9 +207,8 @@ class ColumnarStore(TrainingDataStore):
         directory: str | Path,
         blocks: Mapping[Region, RegionBlock],
         feature_names: Sequence[str],
-        codec: str = "raw",
     ) -> "ColumnarStore":
-        with cls.writer(directory, feature_names, codec=codec) as w:
+        with cls.writer(directory, feature_names) as w:
             for region, block in blocks.items():
                 w.add(region, block)
         return w.store
@@ -260,9 +218,8 @@ class ColumnarStore(TrainingDataStore):
         cls,
         directory: str | Path,
         feature_names: Sequence[str],
-        codec: str = "raw",
     ) -> "ColumnarWriter":
-        return ColumnarWriter(directory, feature_names, codec=codec)
+        return ColumnarWriter(directory, feature_names)
 
     # --------------------------------------------------------------- reading
 
@@ -270,16 +227,14 @@ class ColumnarStore(TrainingDataStore):
         return list(self._meta)
 
     def _columns(self, region: Region, meta: Mapping) -> dict[str, np.ndarray]:
-        """Every stored column of one region (memmaps under the raw codec)."""
+        """Every stored column of one region, as memmaps."""
         path = self._dir / meta["file"]
         try:
-            if self._codec == "raw":
-                return {
-                    name: _raw_column(path, meta["rows"], col)
-                    for name, col in meta["columns"].items()
-                }
-            return _read_parquet(path, meta["columns"])
-        except (StorageError, ConfigError):
+            return {
+                name: _raw_column(path, meta["rows"], col)
+                for name, col in meta["columns"].items()
+            }
+        except StorageError:
             raise
         except Exception as exc:
             raise StorageError(
@@ -371,7 +326,7 @@ class ColumnarStore(TrainingDataStore):
             {
                 "format": _FORMAT,
                 "layout_version": _LAYOUT_VERSION,
-                "codec": self._codec,
+                "codec": _CODEC,
                 "version": self.version,
                 "feature_names": list(self.feature_names),
                 "regions": entries,
@@ -380,11 +335,7 @@ class ColumnarStore(TrainingDataStore):
         _atomic_write(self._dir / self.MANIFEST, payload)
 
     def _write_region(self, region: Region, block: RegionBlock, name: str) -> None:
-        cols = _encode_columns(block)
-        if self._codec == "raw":
-            nbytes, col_meta = _write_raw(self._dir / name, cols)
-        else:
-            nbytes, col_meta = _write_parquet(self._dir / name, cols)
+        nbytes, col_meta = _write_raw(self._dir / name, _encode_columns(block))
         self._meta[region] = {
             "file": name,
             "rows": block.n_examples,
@@ -403,13 +354,12 @@ class ColumnarStore(TrainingDataStore):
             if region in self._meta:
                 touched[region] = self._fetch(region)
         self._apply_delta_to_blocks(delta, touched)
-        ext = ".col" if self._codec == "raw" else ".parquet"
         for region in delta.drop_regions:
             meta = self._meta.pop(region)
             (self._dir / meta["file"]).unlink(missing_ok=True)
         next_idx = 1 + max(
             (
-                int(meta["file"][len("region_"):-len(ext)])
+                int(meta["file"][len("region_"):-len(_EXT)])
                 for meta in self._meta.values()
             ),
             default=-1,
@@ -417,7 +367,7 @@ class ColumnarStore(TrainingDataStore):
         for region in delta.blocks:
             meta = self._meta.get(region)
             if meta is None:
-                name = f"region_{next_idx:06d}{ext}"
+                name = f"region_{next_idx:06d}{_EXT}"
                 next_idx += 1
                 _REGIONS_WRITTEN.inc()
             else:
@@ -443,16 +393,10 @@ class ColumnarWriter:
         self,
         directory: str | Path,
         feature_names: Sequence[str],
-        codec: str = "raw",
     ):
-        if codec not in _CODECS:
-            raise ConfigError(f"unknown columnar codec {codec!r}; use one of {_CODECS}")
-        if codec == "parquet":
-            _pyarrow_parquet()  # fail at construction, not after N blocks
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self.feature_names = tuple(feature_names)
-        self._codec = codec
         self._entries: list[dict] = []
         self._seen: set[Region] = set()
         self.store: ColumnarStore | None = None
@@ -467,13 +411,8 @@ class ColumnarWriter:
                 f"block has {block.n_features} features, "
                 f"writer declares {len(self.feature_names)}"
             )
-        ext = ".col" if self._codec == "raw" else ".parquet"
-        name = f"region_{len(self._entries):06d}{ext}"
-        cols = _encode_columns(block)
-        if self._codec == "raw":
-            nbytes, col_meta = _write_raw(self._dir / name, cols)
-        else:
-            nbytes, col_meta = _write_parquet(self._dir / name, cols)
+        name = f"region_{len(self._entries):06d}{_EXT}"
+        nbytes, col_meta = _write_raw(self._dir / name, _encode_columns(block))
         self._entries.append(
             {
                 "key": region_to_json(region),
@@ -492,7 +431,7 @@ class ColumnarWriter:
                 {
                     "format": _FORMAT,
                     "layout_version": _LAYOUT_VERSION,
-                    "codec": self._codec,
+                    "codec": _CODEC,
                     "version": 0,
                     "feature_names": list(self.feature_names),
                     "regions": self._entries,

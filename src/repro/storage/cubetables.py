@@ -2,32 +2,38 @@
 
 A cube build's expensive part is deriving per-(region, subset) sufficient
 statistics from raw facts.  Theorem 1 makes those statistics algebraic, so
-they can be *materialized*: this module persists, per lattice level, the
-rolled-up :class:`~repro.ml.StackedSuffStats` of every (region, significant
-subset) problem — the exact arrays
-:meth:`~repro.core.cube.BellwetherCubeBuilder._rollup_batched` computes —
-keyed on the store version and the builder's lattice geometry.  A warm cube
-build then loads the tables and runs one batched solve per level without
-ever touching facts (``store.full_scans`` stays at zero), which is the
-query-avoidance pattern the ROADMAP's cube-tables item calls for.
+they can be *materialized*.  One :class:`CubeTableStore` directory is the
+one persisted statistics artifact, holding under one store version and one
+geometry signature:
 
-Staleness is loud, never silent: a table set written at another store
-version or for another geometry raises :class:`StaleCacheError`; unreadable
+* the **level tables** — per lattice level, the rolled-up
+  :class:`~repro.ml.StackedSuffStats` of every (region, significant subset)
+  problem, the exact arrays
+  :meth:`~repro.core.cube.BellwetherCubeBuilder._rollup_batched` computes.
+  A warm cube build loads them and runs one batched solve per level without
+  ever touching facts (``store.full_scans`` stays at zero);
+* the **base-cell table** — every region's statistics over the finest
+  lattice cells, the sums every level is a rollup of.  A later build adopts
+  it at whatever version it was saved and patches only the dirty cells
+  forward through the store changelog instead of rescanning.
+
+Staleness is loud, never silent: statistics written at another store
+version or for another geometry raise :class:`StaleCacheError`; unreadable
 files raise :class:`~repro.storage.StorageError`.  Byte traffic lands on the
 ``cube.tables.bytes_written`` / ``cube.tables.bytes_read`` counters —
 derived-statistics I/O, deliberately separate from the ``store.*`` scan
 accounting the Lemmas are phrased in.
 
 Use :func:`repro.incremental.build_cube_tables` to build/refresh a table
-set with ``--skip-existing`` semantics (it reuses the incremental
-maintainer's dirty-cell patching to avoid full scans on version bumps).
+set with ``--skip-existing`` semantics.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,14 +100,29 @@ def _canonical(signature: dict) -> str:
     return json.dumps(signature, sort_keys=True)
 
 
+_COMPONENTS = ("ytwy", "xtwx", "xtwy", "n", "sum_w")
+
+
+def _put(arrays: dict, prefix: str, stats: StackedSuffStats) -> None:
+    for name in _COMPONENTS:
+        arrays[f"{prefix}_{name}"] = getattr(stats, name)
+
+
+def _get(data, prefix: str) -> StackedSuffStats:
+    return StackedSuffStats(*(data[f"{prefix}_{name}"] for name in _COMPONENTS))
+
+
 class CubeTableStore:
-    """Saves/loads a cube's per-level suffstats tables in one directory.
+    """Saves/loads a cube's suffstats tables in one directory.
 
     Layout: ``cube_tables_meta.json`` (format, store version, geometry
-    signature, per-level region keys) + ``cube_tables.npz`` (the stacked
-    component arrays, keyed ``L{i}_{component}``).  The metadata is written
-    last and atomically — it is the commit point; a crash mid-save leaves
-    the old table set or none, never a torn one.
+    signature, per-level region keys, the base-cell table's region keys) +
+    ``cube_tables.npz`` (the stacked component arrays, keyed
+    ``L{i}_{component}`` per level and ``base_{component}`` for the
+    base-cell table).  The metadata is written last and atomically — it is
+    the commit point; a crash mid-save leaves the old statistics or none,
+    never a torn set.  An npz member that is not asked for is not read, so
+    loading the level tables does not pay for the base.
 
     Thread safety: save/load serialize on an instance lock (the query
     service calls both from request threads), the data file is also written
@@ -131,18 +152,13 @@ class CubeTableStore:
         tables: Sequence[LevelTable],
         signature: dict,
         version: int,
+        base: Mapping[Region, StackedSuffStats] | None = None,
     ) -> None:
-        """Persist the tables, keyed on geometry ``signature`` + ``version``."""
-        with self._io_lock:
-            self._save_locked(tables, signature, version)
+        """Persist the tables, keyed on geometry ``signature`` + ``version``.
 
-    def _save_locked(
-        self,
-        tables: Sequence[LevelTable],
-        signature: dict,
-        version: int,
-    ) -> None:
-        self._dir.mkdir(parents=True, exist_ok=True)
+        ``base`` is the base-cell table they were rolled up from: per
+        region, one stack of ``signature["n_cells"]`` problems.
+        """
         arrays: dict[str, np.ndarray] = {
             "__version__": np.asarray([int(version)], dtype=np.int64)
         }
@@ -150,15 +166,9 @@ class CubeTableStore:
         for i, t in enumerate(tables):
             if len(t.stats):
                 p = t.stats.p
-            arrays[f"L{i}_ytwy"] = t.stats.ytwy
-            arrays[f"L{i}_xtwx"] = t.stats.xtwx
-            arrays[f"L{i}_xtwy"] = t.stats.xtwy
-            arrays[f"L{i}_n"] = t.stats.n
-            arrays[f"L{i}_sum_w"] = t.stats.sum_w
-        tmp = self.data_path.with_name(self.data_path.name + ".tmp")
-        with tmp.open("wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, self.data_path)
+            _put(arrays, f"L{i}", t.stats)
+        if base:
+            _put(arrays, "base", StackedSuffStats.concatenate(list(base.values())))
         meta_payload = json.dumps(
             {
                 "format": _FORMAT,
@@ -174,10 +184,19 @@ class CubeTableStore:
                     }
                     for t in tables
                 ],
+                "base_regions": None
+                if base is None
+                else [region_to_json(r) for r in base],
             }
         ).encode()
-        _atomic_write(self.meta_path, meta_payload)
-        _BYTES_WRITTEN.inc(self.data_path.stat().st_size + len(meta_payload))
+        with self._io_lock:
+            self._dir.mkdir(parents=True, exist_ok=True)
+            tmp = self.data_path.with_name(self.data_path.name + ".tmp")
+            with tmp.open("wb") as f:
+                np.savez(f, **arrays)
+            os.replace(tmp, self.data_path)
+            _atomic_write(self.meta_path, meta_payload)
+            _BYTES_WRITTEN.inc(self.data_path.stat().st_size + len(meta_payload))
 
     def load(
         self,
@@ -190,32 +209,77 @@ class CubeTableStore:
         and :class:`StorageError` when the files are missing or unreadable.
         """
         with self._io_lock:
-            return self._load_locked(signature, expected_version)
+            meta = self._read_meta(signature)
+            if meta["version"] != expected_version:
+                raise StaleCacheError(
+                    f"cube tables are at store version {meta['version']}, "
+                    f"store is at {expected_version}"
+                )
+            with self._data(meta) as data:
+                return [
+                    self._level_table(data, i, entry, meta["p"])
+                    for i, entry in enumerate(meta["levels"])
+                ]
 
-    def _load_locked(
-        self,
-        signature: dict,
-        expected_version: int,
-    ) -> list[LevelTable]:
+    def load_base(
+        self, signature: dict
+    ) -> tuple[int, dict[Region, StackedSuffStats]]:
+        """The base-cell table plus the store version it was saved at.
+
+        Geometry is verified like :meth:`load` (:class:`StaleCacheError` on
+        a mismatch), but any version is accepted — the caller patches an
+        older table forward through the store's changelog.  Raises
+        :class:`StorageError` when the files are missing or unreadable, or
+        were saved without a base.
+        """
+        with self._io_lock:
+            meta = self._read_meta(signature)
+            if meta["base_regions"] is None:
+                raise StorageError(f"no base-cell table at {self._dir}")
+            n_cells = int(signature["n_cells"])
+            with self._data(meta) as data:
+                regions = [region_from_json(key) for key in meta["base_regions"]]
+                flat = (
+                    _get(data, "base")
+                    if regions
+                    else StackedSuffStats.zeros(0, meta["p"])
+                )
+                if len(flat) != len(regions) * n_cells or (
+                    len(flat) and flat.p != meta["p"]
+                ):
+                    raise StorageError(
+                        f"base-cell table has {len(flat)} problems, expected "
+                        f"{len(regions) * n_cells} (p={meta['p']})"
+                    )
+                return meta["version"], {
+                    region: flat.select(slice(i * n_cells, (i + 1) * n_cells))
+                    for i, region in enumerate(regions)
+                }
+
+    def _read_meta(self, signature: dict) -> dict:
+        """The decoded metadata, verified against ``signature``."""
         if not self.meta_path.exists():
             raise StorageError(f"no cube tables at {self._dir}")
         try:
-            meta = json.loads(self.meta_path.read_text())
-            if meta.get("format") != _FORMAT:
+            raw = json.loads(self.meta_path.read_text())
+            if raw.get("format") != _FORMAT:
                 raise StorageError(
                     f"{self.meta_path} is not a {_FORMAT} file "
-                    f"(format={meta.get('format')!r})"
+                    f"(format={raw.get('format')!r})"
                 )
-            layout = int(meta.get("layout_version", -1))
+            layout = int(raw.get("layout_version", -1))
             if layout != _LAYOUT_VERSION:
                 raise StorageError(
                     f"cube-table layout v{layout} unsupported "
                     f"(this build reads v{_LAYOUT_VERSION})"
                 )
-            version = int(meta["version"])
-            p = int(meta["p"])
-            levels = list(meta["levels"])
-            saved_sig = meta["signature"]
+            meta = {
+                "version": int(raw["version"]),
+                "p": int(raw["p"]),
+                "levels": list(raw["levels"]),
+                "base_regions": raw.get("base_regions"),
+            }
+            saved_sig = raw["signature"]
         except StorageError:
             raise
         except Exception as exc:
@@ -227,52 +291,26 @@ class CubeTableStore:
                 "cube tables were materialized for another lattice geometry; "
                 "rebuild them for this builder"
             )
-        if version != expected_version:
-            raise StaleCacheError(
-                f"cube tables are at store version {version}, "
-                f"store is at {expected_version}"
-            )
+        return meta
+
+    @contextmanager
+    def _data(self, meta: dict):
+        """The open data file, refused when torn from ``meta``.
+
+        Anything that goes wrong decoding it inside the block surfaces as
+        :class:`StorageError`; the byte counter moves on a clean exit.
+        """
         try:
             with np.load(self.data_path) as data:
                 if "__version__" in data.files:
                     data_version = int(data["__version__"][0])
-                    if data_version != version:
+                    if data_version != meta["version"]:
                         raise StorageError(
                             f"torn cube tables at {self._dir}: metadata says "
-                            f"store version {version}, data file was written "
-                            f"at {data_version}"
+                            f"store version {meta['version']}, data file was "
+                            f"written at {data_version}"
                         )
-                tables: list[LevelTable] = []
-                for i, entry in enumerate(levels):
-                    regions = tuple(
-                        region_from_json(key) for key in entry["regions"]
-                    )
-                    keep_sidx = np.asarray(entry["keep_sidx"], dtype=np.int64)
-                    n_problems = len(regions) * len(keep_sidx)
-                    if f"L{i}_ytwy" in data.files:
-                        stats = StackedSuffStats(
-                            data[f"L{i}_ytwy"],
-                            data[f"L{i}_xtwx"],
-                            data[f"L{i}_xtwy"],
-                            data[f"L{i}_n"],
-                            data[f"L{i}_sum_w"],
-                        )
-                    else:
-                        stats = StackedSuffStats.zeros(0, p)
-                    if len(stats) != n_problems or (len(stats) and stats.p != p):
-                        raise StorageError(
-                            f"cube table level {i} has {len(stats)} problems "
-                            f"(p={stats.p if len(stats) else '?'}); expected "
-                            f"{n_problems} (p={p})"
-                        )
-                    tables.append(
-                        LevelTable(
-                            level=tuple(int(x) for x in entry["level"]),
-                            regions=regions,
-                            keep_sidx=keep_sidx,
-                            stats=stats,
-                        )
-                    )
+                yield data
         except StorageError:
             raise
         except Exception as exc:
@@ -282,4 +320,25 @@ class CubeTableStore:
         _BYTES_READ.inc(
             self.data_path.stat().st_size + self.meta_path.stat().st_size
         )
-        return tables
+
+    @staticmethod
+    def _level_table(data, i: int, entry: dict, p: int) -> LevelTable:
+        regions = tuple(region_from_json(key) for key in entry["regions"])
+        keep_sidx = np.asarray(entry["keep_sidx"], dtype=np.int64)
+        n_problems = len(regions) * len(keep_sidx)
+        if f"L{i}_ytwy" in data.files:
+            stats = _get(data, f"L{i}")
+        else:
+            stats = StackedSuffStats.zeros(0, p)
+        if len(stats) != n_problems or (len(stats) and stats.p != p):
+            raise StorageError(
+                f"cube table level {i} has {len(stats)} problems "
+                f"(p={stats.p if len(stats) else '?'}); expected "
+                f"{n_problems} (p={p})"
+            )
+        return LevelTable(
+            level=tuple(int(x) for x in entry["level"]),
+            regions=regions,
+            keep_sidx=keep_sidx,
+            stats=stats,
+        )

@@ -4,9 +4,9 @@ The paper's Theorem 1 makes per-region model error an *algebraic* aggregate,
 so the entire training data need not be regenerated when facts change — new
 months of orders or new/retired items arrive as a :class:`StoreDelta` and
 the stores (see :mod:`repro.storage.block_store`) fold them in, bumping a
-monotone ``version``.  Downstream caches (the suffstats cache of
-:mod:`repro.incremental`) key on that version and consume the store's
-changelog of :class:`AppliedDelta` records to find out *which* (region,
+monotone ``version``.  Downstream statistics (the cube tables
+:mod:`repro.incremental` maintains) key on that version and consume the
+store's changelog of :class:`AppliedDelta` records to find out *which* (region,
 item) coordinates moved.
 
 Apply semantics per region, in order:

@@ -399,7 +399,7 @@ def _cube_refresh(w: Workload) -> list[Mismatch]:
         out += diff_cubes(scratch, refreshed, tol, label=f"{mode}.cube")
         out += diff_stacks(
             scratch_stacks(scratch_builder),
-            maintainer._stacks,
+            maintainer.stacks,
             tol,
             label=f"{mode}.stacks",
         )

@@ -7,9 +7,11 @@ from repro.core import (
     BasicBellwetherSearch,
     RandomSamplingBaseline,
     budget_sweep,
+    build_store,
     render_table,
 )
 from repro.dimensions import Interval
+from repro.storage import BlockDelta, StoreDelta
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,26 @@ class TestEvaluateAll:
         assert got == want
         # and what the deduplicated key is then served is not poisoned
         assert repeated.evaluate_all(item_ids=ids) == want
+
+
+class TestRefresh:
+    def test_changelog_gap_prices_a_region_the_gap_added(self, small_task):
+        """The gap fallback re-evaluates by scan; a region that arrived
+        inside the gap has no precomputed cost and must get one."""
+        store, __, __ = build_store(small_task)
+        newcomer = store.regions()[0]
+        block = store.read(newcomer)
+        store.apply_delta(StoreDelta({}, drop_regions=(newcomer,)))
+        search = BasicBellwetherSearch(small_task, store)
+        assert newcomer not in {r.region for r in search.evaluate_all()}
+        store.apply_delta(StoreDelta({newcomer: BlockDelta(append=block)}))
+        store._log_floor = store.version  # the history in between is gone
+        by_region = {r.region: r for r in search.refresh()}
+        assert by_region[newcomer].cost == small_task.cost(newcomer)
+        assert search.costs[newcomer] == small_task.cost(newcomer)
+        assert list(by_region) == [
+            r.region for r in BasicBellwetherSearch(small_task, store).evaluate_all()
+        ]
 
 
 class TestRun:

@@ -1,13 +1,14 @@
-"""Concurrent save/load on the persistent caches never serves torn state.
+"""Concurrent save/load on the statistics artifact never serves torn state.
 
-A writer thread walks the caches through versions 1..N while reader
-threads hammer ``load_versioned`` / ``load``.  Every successful load must
-return bits consistent with exactly one version (the content is a seeded
-function of the version, so a meta/data mix is detectable); the only
-acceptable failures are ``StorageError`` / ``StaleCacheError``.  This is
-the regression test for the check-then-load races the query service
-exposed: pre-fix, a load racing a save could pair version-k metadata with
-version-k+1 arrays and silently patch forward from garbage.
+A writer thread walks a :class:`~repro.storage.CubeTableStore` through
+versions 1..N while reader threads hammer ``load_base`` / ``load``.  Every
+successful load must return bits consistent with exactly one version (the
+content is a seeded function of the version, so a meta/data mix is
+detectable); the only acceptable failures are ``StorageError`` /
+``StaleCacheError``.  This is the regression test for the check-then-load
+races the query service exposed: pre-fix, a load racing a save could pair
+version-k metadata with version-k+1 arrays and silently patch forward from
+garbage.
 """
 
 import threading
@@ -17,15 +18,14 @@ import numpy as np
 import pytest
 
 from repro.dimensions import Region
-from repro.incremental import StaleCacheError, SuffStatsCache
 from repro.ml import LinearSuffStats, StackedSuffStats, add_intercept
-from repro.storage import StorageError
-from repro.storage.cubetables import CubeTableStore, LevelTable
+from repro.storage import CubeTableStore, LevelTable, StaleCacheError, StorageError
 
 N_VERSIONS = 12
 N_READERS = 8
 N_CELLS = 3
 P = 3
+SIGNATURE = {"n_cells": N_CELLS, "p": P, "geometry": "threading-test"}
 
 
 def _stack(n_cells: int, seed: int) -> StackedSuffStats:
@@ -45,9 +45,26 @@ def _stacks_for(version: int) -> dict[Region, StackedSuffStats]:
     }
 
 
+def _tables_for(version: int) -> list[LevelTable]:
+    return [
+        LevelTable(
+            level=(0,),
+            regions=(Region(("a",)), Region(("b",))),
+            keep_sidx=np.asarray([0], dtype=np.int64),
+            stats=_stack(2, seed=version * 7),
+        )
+    ]
+
+
+def _save(table_store: CubeTableStore, version: int) -> None:
+    table_store.save(
+        _tables_for(version), SIGNATURE, version, _stacks_for(version)
+    )
+
+
 def test_load_versioned_during_concurrent_saves_is_never_torn(tmp_path, lockcheck):
-    cache = SuffStatsCache(tmp_path)
-    cache.save(version=0, stacks=_stacks_for(0), n_cells=N_CELLS, p=P)
+    table_store = CubeTableStore(tmp_path)
+    _save(table_store, 0)
     stop = threading.Event()
     loads = []
 
@@ -55,7 +72,7 @@ def test_load_versioned_during_concurrent_saves_is_never_torn(tmp_path, lockchec
         count = 0
         while not stop.is_set():
             try:
-                version, stacks = cache.load_versioned(n_cells=N_CELLS, p=P)
+                version, stacks = table_store.load_base(SIGNATURE)
             except (StorageError, StaleCacheError):
                 continue
             expected = _stacks_for(version)
@@ -71,34 +88,17 @@ def test_load_versioned_during_concurrent_saves_is_never_torn(tmp_path, lockchec
     with ThreadPoolExecutor(max_workers=N_READERS) as pool:
         futures = [pool.submit(reader) for __ in range(N_READERS)]
         for version in range(1, N_VERSIONS + 1):
-            cache.save(
-                version=version,
-                stacks=_stacks_for(version),
-                n_cells=N_CELLS,
-                p=P,
-            )
+            _save(table_store, version)
         stop.set()
         loads = [f.result(timeout=60) for f in futures]
     assert sum(loads) > 0
-    final_version, __ = cache.load_versioned(n_cells=N_CELLS, p=P)
+    final_version, __ = table_store.load_base(SIGNATURE)
     assert final_version == N_VERSIONS
 
 
 def test_cube_tables_load_during_concurrent_saves_is_never_torn(tmp_path, lockcheck):
     table_store = CubeTableStore(tmp_path)
-    signature = {"p": P, "geometry": "threading-test"}
-
-    def tables_for(version: int) -> list[LevelTable]:
-        return [
-            LevelTable(
-                level=(0,),
-                regions=(Region(("a",)), Region(("b",))),
-                keep_sidx=np.asarray([0], dtype=np.int64),
-                stats=_stack(2, seed=version * 7),
-            )
-        ]
-
-    table_store.save(tables_for(0), signature, version=0)
+    _save(table_store, 0)
     stop = threading.Event()
     latest = [0]
 
@@ -107,10 +107,10 @@ def test_cube_tables_load_during_concurrent_saves_is_never_torn(tmp_path, lockch
         while not stop.is_set():
             guess = latest[0]
             try:
-                tables = table_store.load(signature, expected_version=guess)
+                tables = table_store.load(SIGNATURE, expected_version=guess)
             except (StorageError, StaleCacheError):
                 continue
-            want = tables_for(guess)[0]
+            want = _tables_for(guess)[0]
             got = tables[0]
             assert np.array_equal(got.stats.xtwx, want.stats.xtwx), (
                 f"version {guess}"
@@ -122,7 +122,7 @@ def test_cube_tables_load_during_concurrent_saves_is_never_torn(tmp_path, lockch
     with ThreadPoolExecutor(max_workers=N_READERS) as pool:
         futures = [pool.submit(reader) for __ in range(N_READERS)]
         for version in range(1, N_VERSIONS + 1):
-            table_store.save(tables_for(version), signature, version=version)
+            _save(table_store, version)
             latest[0] = version
         stop.set()
         counts = [f.result(timeout=60) for f in futures]
@@ -131,10 +131,12 @@ def test_cube_tables_load_during_concurrent_saves_is_never_torn(tmp_path, lockch
 
 def test_torn_pair_raises_instead_of_adopting(tmp_path):
     """A hand-torn meta/data pair (the pre-fix race, frozen) is refused."""
-    cache = SuffStatsCache(tmp_path)
-    cache.save(version=1, stacks=_stacks_for(1), n_cells=N_CELLS, p=P)
-    meta_v1 = cache.meta_path.read_bytes()
-    cache.save(version=2, stacks=_stacks_for(2), n_cells=N_CELLS, p=P)
-    cache.meta_path.write_bytes(meta_v1)  # data at v2, metadata at v1
+    table_store = CubeTableStore(tmp_path)
+    _save(table_store, 1)
+    meta_v1 = table_store.meta_path.read_bytes()
+    _save(table_store, 2)
+    table_store.meta_path.write_bytes(meta_v1)  # data at v2, metadata at v1
     with pytest.raises(StorageError, match="torn"):
-        cache.load_versioned(n_cells=N_CELLS, p=P)
+        table_store.load_base(SIGNATURE)
+    with pytest.raises(StorageError, match="torn"):
+        table_store.load(SIGNATURE, expected_version=1)

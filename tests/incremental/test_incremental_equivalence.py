@@ -165,3 +165,58 @@ class TestFig9CubeEquivalence:
             ds.task, store, ds.hierarchies
         ).build("optimized")
         assert_same_cube(scratch, refreshed, EXACT)
+
+
+class TestStacksAdvanceApartFromSolutions:
+    """``advance()`` moves the statistics; ``refresh()`` catches the solutions up.
+
+    The two can interleave freely — a table build advances a maintainer
+    nobody asked a cube of — and the cube must come out the same.
+    """
+
+    @pytest.fixture
+    def deployed(self):
+        ds = make_bookstore(
+            n_items=60, n_months=8, seed=7,
+            error_estimator=TrainingSetEstimator(),
+        )
+        gen, regions, store = month_split_store(ds.task, base_month=6)
+        builder = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        return ds, gen, regions, store, builder.incremental()
+
+    @staticmethod
+    def _resolved(before):
+        return counters_snapshot().get("incr.cells_resolved", 0) - before.get(
+            "incr.cells_resolved", 0
+        )
+
+    def test_stacks_advanced_before_any_cube_was_asked_for(self, deployed):
+        ds, gen, regions, store, maintainer = deployed
+        before = counters_snapshot()
+        assert maintainer.advance() == "scan"
+        store.apply_delta(month_append_delta(gen, regions, 7))
+        assert maintainer.advance() == "delta"
+        assert self._resolved(before) == 0
+        assert scans_delta(before) == 1
+
+        refreshed = maintainer.refresh()
+        scratch = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        assert_same_cube(scratch.build("optimized"), refreshed, EXACT)
+
+    def test_stacks_advanced_between_a_cube_and_its_refresh(self, deployed):
+        ds, gen, regions, store, maintainer = deployed
+        before = counters_snapshot()
+        maintainer.refresh()
+        everything = self._resolved(before)
+        store.apply_delta(month_append_delta(gen, regions, 7))
+        assert maintainer.advance() == "delta"
+        store.apply_delta(month_append_delta(gen, regions, 8))
+        assert maintainer.advance() == "delta"
+        assert self._resolved(before) == everything  # advancing solves nothing
+
+        before = counters_snapshot()
+        refreshed = maintainer.refresh()
+        assert scans_delta(before) == 0
+        assert 0 < self._resolved(before) < everything  # dirty problems only
+        scratch = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        assert_same_cube(scratch.build("optimized"), refreshed, EXACT)

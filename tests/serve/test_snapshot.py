@@ -17,8 +17,10 @@ import pytest
 import repro.serve.state as state_module
 from repro.core import BasicBellwetherSearch
 from repro.incremental import month_append_delta, month_split_store
+from repro.obs import get_registry
 from repro.serve import ServeClient, ServerState, serve_in_thread
 from repro.serve.snapshot import Snapshot
+from repro.verify import EXACT, assert_same_cube
 
 from .conftest import SUBSET
 
@@ -134,3 +136,28 @@ def test_cold_subset_build_shares_the_old_profiles(live):
     for key, profile in before.profiles.items():
         assert after.profiles[key] is profile
     assert after.tables is before.tables
+
+
+def test_start_up_and_a_delta_solve_no_cube(dataset, tmp_path):
+    """Adoption needs statistics, not solutions: the tables are scanned or
+    patched, rolled up and saved; the only solves are the profile's."""
+    gen, regions, store = month_split_store(dataset.task, BASE_MONTH)
+    resolved = get_registry().counter("incr.cells_resolved")
+    before = resolved.value
+    state = ServerState(
+        dataset.task,
+        store,
+        dataset.hierarchies,
+        tables_dir=tmp_path / "tables",
+        min_subset_size=3,
+    )
+    scans0 = store.stats.full_scans
+    state.apply_delta(month_append_delta(gen, regions, BASE_MONTH + 1))
+    assert resolved.value == before
+    assert store.stats.full_scans == scans0
+    assert sorted(f.name for f in (tmp_path / "tables").iterdir()) == [
+        "cube_tables.npz",
+        "cube_tables_meta.json",
+    ]
+    cube = state.builder.build_from_tables(state._snapshot.tables)
+    assert_same_cube(state.builder.build("optimized"), cube, EXACT)

@@ -2,7 +2,7 @@
 
 Covers byte-level round trips against the npz backend, streaming writers,
 bounded-memory chunked scans with their dedicated counters, delta
-application, backend sniffing, and the failure modes (missing pyarrow,
+application, backend sniffing, and the failure modes (a foreign codec,
 corrupt manifests, torn manifest writes).
 """
 
@@ -119,18 +119,17 @@ class TestWriter:
         assert not (tmp_path / "w" / ColumnarStore.MANIFEST).exists()
 
     def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ColumnarStore.writer(tmp_path / "w", ("f0",), codec="zstd")
-
-    def test_parquet_codec_gated_without_pyarrow(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("pyarrow installed; the ConfigError gate is unreachable")
-        with pytest.raises(ConfigError, match="repro\\[columnar\\]"):
-            ColumnarStore.writer(tmp_path / "w", ("f0",), codec="parquet")
+        """Raw column files are the one encoding; a manifest that names
+        another (outside input) is refused, not misread."""
+        with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+            w.add(Region(("a",)), _block(3, p=1))
+        manifest_path = tmp_path / "w" / ColumnarStore.MANIFEST
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["codec"] == "raw"
+        manifest["codec"] = "parquet"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="unknown codec 'parquet'"):
+            ColumnarStore(tmp_path / "w")
 
 
 class TestChunkedScan:

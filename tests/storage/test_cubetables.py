@@ -27,7 +27,14 @@ from repro.storage import (
     StorageError,
     StoreDelta,
 )
-from repro.verify import APPROX, EXACT, assert_same_cube, diff_profiles
+from repro.verify import (
+    APPROX,
+    EXACT,
+    assert_same_cube,
+    assert_same_stacks,
+    diff_profiles,
+    scratch_stacks,
+)
 
 
 @pytest.fixture()
@@ -52,6 +59,133 @@ def _append_delta(store, n_rows: int = 5) -> StoreDelta:
         weights=None if block.weights is None else np.ones(n_rows),
     )
     return StoreDelta(blocks={region: BlockDelta(append=append)})
+
+
+def _cells_resolved() -> float:
+    return get_registry().counter_values().get("incr.cells_resolved", 0)
+
+
+class TestOneArtifact:
+    """Level tables and base-cell table: one directory, one key."""
+
+    def test_a_build_leaves_exactly_two_files(self, setup):
+        __, __s, builder, table_dir = setup
+        build_cube_tables(builder, table_dir)
+        assert sorted(f.name for f in table_dir.iterdir()) == [
+            "cube_tables.npz",
+            "cube_tables_meta.json",
+        ]
+
+    def test_statistics_of_another_data_set_are_not_adopted(self, setup):
+        """Equal lattice shape is not equal geometry.
+
+        Seed 1 has the same ``(n_cells, p)`` as seed 0 and starts at the
+        same store version; only the full signature tells them apart.
+        """
+        __, __s, builder, table_dir = setup
+        build_cube_tables(builder, table_dir)
+        other_ds = make_mailorder(
+            n_items=60, n_months=6, seed=1,
+            error_estimator=TrainingSetEstimator(),
+        )
+        other_store, __, __ = build_store(other_ds.task)
+        other = BellwetherCubeBuilder(
+            other_ds.task, other_store, other_ds.hierarchies
+        )
+        ours, theirs = other.geometry_signature(), builder.geometry_signature()
+        assert (ours["n_cells"], ours["p"]) == (theirs["n_cells"], theirs["p"])
+        assert other_store.version == builder.store.version
+        scans0 = other_store.stats.full_scans
+        tables = build_cube_tables(other, table_dir)
+        assert other_store.stats.full_scans - scans0 == 1
+        assert_same_cube(
+            other.build("optimized"), other.build_from_tables(tables), tol=EXACT
+        )
+
+    def test_tables_need_statistics_not_solutions(self, setup):
+        """A cold build, a hit and a version bump solve nothing."""
+        __, store, builder, table_dir = setup
+        registry = get_registry()
+        before = registry.counter_values()
+        build_cube_tables(builder, table_dir)
+        build_cube_tables(builder, table_dir)
+        store.apply_delta(_append_delta(store))
+        build_cube_tables(builder, table_dir)
+        after = registry.counter_values()
+        for name in ("incr.cells_resolved", "ml.linear.batched_problems"):
+            assert after.get(name, 0) == before.get(name, 0), name
+        assert after["cube.tables.builds"] - before.get("cube.tables.builds", 0) == 2
+
+
+def _retract(store, rank=0, n_victims=2):
+    region = store.regions()[rank]
+    victims = np.unique(store.read(region).item_ids)[:n_victims]
+    return [StoreDelta({region: BlockDelta(retract_ids=victims)})]
+
+
+def _retract_reappend(store):
+    region = store.regions()[1]
+    block = store.read(region)
+    victims = np.unique(block.item_ids)[:3]
+    rows = np.isin(block.item_ids, victims)
+    removed = RegionBlock(
+        block.item_ids[rows], block.x[rows], block.y[rows],
+        None if block.weights is None else block.weights[rows],
+    )
+    return [
+        StoreDelta({region: BlockDelta(retract_ids=victims)}),
+        StoreDelta({region: BlockDelta(append=removed)}),
+    ]
+
+
+def _drop_region(store):
+    return [StoreDelta({}, drop_regions=(store.regions()[3],))]
+
+
+def _drop_then_new_region(store):
+    """A region leaves, then comes back as a new one (it scans last)."""
+    region = store.regions()[2]
+    block = store.read(region)
+    return [
+        StoreDelta({}, drop_regions=(region,)),
+        StoreDelta({region: BlockDelta(append=block)}),
+    ]
+
+
+class TestDeltaStreams:
+    """Tables patched across a delta stream equal a scratch build, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            _retract,
+            _retract_reappend,
+            lambda store: [_append_delta(store)],
+            _drop_region,
+            _drop_then_new_region,
+        ],
+        ids=["retract", "retract-reappend", "append", "drop-region", "new-region"],
+    )
+    def test_patched_tables_equal_a_scratch_build(self, setup, stream):
+        ds, store, builder, table_dir = setup
+        build_cube_tables(builder, table_dir)
+        for delta in stream(store):
+            store.apply_delta(delta)
+        scans0, resolved0 = store.stats.full_scans, _cells_resolved()
+        fresh = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        tables = build_cube_tables(fresh, table_dir)
+        assert store.stats.full_scans == scans0
+        assert _cells_resolved() == resolved0
+        scratch = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        assert_same_cube(
+            scratch.build("optimized"), fresh.build_from_tables(tables), tol=EXACT
+        )
+        version, base = CubeTableStore(table_dir).load_base(
+            fresh.geometry_signature()
+        )
+        assert version == store.version
+        assert list(base) == [r for r in store.regions() if r in base]
+        assert_same_stacks(scratch_stacks(scratch), base, EXACT)
 
 
 class TestWarmBuild:

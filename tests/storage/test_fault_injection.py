@@ -1,21 +1,37 @@
 """Fault injection: broken files must fail loudly, never return wrong numbers.
 
 Truncated, garbled, or missing ``.npz`` blocks and corrupt manifests raise
-:class:`StorageError` (never a raw ``OSError``/``BadZipFile``); a suffstats
-cache written against another store version raises
-:class:`StaleCacheError`, and a maintainer facing either problem rebuilds
+:class:`StorageError` (never a raw ``OSError``/``BadZipFile``); persisted
+statistics written against another store version raise
+:class:`StaleCacheError`, and a table build facing either problem rebuilds
 from a full scan instead of serving stale statistics.
 """
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core import BellwetherCubeBuilder
+from repro.core.training_data import build_store
+from repro.datasets import make_mailorder
 from repro.dimensions import Region
-from repro.incremental import StaleCacheError, SuffStatsCache
-from repro.ml import LinearSuffStats, StackedSuffStats, add_intercept
-from repro.storage import DiskStore, RegionBlock, StorageError
+from repro.incremental import build_cube_tables
+from repro.ml import (
+    LinearSuffStats,
+    StackedSuffStats,
+    TrainingSetEstimator,
+    add_intercept,
+)
+from repro.storage import (
+    CubeTableStore,
+    DiskStore,
+    RegionBlock,
+    StaleCacheError,
+    StorageError,
+)
+from repro.verify import EXACT, assert_same_cube, counters_snapshot
 
 
 def _block(n: int, p: int = 2, seed: int = 0) -> RegionBlock:
@@ -96,105 +112,122 @@ def _stacks(n_cells: int = 3, p: int = 3) -> dict[Region, StackedSuffStats]:
     return {Region(("a",)): StackedSuffStats.from_stats(stats)}
 
 
+def _signature(n_cells: int = 3, p: int = 3) -> dict:
+    return {"n_cells": n_cells, "p": p}
+
+
 class TestSuffStatsCacheFaults:
+    """The base-cell table inside :class:`CubeTableStore` fails loudly."""
+
     def test_stale_version_raises_stale_cache_error(self, tmp_path):
-        cache = SuffStatsCache(tmp_path)
-        cache.save(version=3, stacks=_stacks(), n_cells=3, p=3)
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 3, _stacks())
         with pytest.raises(StaleCacheError, match="store version 3"):
-            cache.load(expected_version=7, n_cells=3, p=3)
+            cache.load(_signature(), expected_version=7)
 
     def test_stale_is_a_storage_error(self):
         assert issubclass(StaleCacheError, StorageError)
 
     def test_geometry_mismatch_raises_stale_cache_error(self, tmp_path):
-        cache = SuffStatsCache(tmp_path)
-        cache.save(version=1, stacks=_stacks(), n_cells=3, p=3)
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 1, _stacks())
         with pytest.raises(StaleCacheError, match="lattice geometry"):
-            cache.load(expected_version=1, n_cells=5, p=3)
+            cache.load_base(_signature(n_cells=5))
 
     def test_missing_cache_raises_storage_error(self, tmp_path):
-        with pytest.raises(StorageError, match="no suffstats cache"):
-            SuffStatsCache(tmp_path).load(expected_version=0, n_cells=3, p=3)
+        with pytest.raises(StorageError, match="no cube tables"):
+            CubeTableStore(tmp_path).load_base(_signature())
+
+    def test_tables_saved_without_a_base_raise_storage_error(self, tmp_path):
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 1)
+        with pytest.raises(StorageError, match="no base-cell table"):
+            cache.load_base(_signature())
 
     def test_corrupt_meta_raises_storage_error(self, tmp_path):
-        cache = SuffStatsCache(tmp_path)
-        cache.save(version=1, stacks=_stacks(), n_cells=3, p=3)
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 1, _stacks())
         cache.meta_path.write_bytes(b"\x00broken")
-        with pytest.raises(StorageError, match="corrupt suffstats-cache"):
-            cache.load(expected_version=1, n_cells=3, p=3)
+        with pytest.raises(StorageError, match="corrupt cube-table metadata"):
+            cache.load_base(_signature())
 
     def test_corrupt_data_raises_storage_error(self, tmp_path):
-        cache = SuffStatsCache(tmp_path)
-        cache.save(version=1, stacks=_stacks(), n_cells=3, p=3)
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 1, _stacks())
         cache.data_path.write_bytes(b"nope")
-        with pytest.raises(StorageError, match="unreadable suffstats cache"):
-            cache.load(expected_version=1, n_cells=3, p=3)
+        with pytest.raises(StorageError, match="unreadable cube tables"):
+            cache.load_base(_signature())
 
     def test_truncated_data_raises_storage_error(self, tmp_path):
-        cache = SuffStatsCache(tmp_path)
-        cache.save(version=1, stacks=_stacks(), n_cells=3, p=3)
+        cache = CubeTableStore(tmp_path)
+        cache.save([], _signature(), 1, _stacks())
         cache.data_path.write_bytes(cache.data_path.read_bytes()[:30])
         with pytest.raises(StorageError):
-            cache.load(expected_version=1, n_cells=3, p=3)
+            cache.load_base(_signature())
+
+    def test_base_of_the_wrong_length_raises_storage_error(self, tmp_path):
+        cache = CubeTableStore(tmp_path)
+        # 3 problems saved under a signature that promises 3 cells a region,
+        # re-keyed by hand to one that promises 2: same digest fields, a
+        # region count the arrays cannot satisfy.
+        cache.save([], _signature(), 1, _stacks())
+        meta = json.loads(cache.meta_path.read_text())
+        meta["signature"]["n_cells"] = 2
+        cache.meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="base-cell table has 3"):
+            cache.load_base(_signature(n_cells=2))
 
 
 class TestMaintainerRebuildsOnBrokenCache:
-    """A maintainer facing a stale or corrupt cache rebuilds from a scan."""
+    """A table build facing a stale or corrupt base rebuilds from a scan."""
 
     @pytest.fixture
     def setup(self, tmp_path):
-        from repro.core import BellwetherCubeBuilder
-        from repro.datasets import make_mailorder
-        from repro.ml import TrainingSetEstimator
-
         ds = make_mailorder(
             n_items=60, n_months=6, seed=0,
             error_estimator=TrainingSetEstimator(),
         )
-        from repro.core.training_data import build_store
-
         store, __, __ = build_store(ds.task)
         builder = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
         return ds, store, builder, tmp_path / "cache"
 
-    def test_stale_cache_triggers_scan_rebuild(self, setup):
-        from repro.core import BellwetherCubeBuilder
-        from repro.obs import get_registry
+    @staticmethod
+    def _rebuild(ds, store, cache_dir):
+        """A fresh builder's table build: (cache misses, scans, builder, tables)."""
+        before = counters_snapshot()
+        scans0 = store.stats.full_scans
+        fresh = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
+        tables = build_cube_tables(fresh, cache_dir)
+        after = counters_snapshot()
+        misses = after.get("incr.cache_misses", 0) - before.get(
+            "incr.cache_misses", 0
+        )
+        assert after.get("incr.cells_resolved", 0) == before.get(
+            "incr.cells_resolved", 0
+        )
+        return misses, store.stats.full_scans - scans0, fresh, tables
 
+    def test_stale_cache_triggers_scan_rebuild(self, setup):
         ds, store, builder, cache_dir = setup
-        builder.incremental(cache_dir=cache_dir).refresh()
-        # Invalidate: pretend the cache was written at another version.
-        cache = SuffStatsCache(cache_dir)
-        stacks = cache.load(store.version, len(builder._cells),
-                            len(store.feature_names) + 1)
-        cache.save(store.version + 5, stacks, len(builder._cells),
-                   len(store.feature_names) + 1)
-        registry = get_registry()
-        before = registry.counter_values()
-        fresh_builder = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
-        result = fresh_builder.incremental(cache_dir=cache_dir).refresh()
-        delta = registry.counter_values()
-        assert delta.get("incr.cache_misses", 0) - before.get("incr.cache_misses", 0) == 1
-        assert delta.get("store.full_scans", 0) - before.get("store.full_scans", 0) == 1
-        scratch = fresh_builder.build("optimized")
-        for subset in result.subsets:
-            assert result.entry(subset).region == scratch.entry(subset).region
+        tables = build_cube_tables(builder, cache_dir)
+        # Invalidate: pretend the statistics were written at a version the
+        # store's changelog cannot reach back from.
+        cache = CubeTableStore(cache_dir)
+        signature = builder.geometry_signature()
+        __, stacks = cache.load_base(signature)
+        cache.save(tables, signature, store.version + 5, stacks)
+        misses, scans, fresh, tables = self._rebuild(ds, store, cache_dir)
+        assert (misses, scans) == (1, 1)
+        assert_same_cube(
+            fresh.build("optimized"), fresh.build_from_tables(tables), EXACT
+        )
 
     def test_corrupt_cache_triggers_scan_rebuild(self, setup):
-        from repro.core import BellwetherCubeBuilder
-        from repro.obs import get_registry
-
         ds, store, builder, cache_dir = setup
-        builder.incremental(cache_dir=cache_dir).refresh()
-        SuffStatsCache(cache_dir).data_path.write_bytes(b"garbage")
-        registry = get_registry()
-        before = registry.counter_values()
-        result = (
-            BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
-            .incremental(cache_dir=cache_dir)
-            .refresh()
+        build_cube_tables(builder, cache_dir)
+        CubeTableStore(cache_dir).data_path.write_bytes(b"garbage")
+        misses, scans, fresh, tables = self._rebuild(ds, store, cache_dir)
+        assert (misses, scans) == (1, 1)
+        assert_same_cube(
+            fresh.build("optimized"), fresh.build_from_tables(tables), EXACT
         )
-        delta = registry.counter_values()
-        assert delta.get("incr.cache_misses", 0) - before.get("incr.cache_misses", 0) == 1
-        assert delta.get("store.full_scans", 0) - before.get("store.full_scans", 0) == 1
-        assert len(result.subsets) > 0

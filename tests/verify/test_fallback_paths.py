@@ -3,8 +3,9 @@
 * singular design matrices going through the stacked solver's pinv
   fallback (bit-identical to the per-problem fallback),
 * empty feasible-region sets in :class:`BasicBellwetherSearch`,
-* :class:`StaleCacheError` recovery — a maintainer warm-starting from a
-  cache written at an older store version must rebuild, not serve it.
+* :class:`StaleCacheError` recovery — a table build warm-starting from
+  statistics written at an older store version must patch them forward,
+  not serve them.
 """
 
 import numpy as np
@@ -26,10 +27,15 @@ from repro.dimensions import (
     ProductCostModel,
     RegionSpace,
 )
-from repro.incremental import StaleCacheError, SuffStatsCache
+from repro.incremental import build_cube_tables
 from repro.ml import LinearSuffStats, TrainingSetEstimator, add_intercept
 from repro.ml.suffstats import StackedSuffStats
-from repro.storage import BlockDelta, StoreDelta
+from repro.storage import (
+    BlockDelta,
+    CubeTableStore,
+    StaleCacheError,
+    StoreDelta,
+)
 from repro.table import Database, Table
 from repro.verify import (
     EXACT,
@@ -173,19 +179,20 @@ class TestStaleCacheRecovery:
             min_subset_size=2,
             min_examples=2,
         )
-        maintainer = builder.incremental(cache_dir=tmp_path)
-        maintainer.refresh()
-        cache = SuffStatsCache(tmp_path)
+        build_cube_tables(builder, tmp_path)
         with pytest.raises(StaleCacheError):
-            cache.load(store.version + 1, maintainer._n_cells, maintainer._p)
+            CubeTableStore(tmp_path).load(
+                builder.geometry_signature(), store.version + 1
+            )
 
     def test_recovery_patches_instead_of_serving_stale(
         self, singular_task, singular_hierarchies, tmp_path
     ):
-        """After a store delta, a fresh maintainer must never serve the
-        on-disk snapshot as-is: it adopts it as a warm start, patches the
-        dirty cells forward through the changelog (cache hit, **no full
-        scan**), and agrees with a scratch build bit for bit."""
+        """After a store delta, a fresh table build must never serve the
+        on-disk statistics as-is: it adopts the base-cell table as a warm
+        start, patches the dirty cells forward through the changelog (cache
+        hit, **no full scan**, one read per touched region, nothing solved),
+        and agrees with a scratch build bit for bit."""
         store, __, __ = build_store(singular_task)
 
         def make_builder():
@@ -197,26 +204,36 @@ class TestStaleCacheRecovery:
                 min_examples=2,
             )
 
-        make_builder().incremental(cache_dir=tmp_path).refresh()
+        build_cube_tables(make_builder(), tmp_path)
 
         region = next(iter(store.regions()))
         victim = store.read(region).item_ids[:1]
         store.apply_delta(StoreDelta({region: BlockDelta(retract_ids=victim)}))
 
         before = counters_snapshot()
-        scans0 = store.stats.full_scans
-        cold = make_builder().incremental(cache_dir=tmp_path)
-        refreshed = cold.refresh()
+        io0 = store.stats.snapshot()
+        cold = make_builder()
+        tables = build_cube_tables(cold, tmp_path)
         after = counters_snapshot()
+        io = store.stats - io0
         assert after["incr.cache_hits"] - before.get("incr.cache_hits", 0) == 1
         assert after.get("incr.cache_misses", 0) == before.get("incr.cache_misses", 0)
-        assert store.stats.full_scans == scans0
+        assert after.get("incr.cells_resolved", 0) == before.get(
+            "incr.cells_resolved", 0
+        )
+        assert (io.full_scans, io.region_reads) == (0, 1)
 
         scratch_builder = make_builder()
-        assert_same_cube(scratch_builder.build("optimized"), refreshed, EXACT)
+        assert_same_cube(
+            scratch_builder.build("optimized"),
+            cold.build_from_tables(tables),
+            EXACT,
+        )
 
         from repro.verify import scratch_stacks
 
-        assert_same_stacks(
-            scratch_stacks(scratch_builder), cold._stacks, EXACT
+        version, base = CubeTableStore(tmp_path).load_base(
+            cold.geometry_signature()
         )
+        assert version == store.version
+        assert_same_stacks(scratch_stacks(scratch_builder), base, EXACT)

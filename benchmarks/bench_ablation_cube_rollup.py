@@ -3,7 +3,8 @@
 The optimized cube merges per-base-cell sufficient statistics up the item
 hierarchy lattice; the single-scan cube refits a model per (region, subset).
 Identical results (tested); this bench quantifies the saving and a second
-ablation shows the tree's prefix-stat numeric-split fast path.
+ablation shows the tree's one-pass numeric-split kernel against a refit per
+threshold and side.
 """
 
 import time
@@ -62,13 +63,13 @@ def test_ablation_tree_prefix_stats(benchmark):
     publish(
         "ablation_tree_prefix",
         render_grid(
-            "Ablation — numeric splits: prefix suff-stats vs refit per side",
+            "Ablation — numeric splits: one pass per block vs refit per side",
             ("n_features", "prefix_s", "refit_s", "ratio"),
             [(6, fast_s, slow_s, slow_s / fast_s)],
         ),
     )
-    # The two-way prefix evaluation avoids one of the two fits per split;
-    # it must never be slower by more than measurement noise.
-    assert fast_s < slow_s * 1.2
+    # Every threshold of a node from one design matrix per block, the right
+    # side by subtraction: a fast path has to be fast, not within noise.
+    assert fast_s * 1.5 < slow_s
 
     benchmark.pedantic(lambda: fast.build("rf"), rounds=1, iterations=1)

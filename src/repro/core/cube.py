@@ -33,7 +33,6 @@ from repro.ml import (
     ErrorEstimate,
     LinearRegression,
     LinearSuffStats,
-    RowProducts,
     StackedSuffStats,
     TrainingSetEstimator,
     add_intercept,

@@ -16,11 +16,13 @@ Two construction algorithms (Figure 4), equivalent by Lemma 1:
   ``{<MinError[v,c,p], Size[v,c,p]>}`` for every active node.
 
 Split-quality errors default to training-set RMSE (cheap and, for linear
-models, close to cross-validation — Figure 7(c)); numeric splits use prefix
-sufficient statistics so every threshold costs O(p²), not a refit.  Each
-level's scan only collects sufficient statistics — every model of the level
-(node errors and all split partitions on all regions) is fit by one stacked
-solve (``StackedSuffStats``), with results identical to per-problem fits.
+models, close to cross-validation — Figure 7(c)).  Each level's scan only
+collects sufficient statistics: per (node, block) the design ``[1 | x]`` is
+built once, every numeric threshold of the node takes its left-side
+statistics from that one design and its right side as ``total − left``
+(``StackedSuffStats.from_binary_splits``), and categorical splits take one
+``from_data`` per partition.  Every model of the level (node errors and all
+split partitions on all regions) is then fit by one stacked solve.
 """
 
 from __future__ import annotations
@@ -245,8 +247,10 @@ class BellwetherTreeBuilder:
         ``|S| * Error(h_r | S)`` to be taken — a cheap stand-in for the
         paper's post-hoc MDL pruning that stops noise-driven splits.
     use_prefix_stats:
-        Evaluate numeric splits via cumulative sufficient statistics
-        (fast path) instead of refitting per threshold; results agree.
+        Evaluate all numeric splits of a node in one pass per block (left
+        statistics per threshold, right side by subtraction) instead of
+        refitting each side of each threshold; ``False`` is the ablation.
+        The trees agree; partition errors can differ in the last bits.
     min_examples:
         Minimum examples for a (region, partition) model to count.
     """
@@ -484,6 +488,22 @@ class BellwetherTreeBuilder:
         per_node_index = {
             id(node): RowIndex(node.item_ids) for node in active
         }
+        # Numeric candidates are evaluated together, from one pass over each
+        # block: which candidates, and per candidate which items go left.
+        # Categorical ones, and everything under the ablation, go per mask.
+        per_node_numeric = {
+            key: [
+                k
+                for k, split in enumerate(splits)
+                if self.use_prefix_stats and split.kind == "num"
+            ]
+            for key, splits in per_node_splits.items()
+        }
+        per_node_left = {
+            key: np.stack([per_node_partition[key][k] == 0 for k in numeric])
+            for key, numeric in per_node_numeric.items()
+            if numeric
+        }
         min_error: dict[tuple[int, int, int], float] = {}
         node_best: dict[int, tuple[float, Region | None]] = {
             id(node): (np.inf, None) for node in active
@@ -506,40 +526,59 @@ class BellwetherTreeBuilder:
         # sequential min-updates replay over the batched errors in order.
         pending_stats: list[LinearSuffStats] = []
         pending_slots: list[tuple] = []
+        pending_sides: list[StackedSuffStats] = []
+        side_slots: list[tuple] = []
         for region, block in self.store.scan():
             for node in active:
+                key = id(node)
                 sub = block.restrict_to(node.item_ids)
-                if id(node) in cacheable:
-                    cache[id(node)][region] = sub
+                if key in cacheable:
+                    cache[key][region] = sub
+                # [1 | x] once per (node, block): the node's own model and
+                # every numeric threshold below read the same design.
+                z = add_intercept(sub.x)
                 if sub.n_examples >= self.min_examples:
                     pending_stats.append(
-                        LinearSuffStats.from_data(
-                            add_intercept(sub.x), sub.y, sub.weights
-                        )
+                        LinearSuffStats.from_data(z, sub.y, sub.weights)
                     )
-                    pending_slots.append(("node", id(node), region))
+                    pending_slots.append(("node", key, region))
+                splits = per_node_splits[key]
                 if (
                     node.n_items < self.min_items
                     or node.depth >= self.max_depth
+                    or not splits
                 ):
                     continue
-                child_rows = None  # sub's rows within the node, lazily
-                for c_idx, split in enumerate(per_node_splits[id(node)]):
-                    child_of_item = per_node_partition[id(node)][c_idx]
-                    if child_rows is None:
-                        child_rows = per_node_index[id(node)].rows_of(
-                            sub.item_ids
-                        )
+                # sub's rows within the node
+                child_rows = per_node_index[key].rows_of(sub.item_ids)
+                numeric = per_node_numeric[key]
+                if numeric:
+                    _SPLIT_EVALS.inc(len(numeric))
+                    # problems 0..T-1 are the left sides, T..2T-1 the right
+                    sides = StackedSuffStats.from_binary_splits(
+                        z, sub.y, sub.weights, per_node_left[key][:, child_rows]
+                    )
+                    keep = np.flatnonzero(sides.n >= self.min_examples)
+                    pending_sides.append(sides.select(keep))
+                    side_slots.extend(
+                        ("split", key, numeric[i % len(numeric)], i // len(numeric))
+                        for i in keep
+                    )
+                for c_idx, split in enumerate(splits):
+                    if c_idx in numeric:
+                        continue
                     stats_per_child = self._split_stats_on_block(
-                        split, sub, child_of_item[child_rows]
+                        split, sub, per_node_partition[key][c_idx][child_rows]
                     )
                     for p, stats in enumerate(stats_per_child):
                         if stats is not None:
                             pending_stats.append(stats)
-                            pending_slots.append(("split", id(node), c_idx, p))
+                            pending_slots.append(("split", key, c_idx, p))
         if pending_stats:
-            errors = StackedSuffStats.from_stats(pending_stats).rmse()
-            for slot, err in zip(pending_slots, errors):
+            errors = StackedSuffStats.concatenate(
+                [StackedSuffStats.from_stats(pending_stats), *pending_sides]
+            ).rmse()
+            for slot, err in zip(pending_slots + side_slots, errors):
                 if slot[0] == "node":
                     __, key, region = slot
                     if err < node_best[key][0]:
@@ -623,12 +662,6 @@ class BellwetherTreeBuilder:
         _SPLIT_EVALS.inc()
         if block.n_examples == 0:
             return [None] * split.n_children()
-        if (
-            split.kind == "num"
-            and self.use_prefix_stats
-            and split.n_children() == 2
-        ):
-            return self._two_way_stats_prefix(child_of_row, block)
         out: list[LinearSuffStats | None] = []
         for p in range(split.n_children()):
             mask = child_of_row == p
@@ -643,32 +676,6 @@ class BellwetherTreeBuilder:
                     )
                 )
         return out
-
-    def _two_way_stats_prefix(
-        self, child_of_row: np.ndarray, block: RegionBlock
-    ) -> list[LinearSuffStats | None]:
-        """Binary-split statistics from one pair of merged statistics.
-
-        Sorting rows so the left partition is a prefix lets both partitions'
-        statistics come from one cumulative pass (and the right side by
-        subtraction) — the Theorem 1 idea applied inside the tree.
-        """
-        order = np.argsort(child_of_row, kind="stable")
-        x = add_intercept(block.x[order])
-        y = block.y[order]
-        w = None if block.weights is None else block.weights[order]
-        k = int((child_of_row == 0).sum())
-        total = LinearSuffStats.from_data(x, y, w)
-        left = (
-            LinearSuffStats.from_data(x[:k], y[:k], None if w is None else w[:k])
-            if k
-            else LinearSuffStats.zeros(x.shape[1])
-        )
-        right = total - left
-        return [
-            left if left.n >= self.min_examples else None,
-            right if right.n >= self.min_examples else None,
-        ]
 
     # --------------------------------------------------------------- pruning
 

@@ -24,7 +24,6 @@ from .suffstats import (
     RowProducts,
     StackedSuffStats,
     add_intercept,
-    prefix_stats,
 )
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "default_model_factory",
     "fit_ridge_per_row",
     "mse",
-    "prefix_stats",
     "rmse",
 ]

@@ -26,6 +26,7 @@ import numpy as np
 from repro.obs.catalog import (
     ML_LINEAR_BATCHED_PROBLEMS,
     ML_LINEAR_BATCHED_SOLVES,
+    ML_LINEAR_SCALAR_FALLBACKS,
 )
 from repro.obs.metrics import get_registry
 
@@ -36,6 +37,7 @@ from .exceptions import FitError
 # optimized cube must issue at most one per lattice level.
 _BATCHED_SOLVES = get_registry().counter(ML_LINEAR_BATCHED_SOLVES)
 _BATCHED_PROBLEMS = get_registry().counter(ML_LINEAR_BATCHED_PROBLEMS)
+_SCALAR_FALLBACKS = get_registry().counter(ML_LINEAR_SCALAR_FALLBACKS)
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,42 @@ class StackedSuffStats:
         return RowProducts(x, y, w).group(groups, n_groups)
 
     @classmethod
+    def from_binary_splits(
+        cls,
+        x: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray | None,
+        left: np.ndarray,
+    ) -> "StackedSuffStats":
+        """Both sides of T binary splits of one design block, in one pass.
+
+        ``left`` is a ``(T, n)`` boolean matrix: row ``i`` is on the left of
+        split ``t`` iff ``left[t, i]``.  Problems ``0..T-1`` are the left
+        sides, ``T..2T-1`` the right sides as ``total − left`` (Theorem 1),
+        so a row is multiplied once per split and never sorted or gathered.
+        One Gram matrix of ``[X | y]`` per split carries ``X'WX``, ``X'WY``
+        and ``Y'WY`` together.  Agrees with :meth:`LinearSuffStats.from_data`
+        on each side up to float associativity; ``n`` is exact.
+        """
+        a = np.column_stack([x, y]).astype(np.float64, copy=False)
+        awt = a.T if w is None else (a * w[:, None]).T
+        t, q = len(left), a.shape[1]
+        gram = np.empty((2 * t, q, q))
+        for k in range(t):
+            np.matmul(awt * left[k], a, out=gram[k])
+        gram[t:] = awt @ a - gram[:t]
+        n = left.sum(axis=1)
+        sum_w = n.astype(np.float64) if w is None else left @ w
+        total_w = float(a.shape[0]) if w is None else w.sum()
+        return cls(
+            ytwy=gram[:, -1, -1],
+            xtwx=gram[:, :-1, :-1],
+            xtwy=gram[:, :-1, -1],
+            n=np.concatenate([n, a.shape[0] - n]),
+            sum_w=np.concatenate([sum_w, total_w - sum_w]),
+        )
+
+    @classmethod
     def concatenate(cls, stacks: Sequence["StackedSuffStats"]) -> "StackedSuffStats":
         """One stack holding every input stack's problems, in order."""
         if not stacks:
@@ -450,6 +488,7 @@ class StackedSuffStats:
             # well-conditioned ones reproduce the batched bits exactly).
             beta = np.empty_like(self.xtwy)
             bad = np.ones(len(self), dtype=bool)
+        _SCALAR_FALLBACKS.inc(int(bad.sum()))
         for i in np.flatnonzero(bad):
             beta[i] = self.row(i).solve(ridge=ridge)
         return beta
@@ -478,12 +517,12 @@ class StackedSuffStats:
 
 
 class RowProducts:
-    """Per-row outer products of one design block, reusable across groupings.
+    """Per-row outer products of one design block, segment-summed per group.
 
-    The grouped builders (tree split evaluation, cube base cells) partition
-    the *same* rows many ways.  Computing ``x_i x_i'w_i`` once and segment-
-    summing per grouping makes each additional grouping O(n·p²) array work
-    with no Python per-row cost.
+    The kernel behind :meth:`StackedSuffStats.from_groups`, whose one caller
+    is the incremental maintainer (the statistics of a delta's rows, grouped
+    by base cell).  Computing ``x_i x_i'w_i`` once and segment-summing makes
+    a grouping O(n·p²) array work with no Python per-row cost.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
@@ -529,40 +568,3 @@ class RowProducts:
         out.sum_w[present] = np.add.reduceat(self._row_w[order], starts)
         out.n[present] = np.diff(np.append(starts, self.n_rows))
         return out
-
-
-def prefix_stats(
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray | None = None,
-) -> list[LinearSuffStats]:
-    """Cumulative statistics ``stats[k] = g(rows 0..k-1)`` for k = 0..n.
-
-    Used by the RF bellwether tree's numeric-split search: after sorting
-    items by a feature, the statistics of every ``(left, right)`` partition
-    at every split point come from ``stats[k]`` and ``stats[n] - stats[k]``
-    in O(p^2) each instead of refitting from raw rows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = x.shape
-    if w is None:
-        w = np.ones(n)
-    out = [LinearSuffStats.zeros(p)]
-    xw = x * w[:, None]
-    # Cumulative outer products; p is small so this stays cheap.
-    cum_xtwx = np.cumsum(np.einsum("ij,ik->ijk", x, xw), axis=0)
-    cum_xtwy = np.cumsum(xw * y[:, None], axis=0)
-    cum_ytwy = np.cumsum(w * y * y)
-    cum_w = np.cumsum(w)
-    for k in range(1, n + 1):
-        out.append(
-            LinearSuffStats(
-                ytwy=float(cum_ytwy[k - 1]),
-                xtwx=cum_xtwx[k - 1],
-                xtwy=cum_xtwy[k - 1],
-                n=k,
-                sum_w=float(cum_w[k - 1]),
-            )
-        )
-    return out

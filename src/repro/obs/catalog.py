@@ -39,6 +39,9 @@ STORE_COLUMNAR_REGIONS_WRITTEN = "store.columnar.regions_written"
 ML_LINEAR_FITS = "ml.linear.fits"
 ML_LINEAR_BATCHED_SOLVES = "ml.linear.batched_solves"
 ML_LINEAR_BATCHED_PROBLEMS = "ml.linear.batched_problems"
+# Batched problems re-solved one by one through the scalar solve -> pinv path
+# (singular, or riding in a batch that stacked LAPACK refused whole).
+ML_LINEAR_SCALAR_FALLBACKS = "ml.linear.scalar_fallbacks"
 
 # ------------------------------------------------------- incremental layer
 INCR_CACHE_HITS = "incr.cache_hits"
@@ -146,6 +149,7 @@ COUNTERS: tuple[str, ...] = (
     ML_LINEAR_FITS,
     ML_LINEAR_BATCHED_SOLVES,
     ML_LINEAR_BATCHED_PROBLEMS,
+    ML_LINEAR_SCALAR_FALLBACKS,
     INCR_CACHE_HITS,
     INCR_CACHE_MISSES,
     INCR_CELLS_RESOLVED,

@@ -286,6 +286,7 @@ class FilteredStore(TrainingDataStore):
             raise StorageError(f"regions not in the underlying store: {missing[:3]}")
         self._inner = inner
         self._regions = list(regions)
+        self._visible = set(self._regions)
         self.feature_names = inner.feature_names
         self.stats = IOStats()
 
@@ -293,7 +294,7 @@ class FilteredStore(TrainingDataStore):
         return list(self._regions)
 
     def _fetch(self, region: Region) -> RegionBlock:
-        if region not in set(self._regions):
+        if region not in self._visible:
             raise StorageError(f"region {region} filtered out of this view")
         return self._inner._fetch(region)
 

@@ -5,7 +5,10 @@ archive per region, this backend writes one *raw column file* per region —
 ``item_ids``, ``y``, each feature of ``x`` and (optionally) ``weights``
 stored back-to-back as contiguous typed buffers — plus a single JSON
 manifest (``manifest.json``) carrying the schema, the store version, and
-per-column byte offsets.  Reads go through ``np.memmap`` windows, so
+per-column byte offsets.  A read maps the region's file **once** (one
+``open`` + one ``mmap`` per file, every column a ``np.frombuffer`` window at
+its manifest offset) and copies the rows out, so a block costs what its
+bytes cost, not a fixed price per column; then
 
 * :meth:`ColumnarStore.read` / :meth:`ColumnarStore._fetch` materialize one
   region exactly like the npz backend (bit-for-bit identical arrays), and
@@ -13,6 +16,9 @@ per-column byte offsets.  Reads go through ``np.memmap`` windows, so
   sub-blocks of at most ``chunk_rows`` rows without ever holding a whole
   region, which is what lets fig11 run the paper's 10M-row configurations
   out-of-core.
+
+No mapping outlives the call (or, in ``scan_chunks``, the region) that made
+it: a delta ``os.replace``s region files, so nothing is cached across calls.
 
 Accounting stays truthful: ``read`` counts a region read, a (chunked or
 whole-block) scan counts one full scan, and chunks additionally land on the
@@ -24,6 +30,7 @@ counted on ``store.columnar.bytes_written`` / ``regions_written``.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
@@ -124,21 +131,32 @@ def _write_raw(path: Path, cols: Mapping[str, np.ndarray]) -> tuple[int, dict]:
     return offset, meta
 
 
-def _raw_column(path: Path, rows: int, col_meta: Mapping) -> np.ndarray:
-    """A read-only memmap window over one stored column."""
-    dtype = np.dtype(col_meta["dtype"])
+def _raw_columns(path: Path, rows: int, columns: Mapping) -> dict[str, np.ndarray]:
+    """Read-only windows over every stored column, from one mapping of the file.
+
+    The windows keep the mapping alive; it is unmapped when the last of
+    them is dropped.
+    """
     if rows == 0:
-        return np.empty(0, dtype=dtype)
-    return np.memmap(
-        path, mode="r", dtype=dtype, offset=int(col_meta["offset"]), shape=(rows,)
-    )
+        return {
+            name: np.empty(0, dtype=np.dtype(col["dtype"]))
+            for name, col in columns.items()
+        }
+    with path.open("rb") as f:
+        buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return {
+        name: np.frombuffer(
+            buf, dtype=np.dtype(col["dtype"]), count=rows, offset=int(col["offset"])
+        )
+        for name, col in columns.items()
+    }
 
 
 # ----------------------------------------------------------------- the store
 
 
 class ColumnarStore(TrainingDataStore):
-    """Per-region column files + a JSON manifest; memmap-backed reads.
+    """Per-region column files + a JSON manifest; one mapping per file read.
 
     Directory layout::
 
@@ -227,13 +245,11 @@ class ColumnarStore(TrainingDataStore):
         return list(self._meta)
 
     def _columns(self, region: Region, meta: Mapping) -> dict[str, np.ndarray]:
-        """Every stored column of one region, as memmaps."""
-        path = self._dir / meta["file"]
+        """Every stored column of one region, as windows on one mapping."""
         try:
-            return {
-                name: _raw_column(path, meta["rows"], col)
-                for name, col in meta["columns"].items()
-            }
+            return _raw_columns(
+                self._dir / meta["file"], meta["rows"], meta["columns"]
+            )
         except StorageError:
             raise
         except Exception as exc:
@@ -245,14 +261,13 @@ class ColumnarStore(TrainingDataStore):
     def _assemble(
         cols: Mapping[str, np.ndarray], p: int, lo: int | None = None, hi: int | None = None
     ) -> RegionBlock:
-        """Copy (a slice of) memmapped columns out into a normal block."""
+        """Copy (a slice of) mapped columns out into a normal block."""
         window = slice(lo, hi)
         item_ids = np.array(cols["item_ids"][window])
         y = np.array(cols["y"][window])
-        if len(item_ids) == 0:
-            x = np.empty((0, p), dtype=cols["x0"].dtype if p else np.float64)
-        else:
-            x = np.stack([np.array(cols[f"x{j}"][window]) for j in range(p)], axis=1)
+        x = np.empty((len(item_ids), p), dtype=cols["x0"].dtype if p else np.float64)
+        for j in range(p):
+            x[:, j] = cols[f"x{j}"][window]
         weights = np.array(cols["weights"][window]) if "weights" in cols else None
         return RegionBlock(item_ids, x, y, weights)
 

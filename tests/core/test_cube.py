@@ -146,3 +146,54 @@ class TestSubsetRestriction:
             BellwetherCubeBuilder(
                 small_task, store, hierarchies, item_ids=[424242]
             )
+
+
+class TestScalarFallbackCount:
+    """``ml.linear.scalar_fallbacks``: problems the batched kernel re-solved
+    one by one (ROADMAP item 4(a) — counted before anyone reduces it)."""
+
+    @staticmethod
+    def _build(ds, store, monkeypatch, min_subset_size):
+        """(counter delta, problems riding in refused batches, rank-deficient)."""
+        from repro.ml import StackedSuffStats
+        from repro.obs import get_registry
+
+        batches: list[np.ndarray] = []
+        solve = StackedSuffStats.solve
+
+        def spy(self, ridge=0.0):
+            batches.append(self.xtwx.copy())
+            return solve(self, ridge)
+
+        counter = get_registry().counter("ml.linear.scalar_fallbacks")
+        before = counter.value
+        with monkeypatch.context() as patched:
+            patched.setattr(StackedSuffStats, "solve", spy)
+            BellwetherCubeBuilder(
+                ds.task, store, ds.hierarchies, min_subset_size=min_subset_size
+            ).build("optimized")
+        assert "ml.linear.scalar_fallbacks" in get_registry().counter_values()
+        refused = deficient = 0
+        for xtwx in batches:
+            ranks = np.linalg.matrix_rank(xtwx)
+            deficient += int((ranks < xtwx.shape[-1]).sum())
+            try:
+                np.linalg.solve(xtwx, np.ones(xtwx.shape[:2] + (1,)))
+            except np.linalg.LinAlgError:
+                refused += len(xtwx)
+        return counter.value - before, refused, deficient
+
+    def test_zero_on_scalability_counted_on_mailorder(self, monkeypatch):
+        from repro.core import build_store
+        from repro.datasets import make_mailorder, make_scalability
+
+        ds = make_scalability(n_items=400, n_regions=12, seed=0)
+        assert self._build(ds, ds.store, monkeypatch, 20) == (0, 0, 0)
+        # A cube subset that fixes the category makes the category one-hot
+        # columns collinear with the intercept: singular by construction.
+        ds = make_mailorder(n_items=60, n_months=4, seed=1)
+        store, __, __ = build_store(ds.task)
+        counted, refused, deficient = self._build(ds, store, monkeypatch, 5)
+        # One exactly singular matrix makes stacked LAPACK refuse its whole
+        # batch, so every problem riding with it is re-solved too.
+        assert counted == refused >= deficient > 0

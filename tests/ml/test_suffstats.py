@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import FitError, LinearSuffStats, add_intercept, prefix_stats
+from repro.ml import FitError, LinearSuffStats, add_intercept
 
 
 @pytest.fixture()
@@ -149,28 +149,3 @@ class TestSse:
         y = np.array([1.0, 2.0])
         s = LinearSuffStats.from_data(x, y)
         assert np.isfinite(s.mse())
-
-
-class TestPrefixStats:
-    def test_prefix_matches_blockwise(self, data):
-        x, y = data
-        prefixes = prefix_stats(x, y)
-        assert len(prefixes) == 41
-        for k in (0, 1, 7, 40):
-            direct = (
-                LinearSuffStats.zeros(4)
-                if k == 0
-                else LinearSuffStats.from_data(x[:k], y[:k])
-            )
-            assert np.allclose(prefixes[k].xtwx, direct.xtwx)
-            assert np.allclose(prefixes[k].xtwy, direct.xtwy)
-            assert prefixes[k].ytwy == pytest.approx(direct.ytwy)
-            assert prefixes[k].n == k
-
-    def test_suffix_by_subtraction(self, data):
-        x, y = data
-        prefixes = prefix_stats(x, y)
-        suffix = prefixes[-1] - prefixes[10]
-        direct = LinearSuffStats.from_data(x[10:], y[10:])
-        assert np.allclose(suffix.xtwx, direct.xtwx)
-        assert suffix.sse() == pytest.approx(direct.sse(), rel=1e-6)

@@ -7,6 +7,8 @@ corrupt manifests, torn manifest writes).
 """
 
 import json
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -281,6 +283,197 @@ class TestFaults:
         path.write_bytes(path.read_bytes()[:8])
         with pytest.raises(StorageError):
             columnar.read(region)
+
+
+def _assert_same_bytes(a: RegionBlock, b: RegionBlock) -> None:
+    """dtype, shape, contiguity and every byte — not just equal values."""
+    for name in ("item_ids", "x", "y", "weights"):
+        got, want = getattr(a, name), getattr(b, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.flags.c_contiguous and got.flags.owndata, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _concat(chunks: list[RegionBlock]) -> RegionBlock:
+    weights = (
+        None
+        if chunks[0].weights is None
+        else np.concatenate([c.weights for c in chunks])
+    )
+    return RegionBlock(
+        np.concatenate([c.item_ids for c in chunks]),
+        np.concatenate([c.x for c in chunks]),
+        np.concatenate([c.y for c in chunks]),
+        weights,
+    )
+
+
+class TestOneMappingPerFile:
+    """A read costs one mapping per region file, and keeps none."""
+
+    @pytest.fixture()
+    def mappings(self, monkeypatch):
+        made: list[weakref.ref] = []
+        real = mmap.mmap
+
+        def counting(*args, **kwargs):
+            mapping = real(*args, **kwargs)
+            made.append(weakref.ref(mapping))
+            return mapping
+
+        monkeypatch.setattr(mmap, "mmap", counting)
+        return made
+
+    def test_scan_maps_each_non_empty_region_once(self, blocks, tmp_path, mappings):
+        blocks[Region(("empty",))] = _block(0)
+        store = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
+        scanned = list(store.scan())
+        assert len(scanned) == 4
+        assert len(mappings) == 3  # the zero-row region has nothing to map
+        # the blocks own their bytes, so every mapping is already gone
+        assert all(ref() is None for ref in mappings)
+
+    def test_read_and_chunked_scan_map_once_per_region(self, columnar, mappings):
+        columnar.read(columnar.regions()[0])
+        assert len(mappings) == 1
+        chunks = list(columnar.scan_chunks(chunk_rows=2))
+        assert len(chunks) == 4 + 3 + 2
+        assert len(mappings) == 1 + 3
+        assert all(ref() is None for ref in mappings)
+
+
+class TestBytesMatchNpz:
+    """read / scan / scan_chunks return the npz backend's arrays, byte for byte."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("string_ids", [False, True])
+    def test_every_read_path(self, tmp_path, weighted, string_ids):
+        names = ("f0", "f1", "f2")
+        blocks = {}
+        for k, n in enumerate((23, 0, 7, 16)):
+            b = _block(n, seed=k, weighted=weighted)
+            ids = (
+                np.array([f"item{i:02d}" for i in range(n)], dtype="<U6")
+                if string_ids
+                else b.item_ids
+            )
+            blocks[Region((f"r{k}",))] = RegionBlock(ids, b.x, b.y, b.weights)
+        col = ColumnarStore.create(tmp_path / "c", blocks, names)
+        npz = DiskStore.create(tmp_path / "n", blocks, names)
+        chunked: dict[Region, list[RegionBlock]] = {}
+        for region, chunk in col.scan_chunks(chunk_rows=7):
+            chunked.setdefault(region, []).append(chunk)
+        scanned = dict(col.scan())
+        for region in npz.regions():
+            want = npz.read(region)
+            _assert_same_bytes(col.read(region), want)
+            _assert_same_bytes(scanned[region], want)
+            _assert_same_bytes(_concat(chunked[region]), want)
+
+
+class TestUnreadableColumnFiles:
+    """Every way a column file can be short is a StorageError on every path."""
+
+    @staticmethod
+    def _empty(store, path, meta):
+        path.write_bytes(b"")
+
+    @staticmethod
+    def _cut_inside_last_column(store, path, meta):
+        path.write_bytes(path.read_bytes()[:-4])
+
+    @staticmethod
+    def _offset_past_end(store, path, meta):
+        last = list(meta["columns"])[-1]
+        meta["columns"][last]["offset"] = path.stat().st_size + 64
+
+    @pytest.mark.parametrize(
+        "damage", ["_empty", "_cut_inside_last_column", "_offset_past_end"]
+    )
+    def test_read_scan_and_chunks_raise(self, columnar, tmp_path, damage):
+        region = columnar.regions()[1]
+        meta = columnar._meta[region]
+        getattr(self, damage)(columnar, tmp_path / "col" / meta["file"], meta)
+        with pytest.raises(StorageError):
+            columnar.read(region)
+        with pytest.raises(StorageError):
+            list(columnar.scan())
+        with pytest.raises(StorageError):
+            list(columnar.scan_chunks(chunk_rows=2))
+
+
+class TestNothingCached:
+    def test_read_after_delta_returns_the_new_rows(self, columnar):
+        region = Region(("a",))
+        before = columnar.read(region)
+        appended = _block(4, seed=11)
+        appended = RegionBlock(
+            appended.item_ids + 100, appended.x, appended.y, appended.weights
+        )
+        columnar.apply_delta(
+            StoreDelta(
+                blocks={
+                    region: BlockDelta(append=appended, retract_ids=np.array([1, 2]))
+                }
+            )
+        )
+        after = columnar.read(region)
+        assert list(after.item_ids) == [3, 4, 5, 6, 7, 101, 102, 103, 104]
+        assert np.array_equal(after.x[-4:], appended.x)
+        # the block handed out earlier is the caller's own copy
+        assert list(before.item_ids) == [1, 2, 3, 4, 5, 6, 7]
+
+
+class TestLayoutV1:
+    """A directory laid out by hand, byte for byte as every earlier build
+    wrote it (``_write_raw``: columns back-to-back, offsets in the manifest),
+    opens unchanged."""
+
+    def test_hand_written_store_reads_equal(self, tmp_path):
+        src = _block(9, seed=4, weighted=True)
+        columns = [("item_ids", src.item_ids), ("y", src.y)]
+        columns += [(f"x{j}", np.ascontiguousarray(src.x[:, j])) for j in range(3)]
+        columns.append(("weights", src.weights))
+        payload, col_meta = b"", {}
+        for name, arr in columns:
+            col_meta[name] = {"offset": len(payload), "dtype": arr.dtype.str}
+            payload += arr.tobytes()
+        directory = tmp_path / "v1"
+        directory.mkdir()
+        (directory / "region_000000.col").write_bytes(payload)
+        (directory / "region_000001.col").write_bytes(b"")
+        empty_meta = {
+            name: {"offset": 0, "dtype": arr.dtype.str} for name, arr in columns[:-1]
+        }
+        manifest = {
+            "format": "repro-columnar",
+            "layout_version": 1,
+            "codec": "raw",
+            "version": 3,
+            "feature_names": ["f0", "f1", "f2"],
+            "regions": [
+                {"key": ["a", {"interval": [1, 4]}], "file": "region_000000.col",
+                 "rows": 9, "columns": col_meta},
+                {"key": ["b", {"interval": [1, 4]}], "file": "region_000001.col",
+                 "rows": 0, "columns": empty_meta},
+            ],
+        }
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        store = open_store(directory)
+        assert isinstance(store, ColumnarStore) and store.version == 3
+        full, empty = store.regions()
+        _assert_same_bytes(store.read(full), src)
+        got = store.read(empty)
+        assert got.n_examples == 0 and got.x.shape == (0, 3) and got.weights is None
+        assert store.n_examples_total == 9
+        # and what this build writes is the same bytes
+        rewritten = ColumnarStore.create(tmp_path / "now", {full: src}, ("f0", "f1", "f2"))
+        assert (tmp_path / "now" / "region_000000.col").read_bytes() == payload
+        assert rewritten._meta[full]["columns"] == col_meta
 
 
 class TestAtomicManifests:

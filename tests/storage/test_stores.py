@@ -124,6 +124,33 @@ class TestFilteredStore:
         assert view.stats.full_scans == 1
         assert memory_store.stats.region_reads == 0
 
+    def test_hands_out_the_inner_blocks(self, memory_store, regions):
+        view = FilteredStore(memory_store, regions[1:])
+        assert view.read(regions[1]) is memory_store._fetch(regions[1])
+        scanned = list(view.scan())
+        assert [r for r, __ in scanned] == regions[1:]
+        assert all(b is memory_store._fetch(r) for r, b in scanned)
+        with pytest.raises(StorageError):
+            view._fetch(regions[0])
+
+    def test_scan_of_a_view_is_linear_in_its_regions(self):
+        """One membership set per view, not one per fetched block."""
+
+        class CountingRegion(Region):
+            hashed = 0
+
+            def __hash__(self):
+                CountingRegion.hashed += 1
+                return hash(self.values)
+
+        n = 40
+        regions = [CountingRegion((f"r{k}",)) for k in range(n)]
+        inner = MemoryStore({r: _block(3, seed=1) for r in regions}, ("f0", "f1"))
+        view = FilteredStore(inner, regions)
+        CountingRegion.hashed = 0
+        assert len(list(view.scan())) == n
+        assert CountingRegion.hashed <= 4 * n  # was n * n
+
 
 class TestIOStats:
     def test_reset_and_snapshot(self):

@@ -4,17 +4,17 @@ Lemma 1 (one scan per tree level) and Lemma 2 (one scan per cube build) are
 verified against ``store.full_scans`` / ``store.region_reads``; the obs,
 bench, and conformance layers all read those counters.  A code path that
 reaches into ``TrainingDataStore`` internals (``_blocks``, ``_fetch``,
-``_files``) or opens ``.npz`` block files directly does real I/O the
-counters never see — the scan-bound tests keep passing while the claim they
-certify silently stops being measured.
+``_meta``, ``_columns``, ``_raw_columns``) or loads or maps files directly
+does real I/O the counters never see — the scan-bound tests keep passing
+while the claim they certify silently stops being measured.
 
 Outside the storage layer (and :mod:`repro.obs`, which renders stats), the
 rule flags:
 
 * attribute access on the store's private internals, and
 * direct ``np.load`` / ``np.savez`` / ``np.savez_compressed`` /
-  ``np.memmap`` calls (``np.memmap`` is how the columnar backend maps its
-  raw column files; outside ``repro.storage`` a mapping bypasses
+  ``np.memmap`` / ``mmap.mmap`` calls (``mmap.mmap`` is how ``DiskStore``
+  maps its raw column files; outside ``repro.storage`` a mapping bypasses
   ``store.columnar.chunks_read`` and the byte counters).
 """
 
@@ -26,9 +26,10 @@ from ..engine import FileContext, Rule, RuleVisitor, Scope
 
 __all__ = ["ScanAccountingRule"]
 
-_STORE_INTERNALS = {"_blocks", "_fetch", "_files"}
-_NPZ_CALLS = {"load", "savez", "savez_compressed", "memmap"}
-_NUMPY_ALIASES = {"np", "numpy"}
+_STORE_INTERNALS = {"_blocks", "_fetch", "_meta", "_columns", "_raw_columns"}
+_NUMPY_IO = {"load", "savez", "savez_compressed", "memmap"}
+#: module name -> its functions that read or map files directly.
+_RAW_IO_CALLS = {"np": _NUMPY_IO, "numpy": _NUMPY_IO, "mmap": {"mmap"}}
 
 
 class _Visitor(RuleVisitor):
@@ -45,14 +46,13 @@ class _Visitor(RuleVisitor):
         func = node.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in _NPZ_CALLS
             and isinstance(func.value, ast.Name)
-            and func.value.id in _NUMPY_ALIASES
+            and func.attr in _RAW_IO_CALLS.get(func.value.id, ())
         ):
             self.add(
                 node,
-                f"direct np.{func.attr} outside repro.storage: block I/O "
-                "must go through the instrumented store APIs",
+                f"direct {func.value.id}.{func.attr} outside repro.storage: "
+                "block I/O must go through the instrumented store APIs",
             )
         self.generic_visit(node)
 

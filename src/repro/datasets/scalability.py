@@ -26,15 +26,8 @@ import numpy as np
 
 from repro.core import DirectTask
 from repro.dimensions import HierarchicalDimension, ItemHierarchies, Region
-from repro.exceptions import ConfigError
 from repro.ml import ErrorEstimator, TrainingSetEstimator
-from repro.storage import (
-    ColumnarStore,
-    DiskStore,
-    MemoryStore,
-    RegionBlock,
-    TrainingDataStore,
-)
+from repro.storage import DiskStore, MemoryStore, RegionBlock
 from repro.table import Table
 
 
@@ -145,7 +138,7 @@ class OutOfCoreScalability:
     """A scalability instance whose training data lives on disk."""
 
     task: DirectTask
-    store: TrainingDataStore
+    store: DiskStore
     hierarchies: ItemHierarchies
     planted_regions: list[Region]
     directory: Path
@@ -157,9 +150,8 @@ class OutOfCoreScalability:
 
 def _region_rng(seed: int, r_idx: int) -> np.random.Generator:
     # Each region draws its features from its own child stream, so a block's
-    # bytes depend only on (seed, r_idx) — never on generation order or on
-    # which backend is writing.  npz and columnar stores built from the same
-    # seed therefore hold bit-identical arrays.
+    # bytes depend only on (seed, r_idx) — never on generation order, so two
+    # stores written from the same seed hold bit-identical arrays.
     return np.random.default_rng((seed, 1_000 + r_idx))
 
 
@@ -173,7 +165,6 @@ def write_scalability(
     n_regional_features: int = 4,
     noise: float = 0.1,
     seed: int = 0,
-    backend: str = "columnar",
     error_estimator: ErrorEstimator | None = None,
 ) -> OutOfCoreScalability:
     """Stream a scalability instance to disk, one region block at a time.
@@ -181,9 +172,7 @@ def write_scalability(
     Unlike :func:`make_scalability`, the per-region feature matrices are never
     all resident: peak memory is one ``(n_items, p)`` block regardless of
     ``n_regions``, which is what makes the paper's 10M-example Figure 11 run
-    fit on a laptop.  ``backend`` selects the on-disk layout (``"npz"`` or
-    ``"columnar"``); both produce bit-identical training data for a given
-    ``seed``.
+    fit on a laptop.  The training data is a function of ``seed`` alone.
     """
     directory = Path(directory)
     rng = np.random.default_rng(seed)
@@ -233,15 +222,7 @@ def write_scalability(
         f"x{k}" for k in range(n_regional_features)
     )
     # ---------------------------------------------------------------- store
-    if backend == "npz":
-        writer_cm = DiskStore.writer(directory, store_names)
-    elif backend == "columnar":
-        writer_cm = ColumnarStore.writer(directory, store_names)
-    else:
-        raise ConfigError(
-            f"unknown scalability backend {backend!r}; use 'npz' or 'columnar'"
-        )
-    with writer_cm as writer:
+    with DiskStore.writer(directory, store_names) as writer:
         for r_idx, region in enumerate(regions):
             region_x = _region_rng(seed, r_idx).normal(
                 size=(n_items, n_regional_features)

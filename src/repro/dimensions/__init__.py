@@ -11,7 +11,7 @@ from .errors import CostError, DimensionError, HierarchyError, RegionError
 from .hierarchy import HierarchicalDimension, HierarchyNode
 from .interval import Interval, IntervalDimension, WindowedIntervalDimension
 from .lattice import CubeSubset, ItemHierarchies, RollupMap
-from .region import Region, RegionSpace
+from .region import Region, RegionSpace, region_from_json, region_to_json
 
 __all__ = [
     "CallableCostModel",
@@ -33,4 +33,6 @@ __all__ = [
     "RollupMap",
     "WindowedIntervalDimension",
     "ZeroCostModel",
+    "region_from_json",
+    "region_to_json",
 ]

@@ -40,6 +40,28 @@ class Region:
         return f"Region({self})"
 
 
+def region_to_json(region: Region) -> list:
+    """A JSON-stable encoding of a region (strings plain, intervals tagged)."""
+    return [
+        v if isinstance(v, str) else {"interval": [v.start, v.end]}
+        for v in region.values
+    ]
+
+
+def region_from_json(values: list) -> Region:
+    """Inverse of :func:`region_to_json`; :class:`RegionError` on anything else."""
+    decoded: list[RegionValue] = []
+    for v in values:
+        if isinstance(v, str):
+            decoded.append(v)
+        elif isinstance(v, dict) and "interval" in v:
+            start, end = v["interval"]
+            decoded.append(Interval(int(start), int(end)))
+        else:
+            raise RegionError(f"unintelligible region value {v!r}")
+    return Region(tuple(decoded))
+
+
 class RegionSpace:
     """The candidate region set R over a fixed list of dimensions.
 

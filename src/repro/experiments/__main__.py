@@ -117,12 +117,11 @@ def _fig11e(fast: bool, append_months: int | None = None):
     return run_fig11e(**kwargs).render()
 
 
-def _fig11f(fast: bool, backend: str = "both"):
-    backends = ("npz", "columnar") if backend == "both" else (backend,)
+def _fig11f(fast: bool):
     # Fast mode is a smoke test at toy scale; journalling it would mix
     # 3.6k-example timings into the 10M-example sentinel baselines.
     kwargs = dict(n_items=300, n_regions=12, journal_path=None) if fast else {}
-    return run_fig11f(backends=backends, **kwargs).render()
+    return run_fig11f(**kwargs).render()
 
 
 def _fig12a(fast: bool):
@@ -236,13 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         "results are identical, only wall-clock changes)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("npz", "columnar", "both"),
-        default="both",
-        help="fig11f only: which out-of-core storage backend(s) to sweep "
-        "(default: both)",
-    )
-    parser.add_argument(
         "--append-months",
         type=int,
         default=None,
@@ -265,8 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         ) as report:
             if name == "fig11e":
                 rendered = _fig11e(args.fast, args.append_months)
-            elif name == "fig11f":
-                rendered = _fig11f(args.fast, args.backend)
             else:
                 rendered = FIGURES[name](args.fast)
         print(rendered)

@@ -229,7 +229,6 @@ def run_fig11d(
 
 
 def run_fig11f(
-    backends: tuple[str, ...] = ("npz", "columnar"),
     n_items: int = 2_500,
     n_regions: int = 4_032,
     seed: int = 0,
@@ -237,12 +236,12 @@ def run_fig11f(
     scratch_dir: str | Path = "/tmp/repro_fig11f",
     journal_path: str | Path | None = "BENCH_figures.json",
 ) -> ScalingResult:
-    """Out-of-core storage backends and materialized cube tables at 10M rows.
+    """The out-of-core store and materialized cube tables at 10M rows.
 
     The paper's largest Figure 11 runs hit 10M examples — far past what the
     in-memory generator can hold.  This figure streams the entire training
     data to disk with :func:`~repro.datasets.write_scalability` (peak memory is
-    one region block), then times, per backend:
+    one region block), then times:
 
     * ``generate`` — streaming dataset creation;
     * ``cold optimized cube`` — ``build("optimized")``, one full fact scan;
@@ -252,85 +251,67 @@ def run_fig11f(
       persisted tables plus ``build_from_tables``; asserted to read **zero**
       facts and to reproduce the cold cube bit-for-bit.
 
-    Every point is journalled under ``fig11f.<backend>.<stage>`` (pass
+    Every point is journalled under ``fig11f.columnar.<stage>`` — the
+    series the column layout has run under since it had an npz twin (pass
     ``journal_path=None`` to skip).  The reproduced claim: the warm table
     path is an order of magnitude faster than any scratch build because it
     replays Theorem 1 aggregates instead of rescanning facts.
     """
-    for backend in backends:
-        if backend not in ("npz", "columnar"):
-            raise ConfigError(
-                f"unknown fig11f backend {backend!r}; use 'npz' or 'columnar'"
-            )
     journal = (
         BenchJournal(journal_path, context={"figure": "fig11f", "seed": seed})
         if journal_path is not None
         else None
     )
     full_scans = get_registry().counter(STORE_FULL_SCANS)
-    stages = ("generate", "cold optimized cube", "table build", "warm build")
-    series: dict[str, list[float]] = {stage: [] for stage in stages}
-    examples = []
-    for backend in backends:
-        base = Path(scratch_dir) / backend
-        start = time.perf_counter()
-        ds = write_scalability(
-            base / "store",
-            n_items=n_items,
-            n_regions=n_regions,
-            seed=seed,
-            backend=backend,
+    base = Path(scratch_dir)
+    start = time.perf_counter()
+    ds = write_scalability(
+        base / "store", n_items=n_items, n_regions=n_regions, seed=seed
+    )
+    t_generate = time.perf_counter() - start
+
+    builder = BellwetherCubeBuilder(
+        ds.task, ds.store, ds.hierarchies, min_subset_size=min_subset_size
+    )
+    start = time.perf_counter()
+    cold = builder.build(method="optimized")
+    t_cold = time.perf_counter() - start
+
+    start = time.perf_counter()
+    build_cube_tables(builder, base / "tables", skip_existing=False)
+    t_tables = time.perf_counter() - start
+
+    scans_before = full_scans.value
+    start = time.perf_counter()
+    tables = build_cube_tables(builder, base / "tables", skip_existing=True)
+    warm = builder.build_from_tables(tables)
+    t_warm = time.perf_counter() - start
+    if full_scans.value != scans_before:
+        raise ConfigError(
+            "fig11f warm build scanned the fact store; the persisted "
+            "cube tables should have served it"
         )
-        t_generate = time.perf_counter() - start
-        examples.append(ds.n_examples_total)
+    assert_same_cube(cold, warm)
 
-        builder = BellwetherCubeBuilder(
-            ds.task, ds.store, ds.hierarchies, min_subset_size=min_subset_size
-        )
-        start = time.perf_counter()
-        cold = builder.build(method="optimized")
-        t_cold = time.perf_counter() - start
-
-        start = time.perf_counter()
-        build_cube_tables(builder, base / "tables", skip_existing=False)
-        t_tables = time.perf_counter() - start
-
-        scans_before = full_scans.value
-        start = time.perf_counter()
-        tables = build_cube_tables(builder, base / "tables", skip_existing=True)
-        warm = builder.build_from_tables(tables)
-        t_warm = time.perf_counter() - start
-        if full_scans.value != scans_before:
-            raise ConfigError(
-                "fig11f warm build scanned the fact store; the persisted "
-                "cube tables should have served it"
+    points = {
+        "generate": ("generate", t_generate),
+        "cold optimized cube": ("cold_build", t_cold),
+        "table build": ("table_build", t_tables),
+        "warm build": ("warm_build", t_warm),
+    }
+    if journal is not None:
+        for key, seconds in points.values():
+            journal.record(
+                f"fig11f.columnar.{key}",
+                seconds,
+                examples=ds.n_examples_total,
+                n_regions=n_regions,
+                n_items=n_items,
             )
-        assert_same_cube(cold, warm)
-
-        points = dict(zip(stages, (t_generate, t_cold, t_tables, t_warm)))
-        for stage, seconds in points.items():
-            series[stage].append(seconds)
-            if journal is not None:
-                journal.record(
-                    f"fig11f.{backend}.{_FIG11F_STAGE_KEYS[stage]}",
-                    seconds,
-                    examples=ds.n_examples_total,
-                    n_regions=n_regions,
-                    n_items=n_items,
-                    backend=backend,
-                )
     return ScalingResult(
-        tuple(backends), "backend", series,
+        (ds.n_examples_total,), "examples",
+        {stage: [seconds] for stage, (__, seconds) in points.items()},
         title=(
-            "Figure 11(f) — out-of-core backends & materialized cube tables "
-            f"({examples[0]:,} examples, seconds)"
+            "Figure 11(f) — out-of-core store & materialized cube tables (seconds)"
         ),
     )
-
-
-_FIG11F_STAGE_KEYS = {
-    "generate": "generate",
-    "cold optimized cube": "cold_build",
-    "table build": "table_build",
-    "warm build": "warm_build",
-}

@@ -10,7 +10,7 @@ the server's lock-free, zero-scan path, so p50/p99 latency and
 throughput characterize the materialized-tables serving architecture, not
 ad-hoc rescans.
 
-Each (backend, client-count) point journals to ``BENCH_figures.json``
+Each (store layer, client-count) point journals to ``BENCH_figures.json``
 under the PR 6 sentinel, with the ``serve.requests`` /
 ``store.full_scans`` counter deltas attached — the deterministic query
 plan makes both exact contracts, so a future change that silently
@@ -40,7 +40,7 @@ from repro.storage import DiskStore
 
 __all__ = ["Fig13Result", "run_fig13"]
 
-_BACKENDS = ("memory", "npz", "columnar")
+_BACKENDS = ("memory", "disk")
 
 #: Counter deltas attached to every journal record (deterministic under
 #: the seeded plan, hence sentinel-gated as exact ops contracts).
@@ -49,7 +49,7 @@ _OP_METRICS = (SERVE_REQUESTS, STORE_FULL_SCANS, SERVE_ZERO_SCAN_QUERIES)
 
 @dataclass
 class Fig13Result:
-    """One serving sweep: a row per storage backend."""
+    """One serving sweep: a row per store layer (``memory`` / ``disk``)."""
 
     clients: int
     requests_per_client: int
@@ -76,7 +76,7 @@ def _counter_snapshot() -> dict[str, float]:
 
 
 def run_fig13(
-    backends=("npz",),
+    backends=("disk",),
     clients: int = 256,
     requests_per_client: int = 4,
     n_items: int = 50,
@@ -88,7 +88,7 @@ def run_fig13(
 ) -> Fig13Result:
     """Serve the mail-order deployment and measure it under concurrent load.
 
-    One live server per backend (fresh temp directory, materialized cube
+    One live server per store layer (fresh temp directory, materialized cube
     tables), ``clients`` synchronized client threads each walking a seeded
     ``requests_per_client``-query mix.  Results journal as
     ``fig13.<backend>.c<clients>`` (pass ``journal_path=None`` to skip).
@@ -120,9 +120,7 @@ def run_fig13(
             store = (
                 memory_store
                 if backend == "memory"
-                else DiskStore.from_memory(
-                    root / "store", memory_store, backend=backend
-                )
+                else DiskStore.from_memory(root / "store", memory_store)
             )
             state = ServerState(
                 ds.task,

@@ -46,7 +46,7 @@ from repro.storage import DiskStore
 
 __all__ = ["Fig14Result", "run_fig14"]
 
-_BACKENDS = ("memory", "npz", "columnar")
+_BACKENDS = ("memory", "disk")
 
 #: Counter deltas attached to the journal record.  Under the seeded plan
 #: every one of them is deterministic, so the sentinel gates them as exact
@@ -116,7 +116,7 @@ def _timed(call, repeats: int) -> tuple[dict, list[float]]:
 
 
 def run_fig14(
-    backend: str = "npz",
+    backend: str = "disk",
     repeats: int = 30,
     n_items: int = 50,
     n_months: int = 8,
@@ -163,7 +163,7 @@ def run_fig14(
         store = (
             memory_store
             if backend == "memory"
-            else DiskStore.from_memory(root / "store", memory_store, backend=backend)
+            else DiskStore.from_memory(root / "store", memory_store)
         )
         state = ServerState(
             ds.task,

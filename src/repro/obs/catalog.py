@@ -27,8 +27,8 @@ STORE_REGION_READS = "store.region_reads"
 STORE_FULL_SCANS = "store.full_scans"
 STORE_BYTES_READ = "store.bytes_read"
 
-# ----------------------------------------------------------- columnar backend
-# Counted by repro.storage.columnar: bounded-memory chunk reads (each chunk's
+# ------------------------------------------------------------ on-disk store
+# Counted by repro.storage.DiskStore: bounded-memory chunk reads (each chunk's
 # bytes also land in store.bytes_read, keeping the Lemma accounting truthful)
 # and column-file write traffic.
 STORE_COLUMNAR_CHUNKS_READ = "store.columnar.chunks_read"

@@ -12,7 +12,7 @@ published with one reference swap.
 
 Quickstart::
 
-    python -m repro.serve --port 8000 --backend npz --aqp
+    python -m repro.serve --port 8000 --aqp
     curl -s localhost:8000/model
     curl -s -X POST localhost:8000/bellwether -d '{"budget": 50}'
     curl -s -X POST localhost:8000/aqp/train

@@ -2,13 +2,14 @@
 
 Usage::
 
-    python -m repro.serve --port 8000                     # in-memory store
-    python -m repro.serve --port 8000 --backend npz       # on-disk store
-    python -m repro.serve --port 8000 --backend columnar --workers 4
+    python -m repro.serve --port 8000                     # on-disk store
+    python -m repro.serve --port 8000 --backend memory    # in-memory store
+    python -m repro.serve --port 8000 --workers 4
 
 Generates the chosen retail dataset (always with the algebraic
 training-set estimator so the materialized-tables warm path applies),
-spills it to the chosen storage backend, materializes the cube tables,
+spills it to a :class:`~repro.storage.DiskStore` (unless
+``--backend memory``), materializes the cube tables,
 and serves until interrupted.
 """
 
@@ -38,9 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--port", type=int, default=8000)
     parser.add_argument(
         "--backend",
-        choices=("memory", "npz", "columnar"),
-        default="npz",
-        help="storage backend for the served training data",
+        choices=("memory", "disk"),
+        default="disk",
+        help="where the served training data lives",
     )
     parser.add_argument(
         "--dataset", choices=("mailorder", "bookstore"), default="mailorder"
@@ -98,9 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
         root = Path(tmp.name)
     if args.backend != "memory":
-        store = DiskStore.from_memory(
-            root / "store", store, backend=args.backend
-        )
+        store = DiskStore.from_memory(root / "store", store)
     parallel = (
         ParallelConfig(workers=args.workers, backend="thread")
         if args.workers > 1

@@ -40,9 +40,8 @@ import numpy as np
 from repro.core.basic import RegionResult, select_bellwether
 from repro.core.regionrows import RegionRows
 from repro.core.rowindex import RowIndex
-from repro.dimensions import Region
+from repro.dimensions import Region, region_to_json
 from repro.ml import LinearRegression
-from repro.storage.columnar import region_to_json
 
 from .errors import InfeasibleQueryError, NotFoundError
 

@@ -52,6 +52,7 @@ from repro.aqp import ApproxMiss, AqpConfig, AqpEngine
 from repro.core import BasicBellwetherSearch, BellwetherCubeBuilder
 from repro.core.exceptions import SearchError
 from repro.core.regionrows import RegionRows
+from repro.dimensions import RegionError, region_from_json, region_to_json
 from repro.exceptions import ConfigError
 from repro.exec import ParallelConfig
 from repro.incremental import build_cube_tables
@@ -77,7 +78,6 @@ from repro.obs.catalog import (
 )
 from repro.obs.metrics import get_registry
 from repro.storage import StorageError, TrainingDataStore
-from repro.storage.columnar import region_from_json, region_to_json
 
 from .errors import BadRequestError, InfeasibleQueryError, NotFoundError
 from .snapshot import (
@@ -548,7 +548,7 @@ class ServerState:
     def _decode_region(self, values):
         try:
             return region_from_json(values)
-        except StorageError as exc:
+        except RegionError as exc:
             raise BadRequestError(f"unintelligible region key: {exc}") from exc
 
     @staticmethod

@@ -5,13 +5,13 @@ or retracted training rows (see :mod:`repro.storage.delta`) and bumps a
 monotone ``version`` that downstream statistics — the persisted cube
 tables of :mod:`repro.storage.cubetables` — key on.
 
-Two on-disk backends implement the same interface: :class:`DiskStore` (one
-``.npz`` per region, pickle manifest) and
-:class:`~repro.storage.columnar.ColumnarStore` (per-region raw column files,
-JSON manifest, memmap-backed bounded-memory chunked scans).
-:func:`open_store` sniffs which backend wrote a directory.
+Two store layers implement the same interface: :class:`MemoryStore` in
+memory and :class:`DiskStore` on disk (per-region raw column files, one JSON
+manifest that is a delta's single commit point, bounded-memory chunked
+scans); :class:`BlockWriter` streams a :class:`DiskStore` into existence one
+block at a time and :func:`open_store` opens an existing directory.
 :mod:`repro.storage.cubetables` persists the suffstats cube tables (per
-level, plus the base cells they roll up from) on top of either backend.
+level, plus the base cells they roll up from) beside either.
 """
 
 from .block_store import (
@@ -24,7 +24,6 @@ from .block_store import (
     TrainingDataStore,
     open_store,
 )
-from .columnar import ColumnarStore, ColumnarWriter
 from .cubetables import CubeTableStore, LevelTable, StaleCacheError
 from .delta import AppliedDelta, BlockDelta, StoreDelta, apply_block_delta
 from .stats import IOStats
@@ -33,8 +32,6 @@ __all__ = [
     "AppliedDelta",
     "BlockDelta",
     "BlockWriter",
-    "ColumnarStore",
-    "ColumnarWriter",
     "CubeTableStore",
     "DiskStore",
     "FilteredStore",

@@ -10,8 +10,15 @@ patterns:
   level and the cube algorithms do once).
 
 Both stores count these accesses via :class:`~repro.storage.stats.IOStats`.
-:class:`DiskStore` spills blocks to ``.npz`` files, giving the "every request
-is a disk read" regime of Section 7.4.1 for the Figure 11(a) comparison.
+:class:`DiskStore` is the one on-disk store: one *raw column file* per region
+(``item_ids``, ``y``, each feature of ``x`` and optionally ``weights`` stored
+back-to-back as contiguous typed buffers) plus a single JSON manifest carrying
+the schema, the store version and per-column byte offsets.  Every ``read`` /
+``scan`` genuinely hits the filesystem — nothing is cached — giving the "every
+request is a disk read" regime of Section 7.4.1 for the Figure 11(a)
+comparison, and :meth:`DiskStore.scan_chunks` streams a full scan in
+bounded-memory sub-blocks, which is what lets fig11 run the paper's 10M-row
+configurations out-of-core.
 
 Stores are *versioned*: contents start at version 0 and every
 :meth:`TrainingDataStore.apply_delta` (appended / retracted training rows —
@@ -26,22 +33,37 @@ rather than silently serving stale numbers.
 
 from __future__ import annotations
 
+import json
+import mmap
 import os
-import pickle
-import zipfile
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.dimensions import Region
-from repro.exceptions import ReproError
+from repro.dimensions import Region, region_from_json, region_to_json
+from repro.exceptions import ConfigError, ReproError
+from repro.obs.catalog import (
+    STORE_COLUMNAR_BYTES_WRITTEN,
+    STORE_COLUMNAR_REGIONS_WRITTEN,
+)
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 from .stats import IOStats
 
 _TRACER = get_tracer()
+_BYTES_WRITTEN = get_registry().counter(STORE_COLUMNAR_BYTES_WRITTEN)
+_REGIONS_WRITTEN = get_registry().counter(STORE_COLUMNAR_REGIONS_WRITTEN)
+
+_FORMAT = "repro-columnar"
+_LAYOUT_VERSION = 1
+_CODEC = "raw"  # the one on-disk encoding; the manifest names it
+_EXT = ".col"
+
+#: Default bounded-memory chunk size for :meth:`DiskStore.scan_chunks`.
+DEFAULT_CHUNK_ROWS = 65_536
 
 
 class StorageError(ReproError):
@@ -52,7 +74,7 @@ def _atomic_write(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
 
     A crash mid-write leaves either the old file or the new one, never a torn
-    hybrid — the property both backends rely on for their manifests.
+    hybrid — the property the store manifest and the cube tables rely on.
     """
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
@@ -161,9 +183,11 @@ class TrainingDataStore:
         return [entry for entry in changelog if entry.version > version]
 
     def _apply_delta_to_blocks(self, delta, blocks: dict[Region, RegionBlock]):
-        """Shared apply path: mutate ``blocks`` in place, log, bump version.
+        """Shared apply path: mutate ``blocks`` in place.
 
-        Returns the :class:`~repro.storage.delta.AppliedDelta` recorded.
+        Returns the :class:`~repro.storage.delta.AppliedDelta` of the next
+        version; the store moves to it when the caller hands it to
+        :meth:`_advance`, after whatever makes the new blocks durable.
         """
         from .delta import AppliedDelta, apply_block_delta
 
@@ -182,17 +206,17 @@ class TrainingDataStore:
             blocks[region] = new
             if gone is not None and gone.n_examples:
                 removed[region] = gone
-        self.version += 1
-        applied = AppliedDelta(
-            version=self.version,
+        return AppliedDelta(
+            version=self.version + 1,
             delta=delta,
             removed=removed,
             new_regions=tuple(new_regions),
         )
-        if not hasattr(self, "_changelog"):
-            self._changelog = []
+
+    def _advance(self, applied) -> None:
+        """Move to ``applied.version`` and record it in the changelog."""
+        self.version = applied.version
         self._changelog.append(applied)
-        return applied
 
     def scan(self) -> Iterator[tuple[Region, RegionBlock]]:
         """One pass over every region's block (counted as one full scan).
@@ -252,7 +276,7 @@ class MemoryStore(TrainingDataStore):
         New regions land after the existing ones in :meth:`regions` order,
         exactly where a regenerated store would also scan them last.
         """
-        self._apply_delta_to_blocks(delta, self._blocks)
+        self._advance(self._apply_delta_to_blocks(delta, self._blocks))
         return self.version
 
     def _fetch(self, region: Region) -> RegionBlock:
@@ -304,70 +328,182 @@ class FilteredStore(TrainingDataStore):
         return block
 
 
-class DiskStore(TrainingDataStore):
-    """Region blocks spilled to ``.npz`` files under a directory.
+# ---------------------------------------------------------------- column files
 
-    A pickle manifest maps regions to file names.  Every ``read``/``scan``
-    genuinely hits the filesystem — nothing is cached — so I/O counts match
-    physical behaviour.
+
+def _encode_columns(block: RegionBlock) -> dict[str, np.ndarray]:
+    """The block as named 1-D columns, in the on-disk layout order."""
+    cols: dict[str, np.ndarray] = {
+        "item_ids": np.ascontiguousarray(block.item_ids),
+        "y": np.ascontiguousarray(block.y),
+    }
+    for j in range(block.n_features):
+        cols[f"x{j}"] = np.ascontiguousarray(block.x[:, j])
+    if block.weights is not None:
+        cols["weights"] = np.ascontiguousarray(block.weights)
+    for name, arr in cols.items():
+        if arr.dtype.hasobject:
+            raise StorageError(
+                f"column {name!r} has object dtype; the store holds "
+                "fixed-width typed buffers only"
+            )
+    return cols
+
+
+def _write_raw(path: Path, cols: Mapping[str, np.ndarray]) -> tuple[int, dict]:
+    """Write columns back-to-back; returns (total bytes, per-column meta)."""
+    offset = 0
+    meta: dict[str, dict] = {}
+    # Temp file + os.replace: under its final name a region file is whole or
+    # absent; whether it counts is the manifest's call.
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as f:
+        for name, arr in cols.items():
+            payload = arr.tobytes()
+            meta[name] = {"offset": offset, "dtype": arr.dtype.str}
+            f.write(payload)
+            offset += len(payload)
+    os.replace(tmp, path)
+    return offset, meta
+
+
+def _write_region(directory: Path, idx: int, block: RegionBlock) -> dict:
+    """Write ``block`` as region file number ``idx``; returns its manifest entry."""
+    name = f"region_{idx:06d}{_EXT}"
+    nbytes, col_meta = _write_raw(directory / name, _encode_columns(block))
+    _BYTES_WRITTEN.inc(nbytes)
+    return {"file": name, "rows": block.n_examples, "columns": col_meta}
+
+
+def _raw_columns(path: Path, rows: int, columns: Mapping) -> dict[str, np.ndarray]:
+    """Read-only windows over every stored column, from one mapping of the file.
+
+    The windows keep the mapping alive; it is unmapped when the last of
+    them is dropped.
+    """
+    if rows == 0:
+        return {
+            name: np.empty(0, dtype=np.dtype(col["dtype"]))
+            for name, col in columns.items()
+        }
+    with path.open("rb") as f:
+        buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return {
+        name: np.frombuffer(
+            buf, dtype=np.dtype(col["dtype"]), count=rows, offset=int(col["offset"])
+        )
+        for name, col in columns.items()
+    }
+
+
+def _write_manifest(
+    directory: Path,
+    feature_names: Sequence[str],
+    version: int,
+    meta: Mapping[Region, dict],
+) -> None:
+    """The store's single commit point: one atomic write of the manifest.
+
+    Region files only count once the manifest names them, so whoever dies
+    before this returns leaves the directory at its previous version.
+    """
+    payload = json.dumps(
+        {
+            "format": _FORMAT,
+            "layout_version": _LAYOUT_VERSION,
+            "codec": _CODEC,
+            "version": version,
+            "feature_names": list(feature_names),
+            "regions": [
+                {"key": region_to_json(region), **entry}
+                for region, entry in meta.items()
+            ],
+        }
+    ).encode()
+    _atomic_write(directory / DiskStore.MANIFEST, payload)
+
+
+# ------------------------------------------------------------------ the store
+
+
+class DiskStore(TrainingDataStore):
+    """Per-region column files + a JSON manifest; one mapping per file read.
+
+    Directory layout (``repro-columnar`` layout v1)::
+
+        manifest.json          # schema, codec, version, per-column offsets
+        region_000000.col      # typed buffers back-to-back
+        region_000001.col
+        ...
+
+    Open an existing directory with ``DiskStore(directory)`` (or
+    :func:`open_store`); build a new one with :meth:`create` (all blocks in
+    RAM) or :meth:`writer` (streamed, one block at a time).  Only the files
+    the manifest names are part of the store; anything else matching
+    ``region_*`` is a leftover of an interrupted write and is ignored.
+
+    A read maps the region's file **once** (one ``open`` + one ``mmap`` per
+    file, every column a ``np.frombuffer`` window at its manifest offset) and
+    copies the rows out, so a block costs what its bytes cost, not a fixed
+    price per column.  No mapping outlives the call (or, in
+    :meth:`scan_chunks`, the region) that made it, and nothing is cached
+    across calls, so I/O counts match physical behaviour: ``read`` counts a
+    region read, a (chunked or whole-block) scan counts one full scan, chunks
+    additionally land on ``store.columnar.chunks_read`` / ``store.bytes_read``
+    and writes on ``store.columnar.bytes_written`` / ``regions_written``.
     """
 
-    _MANIFEST = "manifest.pkl"
+    MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
-        manifest_path = self._dir / self._MANIFEST
+        manifest_path = self._dir / self.MANIFEST
         if not manifest_path.exists():
+            if manifest_path.with_suffix(".pkl").exists():  # never unpickled
+                raise StorageError(
+                    f"{self._dir} holds a manifest.pkl: the npz block format "
+                    "is retired and no longer read; write the store again "
+                    "with DiskStore.create / DiskStore.from_memory"
+                )
             raise StorageError(f"{self._dir} has no manifest; use DiskStore.create")
         try:
-            with manifest_path.open("rb") as f:
-                manifest = pickle.load(f)
-            self._files: dict[Region, str] = manifest["files"]
+            manifest = json.loads(manifest_path.read_text())
+            if manifest.get("format") != _FORMAT:
+                raise StorageError(
+                    f"{manifest_path} is not a {_FORMAT} manifest "
+                    f"(format={manifest.get('format')!r})"
+                )
+            layout = int(manifest.get("layout_version", -1))
+            if layout != _LAYOUT_VERSION:
+                raise StorageError(
+                    f"manifest layout v{layout} unsupported "
+                    f"(this build reads v{_LAYOUT_VERSION})"
+                )
+            if manifest["codec"] != _CODEC:
+                raise StorageError(
+                    f"unknown codec {manifest['codec']!r} in manifest"
+                )
             self.feature_names = tuple(manifest["feature_names"])
-            # Manifests written before versioning count as version 0.
-            self.version = int(manifest.get("version", 0))
-            # Manifests written before row counts fall back to fetching
-            # blocks in n_examples_total (None, not {}).
-            self._rows: dict[Region, int] | None = manifest.get("rows")
+            self.version = int(manifest["version"])
+            self._meta: dict[Region, dict] = {}
+            for entry in manifest["regions"]:
+                region = region_from_json(entry["key"])
+                self._meta[region] = {
+                    "file": str(entry["file"]),
+                    "rows": int(entry["rows"]),
+                    "columns": dict(entry["columns"]),
+                }
         except StorageError:
             raise
         except Exception as exc:
-            raise StorageError(
-                f"corrupt manifest {manifest_path}: {exc!r}"
-            ) from exc
+            raise StorageError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
         self.stats = IOStats()
         # The persisted version survives reopening, but the delta log does
         # not: deltas_since(anything older) must fail loudly.
         self._log_floor = self.version
         self._changelog: list = []
 
-    @staticmethod
-    def _write_block(path: Path, block: RegionBlock) -> None:
-        arrays = {"item_ids": block.item_ids, "x": block.x, "y": block.y}
-        if block.weights is not None:
-            arrays["weights"] = block.weights
-        # Through a file handle: a bare path would get ".npz" appended,
-        # and writing the temp then os.replace keeps a crashed or racing
-        # apply_delta from exposing a torn block to readers.
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, path)
-
-    def _write_manifest(self) -> None:
-        # Atomic: a crash between two block rewrites of apply_delta can leave
-        # the old manifest or the new one, but never a torn pickle.
-        _atomic_write(
-            self._dir / self._MANIFEST,
-            pickle.dumps(
-                {
-                    "files": self._files,
-                    "feature_names": self.feature_names,
-                    "version": self.version,
-                    "rows": self._rows,
-                }
-            ),
-        )
+    # -------------------------------------------------------------- creation
 
     @classmethod
     def create(
@@ -375,21 +511,8 @@ class DiskStore(TrainingDataStore):
         directory: str | Path,
         blocks: Mapping[Region, RegionBlock],
         feature_names: Sequence[str],
-        backend: str = "npz",
-    ) -> TrainingDataStore:
-        """Write all blocks and the manifest, then open the store.
-
-        ``backend="npz"`` (default) spills one ``.npz`` per region;
-        ``backend="columnar"`` delegates to
-        :class:`repro.storage.columnar.ColumnarStore` (same directory layout
-        contract, different file format — see :func:`open_store`).
-        """
-        if backend == "columnar":
-            from .columnar import ColumnarStore
-
-            return ColumnarStore.create(directory, blocks, feature_names)
-        if backend != "npz":
-            raise StorageError(f"unknown storage backend {backend!r}")
+    ) -> "DiskStore":
+        """Write all blocks and the manifest, then open the store."""
         with cls.writer(directory, feature_names) as w:
             for region, block in blocks.items():
                 w.add(region, block)
@@ -406,68 +529,59 @@ class DiskStore(TrainingDataStore):
         """
         return BlockWriter(directory, feature_names)
 
-    def apply_delta(self, delta) -> int:
-        """Apply a delta, rewriting touched ``.npz`` blocks and the manifest.
-
-        The bumped version is persisted in the manifest, so a cache written
-        against an older version is detectably stale after reopening.
-        """
-        touched: dict[Region, RegionBlock] = {}
-        for region in tuple(delta.blocks) + tuple(delta.drop_regions):
-            if region in self._files:
-                touched[region] = self._fetch(region)
-        self._apply_delta_to_blocks(delta, touched)
-        for region in delta.drop_regions:
-            (self._dir / self._files.pop(region)).unlink(missing_ok=True)
-            if self._rows is not None:
-                self._rows.pop(region, None)
-        next_idx = 1 + max(
-            (int(name[len("region_"):-len(".npz")]) for name in self._files.values()),
-            default=-1,
-        )
-        for region in delta.blocks:
-            name = self._files.get(region)
-            if name is None:
-                name = f"region_{next_idx:06d}.npz"
-                next_idx += 1
-                self._files[region] = name
-            self._write_block(self._dir / name, touched[region])
-            if self._rows is not None:
-                self._rows[region] = touched[region].n_examples
-        self._write_manifest()
-        return self.version
-
     @classmethod
-    def from_memory(
-        cls, directory: str | Path, store: MemoryStore, backend: str = "npz"
-    ) -> TrainingDataStore:
+    def from_memory(cls, directory: str | Path, store: MemoryStore) -> "DiskStore":
         return cls.create(
             directory,
             {r: store._fetch(r) for r in store.regions()},
             store.feature_names,
-            backend=backend,
         )
 
+    # --------------------------------------------------------------- reading
+
     def regions(self) -> list[Region]:
-        return list(self._files)
+        return list(self._meta)
+
+    def _columns(self, region: Region, meta: Mapping) -> dict[str, np.ndarray]:
+        """Every stored column of one region, as windows on one mapping."""
+        try:
+            return _raw_columns(
+                self._dir / meta["file"], meta["rows"], meta["columns"]
+            )
+        except StorageError:
+            raise
+        except Exception as exc:
+            raise StorageError(
+                f"unreadable column file {meta['file']} for region {region}: {exc!r}"
+            ) from exc
+
+    @staticmethod
+    def _assemble(
+        cols: Mapping[str, np.ndarray], p: int, lo: int | None = None, hi: int | None = None
+    ) -> RegionBlock:
+        """Copy (a slice of) mapped columns out into a normal block."""
+        window = slice(lo, hi)
+        item_ids = np.array(cols["item_ids"][window])
+        y = np.array(cols["y"][window])
+        x = np.empty((len(item_ids), p), dtype=cols["x0"].dtype if p else np.float64)
+        for j in range(p):
+            x[:, j] = cols[f"x{j}"][window]
+        weights = np.array(cols["weights"][window]) if "weights" in cols else None
+        return RegionBlock(item_ids, x, y, weights)
 
     def _fetch(self, region: Region) -> RegionBlock:
         try:
-            name = self._files[region]
+            meta = self._meta[region]
         except KeyError:
             raise StorageError(f"unknown region {region}") from None
-        # Truncated, corrupt, or missing block files must surface as
-        # StorageError — never a raw OSError/BadZipFile, and never silently
-        # wrong numbers.
+        cols = self._columns(region, meta)
         try:
-            with np.load(self._dir / name) as data:
-                weights = data["weights"] if "weights" in data.files else None
-                return RegionBlock(data["item_ids"], data["x"], data["y"], weights)
+            return self._assemble(cols, len(self.feature_names))
         except StorageError:
             raise
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        except Exception as exc:
             raise StorageError(
-                f"unreadable block {name} for region {region}: {exc!r}"
+                f"unreadable column file {meta['file']} for region {region}: {exc!r}"
             ) from exc
 
     def read(self, region: Region) -> RegionBlock:
@@ -475,12 +589,82 @@ class DiskStore(TrainingDataStore):
         self.stats.record_region_read(block.nbytes)
         return block
 
+    def scan_chunks(
+        self, chunk_rows: int = DEFAULT_CHUNK_ROWS
+    ) -> Iterator[tuple[Region, RegionBlock]]:
+        """One full scan streamed as bounded-memory sub-blocks.
+
+        Yields ``(region, chunk)`` pairs where each chunk holds at most
+        ``chunk_rows`` consecutive rows of that region's block; a region
+        spanning several chunks is yielded several times, in row order.
+        Counts one full scan plus per-chunk bytes (``store.bytes_read`` and
+        ``store.columnar.chunks_read``) — never whole-region materialization.
+        """
+        if chunk_rows < 1:
+            raise ConfigError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        p = len(self.feature_names)
+        with _TRACER.span(
+            "store.scan",
+            store=type(self).__name__,
+            regions=len(self._meta),
+            chunk_rows=chunk_rows,
+        ):
+            self.stats.record_full_scan()
+            for region, meta in self._meta.items():
+                cols = self._columns(region, meta)
+                rows = meta["rows"]
+                for lo in range(0, max(rows, 1), chunk_rows):
+                    hi = min(lo + chunk_rows, rows)
+                    chunk = self._assemble(cols, p, lo, hi)
+                    self.stats.record_chunk_read(chunk.nbytes)
+                    yield region, chunk
+
     @property
     def n_examples_total(self) -> int:
-        if self._rows is not None:
-            return sum(self._rows.values())
-        # Pre-row-count manifest: the slow fallback is the only honest answer.
-        return super().n_examples_total
+        return sum(meta["rows"] for meta in self._meta.values())
+
+    # ---------------------------------------------------------------- deltas
+
+    def apply_delta(self, delta) -> int:
+        """Apply a delta; the manifest write is its single commit point.
+
+        Same semantics as :meth:`MemoryStore.apply_delta` (retract-then-append,
+        new regions scan last).  Every touched region is written under a file
+        name the current manifest does not use, then the manifest — bumped
+        version, new names, row counts and offsets — replaces the old one
+        atomically, and only then is every region file it does not name
+        unlinked (superseded, dropped, or left by an interrupted attempt).
+        Interrupted anywhere, the directory reopens at one version or the
+        other with exactly that version's bytes, and this object has not
+        moved either.
+        """
+        old = self._meta
+        touched = {
+            region: self._fetch(region)
+            for region in (*delta.blocks, *delta.drop_regions)
+            if region in old
+        }
+        applied = self._apply_delta_to_blocks(delta, touched)
+        meta = dict(old)
+        for region in delta.drop_regions:
+            del meta[region]
+        next_idx = 1 + max(
+            (int(m["file"][len("region_"):-len(_EXT)]) for m in old.values()),
+            default=-1,
+        )
+        for region in delta.blocks:
+            meta[region] = _write_region(self._dir, next_idx, touched[region])
+            next_idx += 1
+            if region not in old:
+                _REGIONS_WRITTEN.inc()
+        _write_manifest(self._dir, self.feature_names, applied.version, meta)
+        self._meta = meta
+        self._advance(applied)
+        named = {m["file"] for m in meta.values()}
+        for path in self._dir.glob("region_*"):
+            if path.name not in named:
+                path.unlink(missing_ok=True)
+        return self.version
 
 
 class BlockWriter:
@@ -499,38 +683,25 @@ class BlockWriter:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self.feature_names = tuple(feature_names)
-        self._files: dict[Region, str] = {}
-        self._rows: dict[Region, int] = {}
+        self._meta: dict[Region, dict] = {}
         self.store: DiskStore | None = None
 
     def add(self, region: Region, block: RegionBlock) -> None:
         if self.store is not None:
             raise StorageError("writer already finished")
-        if region in self._files:
+        if region in self._meta:
             raise StorageError(f"duplicate region {region}")
         if block.n_features != len(self.feature_names):
             raise StorageError(
                 f"block has {block.n_features} features, "
                 f"writer declares {len(self.feature_names)}"
             )
-        name = f"region_{len(self._files):06d}.npz"
-        DiskStore._write_block(self._dir / name, block)
-        self._files[region] = name
-        self._rows[region] = block.n_examples
+        self._meta[region] = _write_region(self._dir, len(self._meta), block)
+        _REGIONS_WRITTEN.inc()
 
     def finish(self) -> DiskStore:
         if self.store is None:
-            _atomic_write(
-                self._dir / DiskStore._MANIFEST,
-                pickle.dumps(
-                    {
-                        "files": self._files,
-                        "feature_names": self.feature_names,
-                        "version": 0,
-                        "rows": self._rows,
-                    }
-                ),
-            )
+            _write_manifest(self._dir, self.feature_names, 0, self._meta)
             self.store = DiskStore(self._dir)
         return self.store
 
@@ -542,17 +713,6 @@ class BlockWriter:
             self.finish()
 
 
-def open_store(directory: str | Path) -> TrainingDataStore:
-    """Open an on-disk store, sniffing which backend wrote it.
-
-    A JSON manifest means :class:`repro.storage.columnar.ColumnarStore`; a
-    pickle manifest means :class:`DiskStore`.
-    """
-    directory = Path(directory)
-    from .columnar import ColumnarStore
-
-    if (directory / ColumnarStore.MANIFEST).exists():
-        return ColumnarStore(directory)
-    if (directory / DiskStore._MANIFEST).exists():
-        return DiskStore(directory)
-    raise StorageError(f"{directory} holds no npz or columnar manifest")
+def open_store(directory: str | Path) -> DiskStore:
+    """Open the on-disk store at ``directory``."""
+    return DiskStore(directory)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.dimensions import Region
+from repro.dimensions import Region, region_from_json, region_to_json
 from repro.ml import StackedSuffStats
 from repro.obs.catalog import (
     CUBE_TABLES_BYTES_READ,
@@ -49,7 +49,6 @@ from repro.analysis.runtime import CUBE_TABLES_IO, TrackedLock
 from repro.obs.metrics import get_registry
 
 from .block_store import StorageError, _atomic_write
-from .columnar import region_from_json, region_to_json
 
 _BYTES_WRITTEN = get_registry().counter(CUBE_TABLES_BYTES_WRITTEN)
 _BYTES_READ = get_registry().counter(CUBE_TABLES_BYTES_READ)

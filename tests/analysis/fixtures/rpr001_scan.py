@@ -1,4 +1,6 @@
-"""Deliberate RPR001 violations: store internals and raw npz I/O."""
+"""Deliberate RPR001 violations: store internals and raw file I/O."""
+
+import mmap
 
 import numpy as np
 
@@ -21,6 +23,18 @@ def slurp(path):
 
 def map_columns(path):
     return np.memmap(path, dtype="float64", mode="r")  # expect: RPR001
+
+
+def map_region_file(f):
+    return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)  # expect: RPR001
+
+
+def column_offsets(store, region):
+    return store._meta[region]["columns"]  # expect: RPR001
+
+
+def close_mapping(mapping: mmap.mmap):
+    mapping.close()
 
 
 def fine(store, region):

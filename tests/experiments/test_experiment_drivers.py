@@ -81,29 +81,25 @@ class TestScalingDrivers:
 
     def test_fig11f_sweeps_both_backends(self, tmp_path):
         # run_fig11f itself asserts the warm path reads zero facts and
-        # reproduces the cold optimized cube bit-for-bit.
+        # reproduces the cold optimized cube bit-for-bit.  (It swept an npz
+        # and a columnar backend until there was one on-disk store.)
         result = run_fig11f(
-            backends=("npz", "columnar"),
-            n_items=120,
-            n_regions=6,
-            scratch_dir=tmp_path,
-            journal_path=None,
+            n_items=120, n_regions=6, scratch_dir=tmp_path, journal_path=None
         )
-        assert result.xs == ("npz", "columnar")
+        assert result.xs == (120 * 6,)
         assert set(result.series) == {
             "generate", "cold optimized cube", "table build", "warm build"
         }
         assert all(
-            len(v) == 2 and all(s > 0 for s in v)
-            for v in result.series.values()
+            len(v) == 1 and v[0] > 0 for v in result.series.values()
         )
+        assert (tmp_path / "store" / "manifest.json").exists()
 
     def test_fig11f_rejects_unknown_backend(self, tmp_path):
-        from repro.exceptions import ConfigError
-
-        with pytest.raises(ConfigError, match="backend"):
-            run_fig11f(backends=("tape",), scratch_dir=tmp_path,
-                       journal_path=None)
+        for backends in (("npz",), ("columnar",), ("tape",)):
+            with pytest.raises(TypeError, match="backends"):
+                run_fig11f(backends=backends, scratch_dir=tmp_path,
+                           journal_path=None)
 
 
 class TestCli:

@@ -191,7 +191,7 @@ class TestDiskStoreVersioning:
             {A: _block([0], seed=1), B: _block([1], seed=2)},
             ("f0", "f1"),
         )
-        path = store._dir / store._files[A]
+        path = store._dir / store._meta[A]["file"]
         store.apply_delta(StoreDelta({}, drop_regions=(A,)))
         assert not path.exists()
         assert DiskStore(tmp_path).regions() == [B]

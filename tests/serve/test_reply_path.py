@@ -26,11 +26,11 @@ import pytest
 import repro.serve.app as app_module
 from repro.core import BasicBellwetherSearch
 from repro.core.basic import select_bellwether
+from repro.dimensions import region_to_json
 from repro.incremental import month_append_delta, month_split_store
 from repro.obs import catalog
 from repro.serve import ServerState, serve_in_thread
 from repro.serve.state import MAX_SUBSET_PROFILES
-from repro.storage.columnar import region_to_json
 
 from .conftest import N_ITEMS, SUBSET
 

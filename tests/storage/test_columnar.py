@@ -1,13 +1,15 @@
-"""Tests for the columnar storage backend (``repro.storage.columnar``).
+"""Tests for the on-disk store's raw column layout (``repro.storage.DiskStore``).
 
-Covers byte-level round trips against the npz backend, streaming writers,
-bounded-memory chunked scans with their dedicated counters, delta
-application, backend sniffing, and the failure modes (a foreign codec,
-corrupt manifests, torn manifest writes).
+Covers byte-level round trips against the blocks the directory was written
+from, streaming writers, bounded-memory chunked scans with their dedicated
+counters, delta application and its single commit point (the manifest),
+the retired npz format being refused, and the failure modes (a foreign
+codec, corrupt manifests, torn manifest writes).
 """
 
 import json
 import mmap
+import pickle
 import weakref
 
 import numpy as np
@@ -18,7 +20,6 @@ from repro.exceptions import ConfigError
 from repro.obs import get_registry
 from repro.storage import (
     BlockDelta,
-    ColumnarStore,
     DiskStore,
     MemoryStore,
     RegionBlock,
@@ -49,7 +50,7 @@ def blocks():
 
 @pytest.fixture()
 def columnar(blocks, tmp_path):
-    return ColumnarStore.create(tmp_path / "col", blocks, ("f0", "f1", "f2"))
+    return DiskStore.create(tmp_path / "col", blocks, ("f0", "f1", "f2"))
 
 
 class TestRoundTrip:
@@ -64,20 +65,8 @@ class TestRoundTrip:
             else:
                 assert np.array_equal(got.weights, src.weights)
 
-    def test_bit_for_bit_vs_npz_backend(self, blocks, tmp_path):
-        names = ("f0", "f1", "f2")
-        col = ColumnarStore.create(tmp_path / "c", blocks, names)
-        npz = DiskStore.create(tmp_path / "n", blocks, names)
-        assert col.feature_names == npz.feature_names
-        assert set(col.regions()) == set(npz.regions())
-        for region in npz.regions():
-            a, b = col.read(region), npz.read(region)
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.item_ids, b.item_ids)
-
     def test_reopen_preserves_everything(self, columnar, blocks, tmp_path):
-        reopened = ColumnarStore(tmp_path / "col")
+        reopened = DiskStore(tmp_path / "col")
         assert reopened.feature_names == columnar.feature_names
         assert reopened.version == 0
         for region, src in blocks.items():
@@ -95,43 +84,43 @@ class TestRoundTrip:
 
 class TestWriter:
     def test_streaming_writer(self, blocks, tmp_path):
-        with ColumnarStore.writer(tmp_path / "w", ("f0", "f1", "f2")) as w:
+        with DiskStore.writer(tmp_path / "w", ("f0", "f1", "f2")) as w:
             for region, block in blocks.items():
                 w.add(region, block)
         assert w.store.n_examples_total == 15
 
     def test_duplicate_region_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="duplicate"):
-            with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0",)) as w:
                 w.add(Region(("a",)), _block(3, p=1))
                 w.add(Region(("a",)), _block(3, p=1))
 
     def test_feature_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(StorageError):
-            with ColumnarStore.writer(tmp_path / "w", ("f0", "f1")) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0", "f1")) as w:
                 w.add(Region(("a",)), _block(3, p=3))
 
     def test_aborted_writer_leaves_no_manifest(self, tmp_path):
         try:
-            with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+            with DiskStore.writer(tmp_path / "w", ("f0",)) as w:
                 w.add(Region(("a",)), _block(3, p=1))
                 raise RuntimeError("simulated crash")
         except RuntimeError:
             pass
-        assert not (tmp_path / "w" / ColumnarStore.MANIFEST).exists()
+        assert not (tmp_path / "w" / DiskStore.MANIFEST).exists()
 
     def test_unknown_codec_rejected(self, tmp_path):
         """Raw column files are the one encoding; a manifest that names
         another (outside input) is refused, not misread."""
-        with ColumnarStore.writer(tmp_path / "w", ("f0",)) as w:
+        with DiskStore.writer(tmp_path / "w", ("f0",)) as w:
             w.add(Region(("a",)), _block(3, p=1))
-        manifest_path = tmp_path / "w" / ColumnarStore.MANIFEST
+        manifest_path = tmp_path / "w" / DiskStore.MANIFEST
         manifest = json.loads(manifest_path.read_text())
         assert manifest["codec"] == "raw"
         manifest["codec"] = "parquet"
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StorageError, match="unknown codec 'parquet'"):
-            ColumnarStore(tmp_path / "w")
+            DiskStore(tmp_path / "w")
 
 
 class TestChunkedScan:
@@ -176,7 +165,7 @@ class TestChunkedScan:
 class TestDeltas:
     def test_apply_delta_matches_memory_store(self, blocks, tmp_path):
         names = ("f0", "f1", "f2")
-        col = ColumnarStore.create(tmp_path / "c", blocks, names)
+        col = DiskStore.create(tmp_path / "c", blocks, names)
         mem = MemoryStore(dict(blocks), names)
         appended = RegionBlock(
             item_ids=np.arange(101, 105),
@@ -205,14 +194,14 @@ class TestDeltas:
             assert np.array_equal(a.item_ids, b.item_ids)
 
     def test_version_survives_reopen(self, blocks, tmp_path):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
+        col = DiskStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
         col.apply_delta(
             StoreDelta(blocks={Region(("z",)): BlockDelta(append=_block(2, seed=5))})
         )
-        assert ColumnarStore(tmp_path / "c").version == 1
+        assert DiskStore(tmp_path / "c").version == 1
 
     def test_dropped_region_file_removed(self, blocks, tmp_path):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
+        col = DiskStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
         n_files_before = len(list((tmp_path / "c").glob("region_*")))
         col.apply_delta(StoreDelta(blocks={}, drop_regions=(Region(("b",)),)))
         assert len(list((tmp_path / "c").glob("region_*"))) == n_files_before - 1
@@ -222,54 +211,80 @@ class TestDeltas:
 
 class TestOpenStore:
     def test_sniffs_columnar(self, columnar, tmp_path):
-        assert isinstance(open_store(tmp_path / "col"), ColumnarStore)
+        reopened = open_store(tmp_path / "col")
+        assert isinstance(reopened, DiskStore)
+        assert reopened.regions() == columnar.regions()
 
-    def test_sniffs_npz(self, blocks, tmp_path):
-        DiskStore.create(tmp_path / "n", blocks, ("f0", "f1", "f2"))
-        assert isinstance(open_store(tmp_path / "n"), DiskStore)
+    def test_retired_npz_directory_is_refused(self, tmp_path, monkeypatch):
+        """A directory holding only the retired format's ``manifest.pkl`` is a
+        ``StorageError`` that names it — and the pickle is never loaded."""
+        (tmp_path / "manifest.pkl").write_bytes(
+            pickle.dumps({"files": {}, "feature_names": ("f0",), "version": 0})
+        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("the retired manifest was unpickled")
+
+        monkeypatch.setattr(pickle, "load", never)
+        monkeypatch.setattr(pickle, "loads", never)
+        for opener in (open_store, DiskStore):
+            with pytest.raises(StorageError, match="npz block format is retired"):
+                opener(tmp_path)
 
     def test_neither_backend_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no npz or columnar manifest"):
+        with pytest.raises(StorageError, match="has no manifest"):
             open_store(tmp_path)
 
 
 class TestBackendSwitch:
+    """There is one on-disk layout and nothing left that selects another."""
+
     def test_create_dispatches_to_columnar(self, blocks, tmp_path):
-        store = DiskStore.create(
-            tmp_path / "s", blocks, ("f0", "f1", "f2"), backend="columnar"
-        )
-        assert isinstance(store, ColumnarStore)
+        store = DiskStore.create(tmp_path / "s", blocks, ("f0", "f1", "f2"))
+        assert type(store) is DiskStore
+        manifest = json.loads((tmp_path / "s" / DiskStore.MANIFEST).read_text())
+        assert manifest["format"] == "repro-columnar"
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "manifest.json",
+            "region_000000.col",
+            "region_000001.col",
+            "region_000002.col",
+        ]
 
     def test_create_rejects_unknown_backend(self, blocks, tmp_path):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            DiskStore.create(tmp_path / "s", blocks, ("f0", "f1", "f2"),
-                             backend="tape")
+        for backend in ("npz", "columnar", "tape"):
+            with pytest.raises(TypeError, match="backend"):
+                DiskStore.create(
+                    tmp_path / "s", blocks, ("f0", "f1", "f2"), backend=backend
+                )
 
     def test_from_memory_backend_switch(self, blocks, tmp_path):
         mem = MemoryStore(dict(blocks), ("f0", "f1", "f2"))
-        store = DiskStore.from_memory(tmp_path / "s", mem, backend="columnar")
-        assert isinstance(store, ColumnarStore)
+        with pytest.raises(TypeError, match="backend"):
+            DiskStore.from_memory(tmp_path / "s", mem, backend="npz")
+        store = DiskStore.from_memory(tmp_path / "s", mem)
+        assert type(store) is DiskStore
         for region in mem.regions():
-            assert np.array_equal(store.read(region).x, mem.read(region).x)
+            _assert_same_bytes(store.read(region), mem.read(region))
 
 
 class TestFaults:
     def test_corrupt_manifest(self, columnar, tmp_path):
-        (tmp_path / "col" / ColumnarStore.MANIFEST).write_text("{not json")
+        (tmp_path / "col" / DiskStore.MANIFEST).write_text("{not json")
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "col")
+            DiskStore(tmp_path / "col")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "nowhere")
+            DiskStore(tmp_path / "nowhere")
 
     def test_wrong_format_tag(self, columnar, tmp_path):
-        path = tmp_path / "col" / ColumnarStore.MANIFEST
+        path = tmp_path / "col" / DiskStore.MANIFEST
         meta = json.loads(path.read_text())
         meta["format"] = "something-else"
         path.write_text(json.dumps(meta))
         with pytest.raises(StorageError):
-            ColumnarStore(tmp_path / "col")
+            DiskStore(tmp_path / "col")
 
     def test_missing_column_file(self, columnar, tmp_path):
         region = columnar.regions()[0]
@@ -330,7 +345,7 @@ class TestOneMappingPerFile:
 
     def test_scan_maps_each_non_empty_region_once(self, blocks, tmp_path, mappings):
         blocks[Region(("empty",))] = _block(0)
-        store = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
+        store = DiskStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
         scanned = list(store.scan())
         assert len(scanned) == 4
         assert len(mappings) == 3  # the zero-row region has nothing to map
@@ -347,7 +362,9 @@ class TestOneMappingPerFile:
 
 
 class TestBytesMatchNpz:
-    """read / scan / scan_chunks return the npz backend's arrays, byte for byte."""
+    """read / scan / scan_chunks return the arrays of the ``MemoryStore`` the
+    directory was spilled from, byte for byte (the reference was an npz twin
+    until that format was retired)."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("string_ids", [False, True])
@@ -362,14 +379,15 @@ class TestBytesMatchNpz:
                 else b.item_ids
             )
             blocks[Region((f"r{k}",))] = RegionBlock(ids, b.x, b.y, b.weights)
-        col = ColumnarStore.create(tmp_path / "c", blocks, names)
-        npz = DiskStore.create(tmp_path / "n", blocks, names)
+        mem = MemoryStore(blocks, names)
+        col = DiskStore.from_memory(tmp_path / "c", mem)
         chunked: dict[Region, list[RegionBlock]] = {}
         for region, chunk in col.scan_chunks(chunk_rows=7):
             chunked.setdefault(region, []).append(chunk)
         scanned = dict(col.scan())
-        for region in npz.regions():
-            want = npz.read(region)
+        assert col.regions() == mem.regions()
+        for region in mem.regions():
+            want = mem.read(region)
             _assert_same_bytes(col.read(region), want)
             _assert_same_bytes(scanned[region], want)
             _assert_same_bytes(_concat(chunked[region]), want)
@@ -464,14 +482,14 @@ class TestLayoutV1:
         }
         (directory / "manifest.json").write_text(json.dumps(manifest))
         store = open_store(directory)
-        assert isinstance(store, ColumnarStore) and store.version == 3
+        assert isinstance(store, DiskStore) and store.version == 3
         full, empty = store.regions()
         _assert_same_bytes(store.read(full), src)
         got = store.read(empty)
         assert got.n_examples == 0 and got.x.shape == (0, 3) and got.weights is None
         assert store.n_examples_total == 9
         # and what this build writes is the same bytes
-        rewritten = ColumnarStore.create(tmp_path / "now", {full: src}, ("f0", "f1", "f2"))
+        rewritten = DiskStore.create(tmp_path / "now", {full: src}, ("f0", "f1", "f2"))
         assert (tmp_path / "now" / "region_000000.col").read_bytes() == payload
         assert rewritten._meta[full]["columns"] == col_meta
 
@@ -482,8 +500,8 @@ class TestAtomicManifests:
     def test_columnar_manifest_survives_failed_replace(
         self, blocks, tmp_path, monkeypatch
     ):
-        col = ColumnarStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
-        manifest = tmp_path / "c" / ColumnarStore.MANIFEST
+        col = DiskStore.create(tmp_path / "c", blocks, ("f0", "f1", "f2"))
+        manifest = tmp_path / "c" / DiskStore.MANIFEST
         good = manifest.read_bytes()
 
         def torn_replace(src, dst):
@@ -500,31 +518,89 @@ class TestAtomicManifests:
             )
         monkeypatch.undo()
         assert manifest.read_bytes() == good
-        reopened = ColumnarStore(tmp_path / "c")
+        reopened = DiskStore(tmp_path / "c")
         assert reopened.version == 0
         assert set(reopened.regions()) == set(blocks)
 
-    def test_npz_manifest_survives_failed_replace(
-        self, blocks, tmp_path, monkeypatch
-    ):
-        disk = DiskStore.create(tmp_path / "n", blocks, ("f0", "f1", "f2"))
-        manifest = tmp_path / "n" / DiskStore._MANIFEST
-        good = manifest.read_bytes()
 
+def _reworked(n: int, first_id: int, seed: int) -> RegionBlock:
+    b = _block(n, seed=seed)
+    return RegionBlock(b.item_ids + (first_id - 1), b.x, b.y, b.weights)
+
+
+_A, _B = Region(("a",)), Region(("b",))
+_COMMIT_POINT_DELTAS = {
+    "append": StoreDelta({_A: BlockDelta(append=_reworked(4, 101, seed=21))}),
+    "retract": StoreDelta({_A: BlockDelta(retract_ids=np.array([2, 4, 7]))}),
+    "retract-and-reappend": StoreDelta(
+        {
+            _A: BlockDelta(
+                append=_reworked(3, 2, seed=22), retract_ids=np.array([2, 3, 4])
+            )
+        }
+    ),
+    "drop-region": StoreDelta({}, drop_regions=(_A,)),
+}
+
+
+class TestManifestIsTheCommitPoint:
+    """A delta lands with the one atomic manifest write, or not at all.
+
+    Touched regions are written under names the current manifest does not
+    use, so dying before the manifest write leaves the old version over the
+    old bytes — not the old row counts and offsets over new bytes.
+    """
+
+    @staticmethod
+    def _assert_equals(store, mem):
+        assert store.version == mem.version
+        assert store.regions() == mem.regions()
+        for region in mem.regions():
+            _assert_same_bytes(store.read(region), mem.read(region))
+
+    @pytest.mark.parametrize("kind", sorted(_COMMIT_POINT_DELTAS))
+    def test_interrupted_delta_reopens_at_the_old_version(
+        self, blocks, tmp_path, monkeypatch, kind
+    ):
         import repro.storage.block_store as block_store_mod
 
-        def torn_replace(src, dst):
-            raise OSError("simulated crash between write and rename")
+        delta = _COMMIT_POINT_DELTAS[kind]
+        directory = tmp_path / "s"
+        mem = MemoryStore(dict(blocks), ("f0", "f1", "f2"))
+        store = DiskStore.from_memory(directory, mem)
 
-        monkeypatch.setattr(block_store_mod.os, "replace", torn_replace)
-        with pytest.raises(OSError):
-            disk.apply_delta(
-                StoreDelta(
-                    blocks={Region(("new",)): BlockDelta(append=_block(2, seed=7))}
-                )
-            )
+        def killed(path, payload):
+            raise OSError("killed before the manifest landed")
+
+        monkeypatch.setattr(block_store_mod, "_atomic_write", killed)
+        with pytest.raises(OSError, match="killed"):
+            store.apply_delta(delta)
         monkeypatch.undo()
-        assert manifest.read_bytes() == good
-        reopened = DiskStore(tmp_path / "n")
-        assert reopened.version == 0
-        assert set(reopened.regions()) == set(blocks)
+        # a restart sees the pre-delta store, and so does the survivor
+        self._assert_equals(open_store(directory), mem)
+        self._assert_equals(store, mem)
+        assert store.deltas_since(0) == []
+
+        # the same delta, allowed to finish this time
+        store = open_store(directory)
+        store.apply_delta(delta)
+        mem.apply_delta(delta)
+        assert mem.version == 1
+        self._assert_equals(store, mem)
+        reopened = open_store(directory)
+        self._assert_equals(reopened, mem)
+        named = {m["file"] for m in reopened._meta.values()}
+        assert {p.name for p in directory.iterdir()} == named | {DiskStore.MANIFEST}
+
+    def test_unnamed_region_files_are_ignored_then_swept(self, columnar, tmp_path):
+        """What an interrupted delta leaves behind is not part of the store."""
+        directory = tmp_path / "col"
+        (directory / "region_000007.col").write_bytes(b"half a region")
+        (directory / "region_000008.col.tmp").write_bytes(b"")
+        reopened = open_store(directory)
+        assert reopened.regions() == columnar.regions()
+        assert reopened.n_examples_total == 7 + 5 + 3
+        reopened.apply_delta(_COMMIT_POINT_DELTAS["append"])
+        assert sorted(p.name for p in directory.glob("region_*")) == sorted(
+            m["file"] for m in reopened._meta.values()
+        )

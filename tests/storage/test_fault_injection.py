@@ -1,14 +1,13 @@
 """Fault injection: broken files must fail loudly, never return wrong numbers.
 
-Truncated, garbled, or missing ``.npz`` blocks and corrupt manifests raise
-:class:`StorageError` (never a raw ``OSError``/``BadZipFile``); persisted
+Truncated, garbled, or missing region files and corrupt manifests raise
+:class:`StorageError` (never a raw ``OSError``/``ValueError``); persisted
 statistics written against another store version raise
 :class:`StaleCacheError`, and a table build facing either problem rebuilds
 from a full scan instead of serving stale statistics.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ def disk_store(tmp_path):
 
 
 def _block_path(store: DiskStore, region: Region):
-    return store._dir / store._files[region]
+    return store._dir / store._meta[region]["file"]
 
 
 class TestBrokenBlocks:
@@ -59,19 +58,19 @@ class TestBrokenBlocks:
         region = disk_store.regions()[0]
         path = _block_path(disk_store, region)
         path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(StorageError, match="unreadable block"):
+        with pytest.raises(StorageError, match="unreadable column file"):
             disk_store.read(region)
 
     def test_garbage_block_raises_storage_error(self, disk_store):
         region = disk_store.regions()[1]
-        _block_path(disk_store, region).write_bytes(b"not an npz at all")
-        with pytest.raises(StorageError, match="unreadable block"):
+        _block_path(disk_store, region).write_bytes(b"not a column file")
+        with pytest.raises(StorageError, match="unreadable column file"):
             disk_store.read(region)
 
     def test_missing_block_raises_storage_error(self, disk_store):
         region = disk_store.regions()[0]
         _block_path(disk_store, region).unlink()
-        with pytest.raises(StorageError, match="unreadable block"):
+        with pytest.raises(StorageError, match="unreadable column file"):
             disk_store.read(region)
 
     def test_scan_surfaces_broken_block(self, disk_store):
@@ -80,16 +79,20 @@ class TestBrokenBlocks:
         with pytest.raises(StorageError):
             list(disk_store.scan())
 
-    def test_block_missing_required_array(self, disk_store, tmp_path):
-        region = disk_store.regions()[0]
-        np.savez(_block_path(disk_store, region), item_ids=np.arange(3))
-        with pytest.raises(StorageError, match="unreadable block"):
-            disk_store.read(region)
+    def test_block_missing_required_array(self, disk_store):
+        """A manifest entry that lacks a column is unreadable, not a KeyError."""
+        manifest_path = disk_store._dir / DiskStore.MANIFEST
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["regions"][0]["columns"]["y"]
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = DiskStore(disk_store._dir)
+        with pytest.raises(StorageError, match="unreadable column file"):
+            reopened.read(reopened.regions()[0])
 
 
 class TestBrokenManifest:
     def test_corrupt_manifest_raises_storage_error(self, disk_store):
-        (disk_store._dir / DiskStore._MANIFEST).write_bytes(b"\x80garbage")
+        (disk_store._dir / DiskStore.MANIFEST).write_bytes(b"\x80garbage")
         with pytest.raises(StorageError, match="corrupt manifest"):
             DiskStore(disk_store._dir)
 
@@ -98,8 +101,9 @@ class TestBrokenManifest:
             DiskStore(tmp_path / "nowhere")
 
     def test_wrong_shape_manifest_raises_storage_error(self, disk_store):
-        with (disk_store._dir / DiskStore._MANIFEST).open("wb") as f:
-            pickle.dump(["not", "a", "dict"], f)
+        (disk_store._dir / DiskStore.MANIFEST).write_text(
+            json.dumps(["not", "a", "dict"])
+        )
         with pytest.raises(StorageError, match="corrupt manifest"):
             DiskStore(disk_store._dir)
 

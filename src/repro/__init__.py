@@ -14,11 +14,11 @@ Region([1-7, MD])
 Packages
 --------
 * :mod:`repro.table` - columnar relational engine (joins, group-by, CUBE,
-  iceberg cubes, star schemas).
+  star schemas).
 * :mod:`repro.dimensions` - hierarchies, interval dimensions, regions,
   costs, item-hierarchy lattices.
 * :mod:`repro.ml` - WLS/OLS linear regression on sufficient statistics
-  (Theorem 1), error estimators with confidence intervals, regression trees.
+  (Theorem 1), error estimators with confidence intervals.
 * :mod:`repro.storage` - in-memory / disk-resident training-data stores with
   I/O accounting.
 * :mod:`repro.core` - the paper's contribution: basic bellwether search,

@@ -134,18 +134,14 @@ def results_from_stats(
     least ``min_examples`` rows are fit by one batched solve and come back
     in order, coverage measured against ``n_total`` items.  Each error is
     the :class:`~repro.ml.TrainingSetEstimator` estimate of the same
-    statistics, bit for bit (:meth:`StackedSuffStats.sse`).  Counted under
-    ``search.regions_evaluated``.
+    statistics, bit for bit (:meth:`StackedSuffStats.training_errors`).
+    Counted under ``search.regions_evaluated``.
     """
     results: list[RegionResult] = []
     cand = np.flatnonzero(stats.n >= min_examples)
     if len(cand):
         stats = stats.select(cand)
-        sse = stats.sse()
-        denom = stats.n - stats.p
-        denom = np.where(denom <= 0, stats.n, denom)
-        rmse = np.sqrt(sse / denom)
-        dof = stats.dof
+        rmse, sse, dof = stats.training_errors()
         for k, idx in enumerate(cand):
             region = regions[int(idx)]
             n = int(stats.n[k])
@@ -405,10 +401,10 @@ class BasicBellwetherSearch:
         touched: set[Region] = set()
         dropped: set[Region] = set()
         for applied in deltas:
-            for region in applied.delta.drop_regions:
+            for region in applied.drop_regions:
                 dropped.add(region)
                 touched.discard(region)
-            for region in applied.delta.blocks:
+            for region in applied.touched:
                 dropped.discard(region)
                 touched.add(region)
         by_region = {r.region: r for r in self._profile[None]}

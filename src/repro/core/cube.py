@@ -11,9 +11,15 @@ A bellwether cube is ``{<S, r_S>}`` for every *significant* cube subset ``S``
   statistics are computed once per *base cell* and then merged up the item
   hierarchy lattice, so each subset's model error costs O(p³) instead of a
   refit over its rows.  Implies training-set error (the algebraic measure).
-  The default path batches the algebra (``StackedSuffStats``): every level's
-  (subset, region) models are fit by one stacked LAPACK solve;
-  ``optimized_serial`` keeps the per-pair solve as the reference baseline.
+  The algebra is batched (``StackedSuffStats``) and written once, one
+  builder method per stage: ``scan_stacks`` (one scan, ``g`` per base cell)
+  → ``level_tables`` (the rollup, one scatter-add per lattice level) →
+  ``build_from_tables`` (one stacked LAPACK solve per level, first strict
+  minimum per subset).  ``build("optimized")``,
+  :func:`repro.incremental.build_cube_tables` and the incremental
+  maintainer compose those stages; none carries a copy.
+  ``optimized_serial`` keeps the per-pair rollup and solve: the reference,
+  and the only independent implementation the batched one is checked by.
 
 Prediction for a new item (Section 6.2): among the significant subsets
 containing the item, pick the one whose bellwether model has the lowest
@@ -23,7 +29,7 @@ containing the item, pick the one whose bellwether model has the lowest
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +47,7 @@ from repro.ml import (
 from repro.obs.catalog import CUBE_SUBSETS_BUILT
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage import TrainingDataStore
+from repro.storage import LevelTable, TrainingDataStore
 
 from .exceptions import SearchError, TaskError
 from .rowindex import RowIndex
@@ -61,6 +67,25 @@ def _first_strict_min(values: np.ndarray) -> int:
     if np.isnan(values[0]):
         return 0
     return int(np.flatnonzero(values == np.nanmin(values))[0])
+
+
+def solve_where(
+    stats: StackedSuffStats, todo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rmse, sse, dof)`` shaped like ``todo``, solved where it is set.
+
+    ``stats`` holds one problem per element of the boolean ``todo``, in
+    ravel order; the selected ones go through one batched solve, the rest
+    read NaN / NaN / 0.
+    """
+    rmse = np.full(todo.shape, np.nan)
+    sse = np.full(todo.shape, np.nan)
+    dof = np.zeros(todo.shape, dtype=np.int64)
+    if todo.any():
+        rmse[todo], sse[todo], dof[todo] = stats.select(
+            np.flatnonzero(todo.ravel())
+        ).training_errors()
+    return rmse, sse, dof
 
 
 @dataclass(frozen=True)
@@ -290,7 +315,9 @@ class BellwetherCubeBuilder:
             elif method == "single_scan":
                 entries = self._build_single_scan()
             elif method == "optimized":
-                entries = self._build_optimized()
+                entries = self._solve_and_select(
+                    self.level_tables(self.scan_stacks())
+                )
             elif method == "optimized_serial":
                 entries = self._build_optimized_serial()
             else:
@@ -302,18 +329,18 @@ class BellwetherCubeBuilder:
         _SUBSETS_BUILT.inc(len(entries))
         return BellwetherCubeResult(entries, self.hierarchies, self.confidence)
 
-    def incremental(self, mode: str = "exact"):
+    def incremental(self):
         """A delta-aware maintainer for this builder's cube.
 
         Its ``refresh()`` returns the same
-        :class:`BellwetherCubeResult` as ``build("optimized")`` — bit for
-        bit in ``"exact"`` mode — while replaying store deltas onto held
-        sufficient statistics instead of rescanning.
+        :class:`BellwetherCubeResult` as ``build("optimized")``, bit for
+        bit, while replaying store deltas onto held sufficient statistics
+        instead of rescanning.
         See :class:`repro.incremental.IncrementalCubeMaintainer`.
         """
         from repro.incremental import IncrementalCubeMaintainer
 
-        return IncrementalCubeMaintainer(self, mode=mode)
+        return IncrementalCubeMaintainer(self)
 
     # ------------------------------------------------------------ cube tables
 
@@ -353,57 +380,19 @@ class BellwetherCubeBuilder:
 
         ``tables`` is one :class:`~repro.storage.cubetables.LevelTable` per
         significant lattice level, in this builder's level order (what
-        :func:`repro.incremental.build_cube_tables` returns for a matching
+        :meth:`level_tables` rolls up and
+        :func:`repro.incremental.build_cube_tables` persists for a matching
         geometry signature).  No facts are read — ``store.full_scans`` and
-        ``store.region_reads`` stay untouched — yet the result is
-        bit-for-bit what ``build("optimized")`` computes at the same store
-        version: the tables hold the same rolled statistics, the batched
-        solve is deterministic per matrix, and the winner replay walks
-        candidates in the same store-region order.
+        ``store.region_reads`` stay untouched — and the result is what
+        ``build("optimized")`` computes at the same store version, because
+        that build is this call on freshly scanned tables.
         """
-        if len(tables) != len(self._levels):
-            raise TaskError(
-                f"got {len(tables)} cube tables for {len(self._levels)} "
-                "significant levels; rebuild the tables for this geometry"
-            )
-        best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
         with _TRACER.span(
             "cube.build",
             method="tables",
             subsets=len(self.significant_subsets),
         ):
-            for (level, __rm, keep), table in zip(self._levels, tables):
-                if tuple(table.level) != tuple(level) or table.n_subsets != len(
-                    keep
-                ):
-                    raise TaskError(
-                        f"cube table for level {table.level} does not match "
-                        f"builder level {level}; rebuild the tables"
-                    )
-                n_regions = table.n_regions
-                if n_regions == 0:
-                    continue
-                n_mat = table.stats.n.reshape(n_regions, len(keep))
-                cand = n_mat >= self.min_examples  # (n_regions, n_keep)
-                if not cand.any():
-                    continue
-                rmse, sse, dof = self._training_errors(
-                    table.stats.select(np.flatnonzero(cand.ravel()))
-                )
-                reg_pos, keep_pos = np.nonzero(cand)
-                for j, (__s_idx, subset, __n) in enumerate(keep):
-                    hits = np.flatnonzero(keep_pos == j)
-                    if not len(hits):
-                        continue
-                    k = hits[_first_strict_min(rmse[hits])]
-                    est = ErrorEstimate(
-                        rmse=float(rmse[k]),
-                        kind="training",
-                        sse=float(sse[k]),
-                        dof=int(dof[k]),
-                    )
-                    best[subset] = (table.regions[reg_pos[k]], est)
-        entries = self._entries_from_best(best)
+            entries = self._solve_and_select(tables)
         _SUBSETS_BUILT.inc(len(entries))
         return BellwetherCubeResult(entries, self.hierarchies, self.confidence)
 
@@ -444,17 +433,6 @@ class BellwetherCubeBuilder:
             and est.model_factory is default_model_factory
         )
 
-    @staticmethod
-    def _training_errors(
-        stats: StackedSuffStats,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched (rmse, sse, dof) triplets — one solve for the whole stack."""
-        sse = stats.sse()
-        denom = stats.n - stats.p
-        denom = np.where(denom <= 0, stats.n, denom)
-        rmse = np.sqrt(sse / denom)
-        return rmse, sse, stats.dof
-
     def _build_single_scan(self) -> dict[CubeSubset, SubsetEntry]:
         best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
         batchable = self._batchable()
@@ -492,9 +470,9 @@ class BellwetherCubeBuilder:
                         pending_subsets.append(subset)
                     if not pending:
                         continue
-                    rmse, sse, dof = self._training_errors(
-                        StackedSuffStats.from_stats(pending)
-                    )
+                    rmse, sse, dof = StackedSuffStats.from_stats(
+                        pending
+                    ).training_errors()
                     for j, subset in enumerate(pending_subsets):
                         if subset not in best or rmse[j] < best[subset][1].rmse:
                             est = ErrorEstimate(
@@ -530,40 +508,21 @@ class BellwetherCubeBuilder:
 
     # -------------------------------------------------------------- optimized
 
-    def _build_optimized(self) -> dict[CubeSubset, SubsetEntry]:
-        """Single scan + Theorem 1 rollup, batched: ≤ 1 solve per level.
+    def scan_stacks(self) -> dict[Region, StackedSuffStats]:
+        """One scan: every region's base-cell statistics, in store order.
 
-        The scan collects one :class:`~repro.ml.StackedSuffStats` of
-        per-base-cell statistics per region; after it, every lattice level
-        rolls *all* regions' cells up to (region, subset) problems with one
-        scatter-add and fits them with one stacked ``np.linalg.solve`` — the
-        whole cube costs one batched solve per lattice level instead of a
-        Python-level fit per (subset, region) pair.
-
-        Model errors are training-set RMSE (the algebraic measure the
-        theorem covers); the winning subset entries report chi-square-interval
-        estimates exactly like :class:`~repro.ml.TrainingSetEstimator`.
+        Regions holding no row of this builder's items are left out.
         """
-        best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
+        stacks: dict[Region, StackedSuffStats] = {}
         n_cells = len(self._cells)
-        regions: list[Region] = []
-        per_region: list[StackedSuffStats] = []
         for region, block in self.store.scan():
             block = block.restrict_to(self._ids)
             if block.n_examples == 0:
                 continue
             rows_item = self._index.rows_of(block.item_ids)
             cell_of_row = self._cell_of_item[rows_item]
-            regions.append(region)
-            per_region.append(
-                self._cell_stats_stack(block, cell_of_row, n_cells)
-            )
-        if regions:
-            with _TRACER.span(
-                "cube.rollup", regions=len(regions), cells=n_cells
-            ):
-                self._rollup_batched(regions, per_region, best)
-        return self._entries_from_best(best)
+            stacks[region] = self._cell_stats_stack(block, cell_of_row, n_cells)
+        return stacks
 
     @staticmethod
     def _cell_stats_stack(
@@ -594,46 +553,110 @@ class BellwetherCubeBuilder:
             stack.set_row(cell, s)
         return stack
 
-    def _rollup_batched(
-        self,
-        regions: list[Region],
-        per_region: list[StackedSuffStats],
-        best: dict[CubeSubset, tuple[Region, ErrorEstimate]],
-    ) -> None:
-        """Roll every region's base-cell stats up each level, solving once."""
+    def level_tables(
+        self, stacks: Mapping[Region, StackedSuffStats]
+    ) -> list[LevelTable]:
+        """Theorem 1: roll base-cell stacks up to every significant level.
+
+        One :class:`~repro.storage.cubetables.LevelTable` per significant
+        lattice level over exactly the regions of ``stacks``, in its order:
+        all of them for a build or a table save, only the touched ones for
+        a refresh.  Each level is one scatter-add over every given region's
+        cells at once; a (region, subset) problem receives its cells'
+        addends in cell order, as the per-region ``+`` rollup of
+        ``optimized_serial`` does, so the sums are the same bits.  No
+        solves, no reads.
+        """
+        regions = tuple(stacks)
         n_regions = len(regions)
-        n_cells = len(self._cells)
-        all_cells = StackedSuffStats.concatenate(per_region)
-        for __, rm, keep in self._levels:
-            n_subsets = len(rm.subsets)
-            # (region, cell) problem -> (region, subset) problem, region-major
-            target = (
-                np.arange(n_regions)[:, None] * n_subsets
-                + rm.subset_of_base[None, :]
-            ).ravel()
-            rolled = all_cells.rollup(target, n_regions * n_subsets)
-            keep_sidx = np.array([s_idx for s_idx, __s, __n in keep])
-            n_mat = rolled.n.reshape(n_regions, n_subsets)[:, keep_sidx]
-            cand = n_mat >= self.min_examples  # (n_regions, n_keep)
-            if not cand.any():
-                continue
-            flat = (
-                np.arange(n_regions)[:, None] * n_subsets + keep_sidx[None, :]
-            )
-            rmse, sse, dof = self._training_errors(rolled.select(flat[cand]))
-            reg_pos, keep_pos = np.nonzero(cand)
-            for j, (__s_idx, subset, __n) in enumerate(keep):
-                hits = np.flatnonzero(keep_pos == j)
-                if not len(hits):
-                    continue
-                k = hits[_first_strict_min(rmse[hits])]
-                est = ErrorEstimate(
-                    rmse=float(rmse[k]),
-                    kind="training",
-                    sse=float(sse[k]),
-                    dof=int(dof[k]),
+        p = len(self.store.feature_names) + 1  # + intercept
+        all_cells = StackedSuffStats.concatenate(
+            [StackedSuffStats.zeros(0, p), *stacks.values()]
+        )
+        tables: list[LevelTable] = []
+        with _TRACER.span(
+            "cube.rollup", regions=n_regions, cells=len(self._cells)
+        ):
+            for level, rm, keep in self._levels:
+                n_subsets = len(rm.subsets)
+                keep_sidx = np.array(
+                    [s_idx for s_idx, __s, __n in keep], dtype=np.int64
                 )
-                best[subset] = (regions[reg_pos[k]], est)
+                # (region, cell) -> (region, subset) problem, region-major
+                first = np.arange(n_regions)[:, None] * n_subsets
+                rolled = all_cells.rollup(
+                    (first + rm.subset_of_base[None, :]).ravel(),
+                    n_regions * n_subsets,
+                )
+                tables.append(
+                    LevelTable(
+                        level=tuple(level),
+                        regions=regions,
+                        keep_sidx=keep_sidx,
+                        stats=rolled.select((first + keep_sidx[None, :]).ravel()),
+                    )
+                )
+        return tables
+
+    def _solve_and_select(
+        self, tables: Sequence[LevelTable]
+    ) -> dict[CubeSubset, SubsetEntry]:
+        """One batched solve per level table, then each subset's winner.
+
+        Model errors are training-set RMSE (the algebraic measure Theorem 1
+        covers); the winning entries report chi-square-interval estimates
+        exactly like :class:`~repro.ml.TrainingSetEstimator`.
+        """
+        if len(tables) != len(self._levels):
+            raise TaskError(
+                f"got {len(tables)} cube tables for {len(self._levels)} "
+                "significant levels; rebuild the tables for this geometry"
+            )
+        best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
+        for (level, __rm, keep), table in zip(self._levels, tables):
+            if tuple(table.level) != tuple(level) or table.n_subsets != len(keep):
+                raise TaskError(
+                    f"cube table for level {table.level} does not match "
+                    f"builder level {level}; rebuild the tables"
+                )
+            n = table.stats.n.reshape(table.n_regions, table.n_subsets)
+            cand = n >= self.min_examples
+            best.update(
+                self._winners(
+                    keep, table.regions, cand, *solve_where(table.stats, cand)
+                )
+            )
+        return self._entries_from_best(best)
+
+    @staticmethod
+    def _winners(
+        keep: Sequence,
+        regions: Sequence[Region],
+        cand: np.ndarray,
+        rmse: np.ndarray,
+        sse: np.ndarray,
+        dof: np.ndarray,
+    ) -> dict[CubeSubset, tuple[Region, ErrorEstimate]]:
+        """Per subset of ``keep``, the first strict minimum over ``regions``.
+
+        All four arrays are ``(len(regions), len(keep))``; only ``cand``
+        positions (enough examples) compete, in the order of ``regions`` —
+        store order, which is what makes a pick equal the serial loops'.
+        """
+        best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
+        for j, (__s_idx, subset, __n) in enumerate(keep):
+            hits = np.flatnonzero(cand[:, j])
+            if not len(hits):
+                continue
+            k = hits[_first_strict_min(rmse[hits, j])]
+            est = ErrorEstimate(
+                rmse=float(rmse[k, j]),
+                kind="training",
+                sse=float(sse[k, j]),
+                dof=int(dof[k, j]),
+            )
+            best[subset] = (regions[k], est)
+        return best
 
     # ------------------------------------------------- optimized (per-problem)
 

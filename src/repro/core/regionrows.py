@@ -75,7 +75,7 @@ class RegionRows:
         never a scan); the rest keep their arrays.
         """
         touched = {
-            region for applied in deltas for region in applied.delta.touched_regions
+            region for applied in deltas for region in applied.touched_regions
         }
         held = dict(zip(self.regions, self.blocks))
         regions = tuple(store.regions())

@@ -3,16 +3,17 @@
 The paper makes per-region WLS error an algebraic aggregate; this package
 exploits the same algebra *across time*: when the versioned training-data
 store absorbs appended or retracted fact rows (see :mod:`repro.storage.delta`),
-cached sufficient statistics are patched — merged, retracted, or recomputed
-per dirty base cell — and only the dirty (region, item-subset) lattice cells
-are re-solved.  Results stay bit-for-bit equal to a from-scratch rebuild
+cached sufficient statistics are patched — recomputed per dirty base cell
+from the touched regions' rows — and only the dirty (region, item-subset)
+lattice cells are re-solved.  Results stay bit-for-bit equal to a from-scratch rebuild
 while doing none of the rebuild's scans.
 
 Submodules
 ----------
 ``maintain``
     :class:`IncrementalCubeMaintainer` — keeps a bellwether cube current
-    across store deltas (one batched solve per dirty level, no full scan).
+    across store deltas (one batched solve per dirty level, no full scan),
+    composing the builder's scan / rollup / solve / select stages.
 ``deltas``
     Month-append stream construction for the experiment configs.
 ``tables``

@@ -1,35 +1,29 @@
 """Delta-aware bellwether-cube maintenance (Theorem 1, applied to updates).
 
-A maintainer holds, per region, one :class:`~repro.ml.StackedSuffStats` of
-per-base-cell statistics — the same stacks the optimized builder scans for —
-and does two separate jobs on them:
+The optimized cube is one pipeline on
+:class:`~repro.core.cube.BellwetherCubeBuilder` — ``scan_stacks`` →
+``level_tables`` → one solve-and-select — and a maintainer composes those
+stages; what it owns is the state that lets a delta skip most of them.  It
+holds, per region, one :class:`~repro.ml.StackedSuffStats` of per-base-cell
+statistics and does two separate jobs on them:
 
 * **bringing the stacks to the store's version**
-  (:meth:`IncrementalCubeMaintainer.advance`): one scan the first time;
-  after that the store's changelog is replayed — touched item ids map to
-  their base cells and only those cells' statistics are refreshed.
-  Untouched cells keep their bits.  Statistics only: nothing is solved, so
-  a caller that wants tables (:meth:`~IncrementalCubeMaintainer.level_tables`,
-  :func:`~repro.incremental.build_cube_tables`) stops here;
+  (:meth:`IncrementalCubeMaintainer.advance`): ``builder.scan_stacks()`` the
+  first time; after that the store's changelog is replayed — touched item
+  ids map to their base cells and only those cells' statistics are
+  recomputed from the touched region's *updated* rows.  Deltas retract
+  first and append at the block's end, so surviving rows keep their
+  relative order and every statistic — touched or not — is **bit-for-bit**
+  what a from-scratch scan of the updated store computes.  Statistics
+  only: nothing is solved, so a caller that wants tables
+  (:func:`~repro.incremental.build_cube_tables`) stops here and hands
+  :attr:`~IncrementalCubeMaintainer.stacks` to ``builder.level_tables``;
 * **keeping solutions current** (:meth:`IncrementalCubeMaintainer.refresh`):
-  advance, solve every (subset, region) problem the first time a cube is
-  asked for, afterwards re-roll the touched regions and re-solve only the
-  dirty problems — one batched solve per level — and replay the winners.
-
-Two refresh modes:
-
-* ``"exact"`` (default) — dirty cells are recomputed from the touched
-  region's *updated* rows.  Because deltas retract first and append at the
-  block's end, surviving rows keep their original relative order, so every
-  statistic — touched or not — is **bit-for-bit** what a from-scratch
-  optimized build over the updated store computes.
-* ``"merge"`` — dirty cells are updated algebraically
-  (``cached + g(appended) − g(removed)``, the paper's merge applied in
-  reverse).  Never rereads surviving rows, at the cost of float-associativity
-  drift (equal to scratch up to rounding, not bit-for-bit).
-
-Winner selection replays the builder's sequential first-strict-min rule over
-candidates in store order, so refreshed picks match a rebuild exactly.
+  advance, then roll up and solve only the regions whose stacks moved —
+  every held region the first time, afterwards the touched ones, and in
+  those only the subsets a dirty base cell feeds — one batched solve per
+  level, cached per (level, region), and let the builder's winner
+  selection replay first-strict-min over the cache in store order.
 """
 
 from __future__ import annotations
@@ -39,15 +33,10 @@ import numpy as np
 from repro.core.cube import (
     BellwetherCubeBuilder,
     BellwetherCubeResult,
-    _first_strict_min,
+    solve_where,
 )
 from repro.dimensions import Region
-from repro.ml import (
-    ErrorEstimate,
-    LinearSuffStats,
-    StackedSuffStats,
-    add_intercept,
-)
+from repro.ml import LinearSuffStats, StackedSuffStats, add_intercept
 from repro.exceptions import ConfigError
 from repro.obs.catalog import (
     INCR_CACHE_HITS,
@@ -77,31 +66,35 @@ class IncrementalCubeMaintainer:
         The cube builder whose geometry (hierarchies, significant subsets,
         ``min_examples``) and store this maintainer serves.  Requires a
         batchable task (training-set error — the measure Theorem 1 covers).
-    mode:
-        ``"exact"`` (bit-for-bit, rereads touched regions) or ``"merge"``
-        (pure suffstats algebra, equal up to float associativity).
     """
 
-    def __init__(self, builder: BellwetherCubeBuilder, mode: str = "exact"):
-        if mode not in ("exact", "merge"):
-            raise ConfigError(f"unknown refresh mode {mode!r}")
+    def __init__(self, builder: BellwetherCubeBuilder):
         if not builder._batchable():
             raise ConfigError(
                 "incremental maintenance needs the algebraic (training-set) "
                 "error estimator; this task's estimator is not batchable"
             )
         self.builder = builder
-        self.mode = mode
-        self._version: int | None = None  # None = cold (no stacks yet)
-        self._stacks: dict[Region, StackedSuffStats] = {}
-        # Per lattice level, per region: arrays over the level's significant
-        # subsets — example count, and the solved rmse/sse/dof (NaN/0 where
-        # the subset has too few examples in that region).  None until a
-        # cube is asked for, and again after a scan replaced every stack.
-        self._errors: list[dict[Region, dict[str, np.ndarray]]] | None = None
-        # Regions whose stacks moved since ``_errors`` was last current,
-        # with the base cells that moved, in changelog order.
-        self._dirty: dict[Region, np.ndarray] = {}
+        self._hold({}, None)
+
+    def _hold(
+        self, stacks: dict[Region, StackedSuffStats], version: int | None
+    ) -> None:
+        """Take ``stacks`` as of ``version``; no solution covers them yet."""
+        self._stacks = dict(stacks)
+        self._version = version  # None = cold (no stacks yet)
+        # Per lattice level, per region: ``(n, rmse, sse, dof)`` arrays over
+        # the level's significant subsets — example count and the solved
+        # errors (NaN/NaN/0 where the subset has too few examples there).
+        self._errors: list[dict[Region, tuple[np.ndarray, ...]]] = [
+            {} for __ in self.builder._levels
+        ]
+        # Regions whose stacks moved since ``_errors`` last covered them,
+        # with the base cells that moved (not consulted for a region
+        # ``_errors`` has never seen: all of it is new).
+        self._dirty: dict[Region, np.ndarray] = dict.fromkeys(
+            self._stacks, np.empty(0, dtype=np.int64)
+        )
 
     # --------------------------------------------------------------- geometry
 
@@ -134,8 +127,7 @@ class IncrementalCubeMaintainer:
         maintainer stays cold.
         """
         self.builder.store.deltas_since(version)
-        self._stacks = dict(stacks)
-        self._version = version
+        self._hold(stacks, version)
 
     def advance(self) -> str:
         """Bring the stacks to the store's current version.  No solves.
@@ -145,36 +137,20 @@ class IncrementalCubeMaintainer:
         loud full rebuild.  Returns where the statistics came from
         (``"scan"``, ``"rebuild"``, ``"delta"`` or ``"noop"``).
         """
+        builder = self.builder
         if self._version is None:
-            self._scan()
+            self._hold(builder.scan_stacks(), builder.store.version)
             return "scan"
         try:
-            deltas = self.builder.store.deltas_since(self._version)
+            deltas = builder.store.deltas_since(self._version)
         except StorageError:
             _FULL_REBUILDS.inc()
-            self._scan()
+            self._hold(builder.scan_stacks(), builder.store.version)
             return "rebuild"
         if not deltas:
             return "noop"
         self._replay(deltas)
         return "delta"
-
-    def _scan(self) -> None:
-        """One scan: every region's base-cell stack, from its rows."""
-        builder = self.builder
-        self._stacks = {}
-        self._errors = None
-        self._dirty = {}
-        for region, block in builder.store.scan():
-            block = block.restrict_to(builder._ids)
-            if block.n_examples == 0:
-                continue
-            rows_item = builder._index.rows_of(block.item_ids)
-            cell_of_row = builder._cell_of_item[rows_item]
-            self._stacks[region] = builder._cell_stats_stack(
-                block, cell_of_row, self._n_cells
-            )
-        self._version = builder.store.version
 
     def _replay(self, deltas: list) -> None:
         """Fold the changelog entries into the stacks, cell by dirty cell."""
@@ -185,13 +161,11 @@ class IncrementalCubeMaintainer:
             # Drops forget the region *in sequence*, so a later delta that
             # re-adds it rebuilds from nothing instead of patching a stack
             # whose rows are long gone.
-            for region in applied.delta.drop_regions:
+            for region in applied.drop_regions:
                 self._forget_region(region)
                 touched.pop(region, None)
-            for region in applied.delta.blocks:
-                touched.setdefault(region, []).append(
-                    applied.touched_items(region)
-                )
+            for region, item_ids in applied.touched.items():
+                touched.setdefault(region, []).append(item_ids)
         _REGIONS_REFRESHED.inc(len(touched))
         for region, id_lists in touched.items():
             dirty_cells = self._dirty_cells(np.concatenate(id_lists))
@@ -200,7 +174,7 @@ class IncrementalCubeMaintainer:
                 self._forget_region(region)
                 continue
             self._stacks[region] = self._refresh_stack(
-                region, block, dirty_cells, deltas
+                region, block, dirty_cells
             )
             self._dirty[region] = np.union1d(
                 self._dirty.pop(region, dirty_cells), dirty_cells
@@ -216,120 +190,53 @@ class IncrementalCubeMaintainer:
         level with them: every (subset, region) problem the first time (and
         after a scan), only the dirty ones after a changelog replay.
         """
-        with _TRACER.span("incr.refresh", mode=self.mode) as sp:
+        with _TRACER.span("incr.refresh") as sp:
             source = self.advance()
             sp.annotate(source=source)
-            if self._errors is None:
-                self._solve_all_levels()
-            elif self._dirty:
+            if self._dirty:
                 self._solve_dirty()
             elif source == "noop":
                 _CACHE_HITS.inc()
         return self._result_from_cache()
 
-    def _solve_all_levels(self) -> None:
-        """(Re)solve every held region's significant subsets, per level.
+    def _solve_dirty(self) -> None:
+        """Re-roll the regions whose stacks moved; re-solve what that dirtied.
 
-        One concatenated batched solve per lattice level, like the
-        optimized builder — the per-problem solutions are identical because
-        stacked LAPACK is deterministic per matrix.
+        One rollup and at most one batched solve per level, over every dirty
+        region at once.
         """
         builder = self.builder
-        regions = self._ordered_regions()
-        self._errors = []
-        self._dirty = {}
-        for __, rm, keep in builder._levels:
-            keep_sidx = np.array([s_idx for s_idx, __s, __n in keep])
-            per: dict[Region, dict[str, np.ndarray]] = {}
-            pending: list[StackedSuffStats] = []
-            slots: list[tuple[Region, np.ndarray]] = []
-            for region in regions:
-                rolled = self._stacks[region].rollup(
-                    rm.subset_of_base, len(rm.subsets)
-                ).select(keep_sidx)
-                per[region] = self._blank_errors(len(keep), rolled.n)
-                cand = np.flatnonzero(rolled.n >= builder.min_examples)
-                if len(cand):
-                    pending.append(rolled.select(cand))
-                    slots.append((region, cand))
-            self._errors.append(per)
-            self._scatter_solutions(per, pending, slots)
-
-    @staticmethod
-    def _blank_errors(n_keep: int, n_vec: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            "n": n_vec.copy(),
-            "rmse": np.full(n_keep, np.nan),
-            "sse": np.full(n_keep, np.nan),
-            "dof": np.zeros(n_keep, dtype=np.int64),
-        }
-
-    def _scatter_solutions(
-        self,
-        per: dict[Region, dict[str, np.ndarray]],
-        pending: list[StackedSuffStats],
-        slots: list[tuple[Region, np.ndarray]],
-    ) -> None:
-        """Solve the pending problems in one batch; write results back."""
-        if not pending:
-            return
-        rmse, sse, dof = self.builder._training_errors(
-            StackedSuffStats.concatenate(pending)
-        )
-        _CELLS_RESOLVED.inc(len(rmse))
-        offset = 0
-        for region, cand in slots:
-            k = len(cand)
-            per[region]["rmse"][cand] = rmse[offset:offset + k]
-            per[region]["sse"][cand] = sse[offset:offset + k]
-            per[region]["dof"][cand] = dof[offset:offset + k]
-            offset += k
-
-    def _solve_dirty(self) -> None:
-        """Re-roll the regions whose stacks moved; re-solve what that dirtied."""
-        builder = self.builder
-        # Per level: dirty problems gathered across every touched region,
-        # solved by one batched call after the loop.
-        pending: list[list[StackedSuffStats]] = [[] for __ in builder._levels]
-        slots: list[list[tuple[Region, np.ndarray]]] = [
-            [] for __ in builder._levels
-        ]
-        for region, dirty_cells in self._dirty.items():
-            stack = self._stacks[region]
-            for lvl, (__, rm, keep) in enumerate(builder._levels):
-                keep_sidx = np.array([s_idx for s_idx, __s, __n in keep])
-                rolled = stack.rollup(rm.subset_of_base, len(rm.subsets)).select(
-                    keep_sidx
-                )
-                old = self._errors[lvl].get(region)
-                per = self._blank_errors(len(keep), rolled.n)
-                if old is not None:
-                    # Clean subsets' base cells did not move: their cached
-                    # solutions are still bit-exact.  Only dirty subsets
-                    # (those receiving a dirty base cell) re-enter the solver.
-                    dirty_s = np.unique(rm.subset_of_base[dirty_cells])
-                    dirty_pos = np.flatnonzero(np.isin(keep_sidx, dirty_s))
-                    clean = np.setdiff1d(
-                        np.arange(len(keep)), dirty_pos, assume_unique=True
-                    )
-                    for key in ("rmse", "sse", "dof"):
-                        per[key][clean] = old[key][clean]
-                else:
-                    # A region the solutions have not seen: all of it.
-                    dirty_pos = np.flatnonzero(rolled.n > 0)
-                self._errors[lvl][region] = per
-                cand = dirty_pos[rolled.n[dirty_pos] >= builder.min_examples]
-                if len(cand):
-                    pending[lvl].append(rolled.select(cand))
-                    slots[lvl].append((region, cand))
-        for lvl in range(len(builder._levels)):
-            self._scatter_solutions(self._errors[lvl], pending[lvl], slots[lvl])
+        tables = builder.level_tables({r: self._stacks[r] for r in self._dirty})
+        for (__, rm, __keep), table, per in zip(
+            builder._levels, tables, self._errors
+        ):
+            n = table.stats.n.reshape(table.n_regions, table.n_subsets)
+            # A region the solutions have not seen is stale everywhere.  In
+            # a known one only the subsets receiving a dirty base cell
+            # re-enter the solver: the others' base cells did not move, so
+            # their cached solutions are still bit-exact.
+            stale = np.stack(
+                [
+                    np.isin(table.keep_sidx, rm.subset_of_base[cells])
+                    if region in per
+                    else np.ones(table.n_subsets, dtype=bool)
+                    for region, cells in self._dirty.items()
+                ]
+            )
+            todo = stale & (n >= builder.min_examples)
+            solved = solve_where(table.stats, todo)
+            _CELLS_RESOLVED.inc(int(todo.sum()))
+            for i, region in enumerate(table.regions):
+                if region in per:
+                    for new, old in zip(solved, per[region][1:]):
+                        new[i, ~stale[i]] = old[~stale[i]]
+                per[region] = (n[i], *(new[i] for new in solved))
         self._dirty = {}
 
     def _forget_region(self, region: Region) -> None:
         self._stacks.pop(region, None)
         self._dirty.pop(region, None)
-        for per in self._errors or ():
+        for per in self._errors:
             per.pop(region, None)
 
     def _dirty_cells(self, item_ids: np.ndarray) -> np.ndarray:
@@ -345,20 +252,17 @@ class IncrementalCubeMaintainer:
         region: Region,
         block,
         dirty_cells: np.ndarray,
-        deltas: list,
     ) -> StackedSuffStats:
-        """The region's updated base-cell stack (exact or algebraic)."""
+        """The region's updated base-cell stack, dirty cells recomputed."""
         builder = self.builder
         old = self._stacks.get(region)
         rows_item = builder._index.rows_of(block.item_ids)
         cell_of_row = builder._cell_of_item[rows_item]
         if old is None:
             return builder._cell_stats_stack(block, cell_of_row, self._n_cells)
-        if self.mode == "merge":
-            return self._merge_stack(region, old, deltas)
-        # Exact mode: recompute the dirty cells from the updated block.
-        # Rows reach from_data in ascending row order — the same order the
-        # builder's stable-argsort grouping uses — so recomputed statistics
+        # Recompute the dirty cells from the updated block.  Rows reach
+        # from_data in ascending row order — the same order the builder's
+        # stable-argsort grouping uses — so recomputed statistics
         # are bit-identical to a scratch pass; clean cells' rows did not
         # move relative to each other and keep their cached bits.
         stack = old.copy()
@@ -380,114 +284,30 @@ class IncrementalCubeMaintainer:
             stack.assign(dirty_cells, StackedSuffStats.from_stats(refreshed))
         return stack
 
-    def _merge_stack(
-        self,
-        region: Region,
-        old: StackedSuffStats,
-        deltas: list,
-    ) -> StackedSuffStats:
-        """``cached + g(appended rows) − g(removed rows)``, per base cell."""
-        stack = old
-        for applied in deltas:
-            bd = applied.delta.blocks.get(region)
-            if bd is not None and bd.append is not None:
-                stack = stack + self._rows_stack(bd.append)
-            removed = applied.removed.get(region)
-            if removed is not None and removed.n_examples:
-                stack = stack - self._rows_stack(removed)
-        return stack
-
-    def _rows_stack(self, block) -> StackedSuffStats:
-        """Delta rows (restricted to the builder's items) grouped by cell."""
-        builder = self.builder
-        sub = block.restrict_to(builder._ids)
-        if sub.n_examples == 0:
-            return StackedSuffStats.zeros(self._n_cells, self._p)
-        rows_item = builder._index.rows_of(sub.item_ids)
-        cells = builder._cell_of_item[rows_item]
-        return StackedSuffStats.from_groups(
-            add_intercept(sub.x), sub.y, sub.weights, cells, self._n_cells
-        )
-
-    # ------------------------------------------------------------ cube tables
-
-    def level_tables(self) -> list:
-        """The stacks as materialized per-level cube tables.  No solves.
-
-        One :class:`~repro.storage.cubetables.LevelTable` per significant
-        lattice level: every held region's base cells rolled up to the
-        level's significant subsets, region-major — bit-identical to the
-        rollup ``build("optimized")`` performs, so a cube built from these
-        tables (:meth:`BellwetherCubeBuilder.build_from_tables`) matches a
-        scratch build exactly.  Requires stacks (:meth:`advance` or
-        :meth:`refresh` first).
-        """
-        from repro.storage import LevelTable
-
-        if self._version is None:
-            raise ConfigError("advance() the maintainer before level_tables()")
-        builder = self.builder
-        regions = tuple(self._ordered_regions())
-        tables: list = []
-        for level, rm, keep in builder._levels:
-            keep_sidx = np.array(
-                [s_idx for s_idx, __s, __n in keep], dtype=np.int64
-            )
-            per = [
-                self._stacks[r]
-                .rollup(rm.subset_of_base, len(rm.subsets))
-                .select(keep_sidx)
-                for r in regions
-            ]
-            stats = (
-                StackedSuffStats.concatenate(per)
-                if per
-                else StackedSuffStats.zeros(0, self._p)
-            )
-            tables.append(
-                LevelTable(
-                    level=tuple(level),
-                    regions=regions,
-                    keep_sidx=keep_sidx,
-                    stats=stats,
-                )
-            )
-        return tables
-
     # ----------------------------------------------------------------- result
 
     def _result_from_cache(self) -> BellwetherCubeResult:
         """Winners from the cached per-(level, region) errors — no solves.
 
-        Replays the builder's tie-breaking: per subset, candidates (enough
-        examples) in store-region order, first strict minimum wins.
+        The builder's selection over the held regions in store order, so
+        refreshed picks match a rebuild exactly.
         """
         builder = self.builder
         regions = self._ordered_regions()
         best: dict = {}
-        for lvl, (__, __rm, keep) in enumerate(builder._levels):
-            per = self._errors[lvl]
-            if not regions:
-                continue
-            n_mat = np.stack([per[r]["n"] for r in regions])
-            rmse_mat = np.stack([per[r]["rmse"] for r in regions])
-            cand = n_mat >= builder.min_examples
-            for j, (__s_idx, subset, __n) in enumerate(keep):
-                hits = np.flatnonzero(cand[:, j])
-                if not len(hits):
-                    continue
-                k = hits[_first_strict_min(rmse_mat[hits, j])]
-                winner = regions[k]
-                best[subset] = (
-                    winner,
-                    ErrorEstimate(
-                        rmse=float(per[winner]["rmse"][j]),
-                        kind="training",
-                        sse=float(per[winner]["sse"][j]),
-                        dof=int(per[winner]["dof"][j]),
-                    ),
+        for (__, __rm, keep), per in zip(
+            builder._levels, self._errors if regions else ()
+        ):
+            n, rmse, sse, dof = (
+                np.stack(column) for column in zip(*(per[r] for r in regions))
+            )
+            best.update(
+                builder._winners(
+                    keep, regions, n >= builder.min_examples, rmse, sse, dof
                 )
-        entries = builder._entries_from_best(best)
+            )
         return BellwetherCubeResult(
-            entries, builder.hierarchies, builder.confidence
+            builder._entries_from_best(best),
+            builder.hierarchies,
+            builder.confidence,
         )

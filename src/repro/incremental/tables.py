@@ -81,7 +81,8 @@ def build_cube_tables(
         except StorageError:
             _BASE_MISSES.inc()
         sp.annotate(source=maintainer.advance())
-        tables = maintainer.level_tables()
-        table_store.save(tables, signature, store_version, maintainer.stacks)
+        stacks = maintainer.stacks
+        tables = builder.level_tables(stacks)
+        table_store.save(tables, signature, store_version, stacks)
         _BUILDS.inc()
     return tables

@@ -18,10 +18,8 @@ from .metrics import (
     mse,
     rmse,
 )
-from .regression_tree import RegressionTree
 from .suffstats import (
     LinearSuffStats,
-    RowProducts,
     StackedSuffStats,
     add_intercept,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "LinearSuffStats",
     "ModelError",
     "NotFittedError",
-    "RegressionTree",
-    "RowProducts",
     "StackedSuffStats",
     "TrainingSetEstimator",
     "add_intercept",

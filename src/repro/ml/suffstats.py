@@ -250,25 +250,6 @@ class StackedSuffStats:
         )
 
     @classmethod
-    def from_groups(
-        cls,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray | None,
-        groups: np.ndarray,
-        n_groups: int,
-    ) -> "StackedSuffStats":
-        """``g(S_k)`` for every group in one vectorized pass.
-
-        ``groups[i]`` assigns row ``i`` of the design matrix to problem
-        ``groups[i]``; rows never revisit Python.  Summation runs in row
-        order within each group (segment sums over the sorted rows), so the
-        result matches per-group :meth:`LinearSuffStats.from_data` up to
-        float associativity.
-        """
-        return RowProducts(x, y, w).group(groups, n_groups)
-
-    @classmethod
     def from_binary_splits(
         cls,
         x: np.ndarray,
@@ -361,26 +342,6 @@ class StackedSuffStats:
             self.xtwy + other.xtwy,
             self.n + other.n,
             self.sum_w + other.sum_w,
-        )
-
-    def __sub__(self, other: "StackedSuffStats") -> "StackedSuffStats":
-        """Element-wise retraction: problem i sheds the other's problem i.
-
-        The stacked form of :meth:`LinearSuffStats.__sub__`; the incremental
-        maintainer uses it to retract delta rows from cached cell statistics
-        without rescanning the surviving rows.
-        """
-        if len(self) != len(other) or self.p != other.p:
-            raise FitError(
-                f"cannot subtract stacks of shape ({len(self)}, p={self.p}) "
-                f"and ({len(other)}, p={other.p})"
-            )
-        return StackedSuffStats(
-            self.ytwy - other.ytwy,
-            self.xtwx - other.xtwx,
-            self.xtwy - other.xtwy,
-            self.n - other.n,
-            self.sum_w - other.sum_w,
         )
 
     def copy(self) -> "StackedSuffStats":
@@ -501,70 +462,30 @@ class StackedSuffStats:
         fitted = np.matmul(self.xtwy[:, None, :], beta[:, :, None])[:, 0, 0]
         return np.maximum(self.ytwy - fitted, 0.0)
 
+    def _mse_dof(self) -> np.ndarray:
+        """``n − p``, falling back to ``n`` where the model interpolates."""
+        dof = self.n - self.p
+        return np.where(dof <= 0, self.n, dof)
+
     def mse(self, ridge: float = 0.0) -> np.ndarray:
         """Batched weighted MSE with ``n − p`` degrees of freedom."""
-        dof = self.n - self.p
-        dof = np.where(dof <= 0, self.n, dof)
-        return self.sse(ridge=ridge) / dof
+        return self.sse(ridge=ridge) / self._mse_dof()
 
     def rmse(self, ridge: float = 0.0) -> np.ndarray:
         return np.sqrt(self.mse(ridge=ridge))
+
+    def training_errors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rmse, sse, dof)`` of every problem from one batched solve.
+
+        The triplet :class:`~repro.ml.TrainingSetEstimator` reports for the
+        same statistics, bit for bit — what a cube cell or a region profile
+        stores as its :class:`~repro.ml.ErrorEstimate`.
+        """
+        sse = self.sse()
+        return np.sqrt(sse / self._mse_dof()), sse, self.dof
 
     @property
     def dof(self) -> np.ndarray:
         """Per-problem residual degrees of freedom (clamped to at least 1)."""
         return np.maximum(self.n - self.p, 1)
 
-
-class RowProducts:
-    """Per-row outer products of one design block, segment-summed per group.
-
-    The kernel behind :meth:`StackedSuffStats.from_groups`, whose one caller
-    is the incremental maintainer (the statistics of a delta's rows, grouped
-    by base cell).  Computing ``x_i x_i'w_i`` once and segment-summing makes
-    a grouping O(n·p²) array work with no Python per-row cost.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2:
-            raise FitError(f"x must be 2-D, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
-        if w is None:
-            xw = x
-            self._row_w = np.ones(x.shape[0])
-        else:
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != y.shape:
-                raise FitError(f"w has shape {w.shape}, expected {y.shape}")
-            if (w <= 0).any():
-                raise FitError("weights must be strictly positive")
-            xw = x * w[:, None]
-            self._row_w = w
-        self.n_rows, self.p = x.shape
-        self._xtwx = np.einsum("ij,ik->ijk", x, xw)
-        self._xtwy = xw * y[:, None]
-        self._ytwy = (y * y) * self._row_w
-
-    def group(self, groups: np.ndarray, n_groups: int) -> StackedSuffStats:
-        """Segment-sum the row products into one problem per group."""
-        groups = np.asarray(groups, dtype=np.int64)
-        if groups.shape != (self.n_rows,):
-            raise FitError(
-                f"groups has shape {groups.shape}, expected ({self.n_rows},)"
-            )
-        out = StackedSuffStats.zeros(n_groups, self.p)
-        if self.n_rows == 0:
-            return out
-        order = np.argsort(groups, kind="stable")
-        sorted_groups = groups[order]
-        starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
-        present = sorted_groups[starts]
-        out.ytwy[present] = np.add.reduceat(self._ytwy[order], starts)
-        out.xtwx[present] = np.add.reduceat(self._xtwx[order], starts, axis=0)
-        out.xtwy[present] = np.add.reduceat(self._xtwy[order], starts, axis=0)
-        out.sum_w[present] = np.add.reduceat(self._row_w[order], starts)
-        out.n[present] = np.diff(np.append(starts, self.n_rows))
-        return out

@@ -191,25 +191,27 @@ class TrainingDataStore:
         """
         from .delta import AppliedDelta, apply_block_delta
 
-        removed: dict[Region, RegionBlock] = {}
         new_regions: list[Region] = []
+        touched: dict[Region, np.ndarray] = {}
         for region in delta.drop_regions:
-            try:
-                removed[region] = blocks.pop(region)
-            except KeyError:
-                raise StorageError(f"cannot drop unknown region {region}") from None
+            if blocks.pop(region, None) is None:
+                raise StorageError(f"cannot drop unknown region {region}")
         for region, bd in delta.blocks.items():
             old = blocks.get(region)
             if old is None:
                 new_regions.append(region)
             new, gone = apply_block_delta(old, bd, len(self.feature_names))
             blocks[region] = new
-            if gone is not None and gone.n_examples:
-                removed[region] = gone
+            # Only the ids are kept: the changelog outlives the rows.
+            touched[region] = np.unique(
+                np.concatenate(
+                    [b.item_ids for b in (bd.append, gone) if b is not None]
+                )
+            )
         return AppliedDelta(
             version=self.version + 1,
-            delta=delta,
-            removed=removed,
+            touched=touched,
+            drop_regions=tuple(delta.drop_regions),
             new_regions=tuple(new_regions),
         )
 

@@ -9,7 +9,7 @@ geometry signature:
 * the **level tables** — per lattice level, the rolled-up
   :class:`~repro.ml.StackedSuffStats` of every (region, significant subset)
   problem, the exact arrays
-  :meth:`~repro.core.cube.BellwetherCubeBuilder._rollup_batched` computes.
+  :meth:`~repro.core.cube.BellwetherCubeBuilder.level_tables` computes.
   A warm cube build loads them and runs one batched solve per level without
   ever touching facts (``store.full_scans`` stays at zero);
 * the **base-cell table** — every region's statistics over the finest

@@ -23,7 +23,7 @@ bit-for-bit identical to a from-scratch pass over the updated block.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,31 +95,28 @@ class StoreDelta:
 
 @dataclass(frozen=True)
 class AppliedDelta:
-    """A delta as the store actually absorbed it (one changelog entry).
+    """One changelog entry: *what moved* under a delta, never the rows.
 
-    Besides the requested :class:`StoreDelta`, records the rows that were
-    *actually removed* per region — retraction requests name item ids, but
-    algebraic retraction (``stats - g(removed rows)``) needs the removed
-    rows' values, which only the store had at apply time.
+    ``touched`` maps every region whose block the delta changed (in the
+    delta's order) to the item ids whose rows actually moved there —
+    appended ids plus the ids the store really removed (a retraction naming
+    an absent id moves nothing).  Whoever needs the new values reads the
+    region; nothing here pins a :class:`RegionBlock` or the caller's
+    :class:`StoreDelta`.
     """
 
     version: int
-    delta: StoreDelta
-    removed: Mapping[Region, RegionBlock] = field(default_factory=dict)
+    touched: Mapping[Region, np.ndarray]
+    drop_regions: tuple[Region, ...] = ()
     new_regions: tuple[Region, ...] = ()
+
+    @property
+    def touched_regions(self) -> tuple[Region, ...]:
+        return tuple(self.touched) + tuple(self.drop_regions)
 
     def touched_items(self, region: Region) -> np.ndarray:
         """Item ids whose rows moved in ``region`` under this delta."""
-        parts = []
-        bd = self.delta.blocks.get(region)
-        if bd is not None and bd.append is not None:
-            parts.append(np.asarray(bd.append.item_ids))
-        removed = self.removed.get(region)
-        if removed is not None and removed.n_examples:
-            parts.append(np.asarray(removed.item_ids))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        return self.touched.get(region, np.empty(0, dtype=np.int64))
 
 
 def apply_block_delta(

@@ -7,7 +7,6 @@ Public surface:
 * :func:`group_by`, :class:`AggregateSpec` — aggregation.
 * :func:`natural_join`, :func:`inner_join`, :func:`semi_join` — joins.
 * :func:`cube`, :func:`rollup`, :data:`ALL` — the CUBE operator.
-* :func:`iceberg_cube`, :func:`iceberg_distinct_count` — thresholded cubes.
 * :class:`Database`, :class:`Reference` — star schemas.
 * :func:`load_csv`, :func:`save_csv` — persistence.
 """
@@ -24,7 +23,6 @@ from .errors import (
     TableError,
 )
 from .groupby import count_rows_per_group, distinct_rows, factorize, group_by, group_codes
-from .iceberg import iceberg_cube, iceberg_distinct_count
 from .joins import inner_join, left_join, natural_join, semi_join
 from .predicates import And, Between, Eq, Ge, In, Lt, Not, Or, Predicate, Where
 from .query import Query
@@ -62,8 +60,6 @@ __all__ = [
     "factorize",
     "group_by",
     "group_codes",
-    "iceberg_cube",
-    "iceberg_distinct_count",
     "inner_join",
     "left_join",
     "load_csv",

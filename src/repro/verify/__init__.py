@@ -37,7 +37,6 @@ from .oracles import (
     ops_delta,
     registry,
     scans_delta,
-    scratch_stacks,
 )
 from .runner import (
     DEFAULT_CORPUS,
@@ -90,7 +89,6 @@ __all__ = [
     "run_rounds",
     "run_workload",
     "scans_delta",
-    "scratch_stacks",
     "shrink",
     "tree_signature",
     "write_artifact",

@@ -3,13 +3,12 @@
 Every comparison is expressed against a :class:`Tolerance`:
 
 * :data:`EXACT` — bit-for-bit.  The suffstats-algebra paths (batched vs.
-  per-problem solves, parallel vs. serial fan-out, exact-mode incremental
-  refresh) promise this, because float addition of the *same addends in the
+  per-problem solves, parallel vs. serial fan-out, incremental refresh)
+  promise this, because float addition of the *same addends in the
   same order* and LAPACK solves of the same matrices are deterministic.
 * :data:`APPROX` — ``rtol=1e-6`` / ``atol=1e-9``.  For paths that compute
   the same quantity through different float orderings: refits vs. Theorem 1
-  rollups, merge-mode incremental refresh (``cached + g(appended) −
-  g(removed)``), and anything through the pinv fallback.
+  rollups, and anything through the pinv fallback.
 
 Comparisons return a list of :class:`Mismatch` records (empty = equivalent)
 so the differential runner can report, shrink, and serialize them; the
@@ -311,7 +310,7 @@ def diff_stacks(oracle, candidate, tol: Tolerance = EXACT, label: str = "stacks"
     """Diff two region -> :class:`~repro.ml.StackedSuffStats` mappings.
 
     The integer example counts ``n`` must match exactly under *any*
-    tolerance — merge-mode float drift never changes how many rows each
+    tolerance — float drift never changes how many rows each
     base cell aggregates, so a count divergence is always a real fault
     (e.g. a skipped retraction), even at sizes where residual-based
     signals drown in interpolation noise.

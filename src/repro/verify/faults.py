@@ -18,20 +18,21 @@ __all__ = ["FAULTS", "inject"]
 
 @contextmanager
 def _skip_retraction():
-    """Merge-mode refresh 'forgets' to subtract retracted rows.
+    """A refresh 'forgets' to write its recomputed dirty cells back.
 
-    ``StackedSuffStats.__sub__`` is what ``IncrementalCubeMaintainer``
-    uses in merge mode to retire removed examples from a cached stack;
-    returning the cached stack unchanged models a dropped retraction.
-    The integer example counts then disagree with a scratch rebuild, so
-    the ``cube-refresh`` stack audit must flag it at any workload size.
+    ``StackedSuffStats.assign`` is how ``IncrementalCubeMaintainer`` lands
+    the statistics it recomputed for the cells a delta touched; returning
+    without writing leaves retracted (and appended) rows' old sums in the
+    cached stack — a dropped retraction.  The integer example counts then
+    disagree with a scratch rebuild, so the ``cube-refresh`` stack audit
+    must flag it at any workload size.
     """
-    original = StackedSuffStats.__sub__
-    StackedSuffStats.__sub__ = lambda self, other: self.copy()
+    original = StackedSuffStats.assign
+    StackedSuffStats.assign = lambda self, idx, other: None
     try:
         yield
     finally:
-        StackedSuffStats.__sub__ = original
+        StackedSuffStats.assign = original
 
 
 FAULTS = {

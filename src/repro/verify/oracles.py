@@ -69,7 +69,6 @@ __all__ = [
     "ops_delta",
     "registry",
     "scans_delta",
-    "scratch_stacks",
 ]
 
 #: The operation counters the refresh-vs-scratch speedup gates sum over.
@@ -155,24 +154,6 @@ def get_class(name: str) -> OracleClass:
         raise KeyError(
             f"unknown oracle class {name!r}; have {sorted(_REGISTRY)}"
         ) from None
-
-
-def scratch_stacks(builder: BellwetherCubeBuilder):
-    """Per-region base-cell suffstats recomputed from scratch.
-
-    The reference the maintainer's cached stacks are audited against —
-    the same per-cell grouping the optimized builder scans for.
-    """
-    stacks = {}
-    n_cells = len(builder._cells)
-    for region, block in builder.store.scan():
-        block = block.restrict_to(builder._ids)
-        if block.n_examples == 0:
-            continue
-        rows_item = builder._index.rows_of(block.item_ids)
-        cell_of_row = builder._cell_of_item[rows_item]
-        stacks[region] = builder._cell_stats_stack(block, cell_of_row, n_cells)
-    return stacks
 
 
 # ------------------------------------------------------------- cube methods
@@ -361,48 +342,45 @@ def _search_refresh(w: Workload) -> list[Mismatch]:
 
 @_oracle_class(
     "cube-refresh",
-    "IncrementalCubeMaintainer.refresh() (exact and merge modes) after a "
-    "delta stream vs a scratch optimized build, plus a suffstats-stack audit",
+    "IncrementalCubeMaintainer.refresh() after a delta stream vs a scratch "
+    "optimized_serial build, plus a suffstats-stack audit",
 )
 def _cube_refresh(w: Workload) -> list[Mismatch]:
-    out: list[Mismatch] = []
-    for mode in ("exact", "merge"):
-        ds, gen, regions, store = w.deployed()
-        builder = BellwetherCubeBuilder(
-            ds.task,
-            store,
-            ds.hierarchies,
-            min_subset_size=w.min_subset_size,
-            min_examples=w.min_examples,
-        )
-        maintainer = builder.incremental(mode=mode)
-        maintainer.refresh()
-        w.apply_stream(gen, regions, store)
+    ds, gen, regions, store = w.deployed()
+    builder = BellwetherCubeBuilder(
+        ds.task,
+        store,
+        ds.hierarchies,
+        min_subset_size=w.min_subset_size,
+        min_examples=w.min_examples,
+    )
+    maintainer = builder.incremental()
+    maintainer.refresh()
+    w.apply_stream(gen, regions, store)
 
-        io0 = store.stats.snapshot()
-        refreshed = maintainer.refresh()
-        io = store.stats - io0
-        out += _expect(f"{mode}.full_scans", 0, io.full_scans)
+    io0 = store.stats.snapshot()
+    refreshed = maintainer.refresh()
+    io = store.stats - io0
+    out = _expect("exact.full_scans", 0, io.full_scans)
 
-        scratch_builder = BellwetherCubeBuilder(
-            ds.task,
-            store,
-            ds.hierarchies,
-            min_subset_size=w.min_subset_size,
-            min_examples=w.min_examples,
-        )
-        scratch = scratch_builder.build("optimized")
-        # Merge-mode stacks carry `cached + g(appended) - g(removed)` float
-        # drift, so their errors inherit the same cancellation noise floor
-        # as a refit; exact mode promises identical bits.
-        tol = EXACT if mode == "exact" else error_tolerance(store)
-        out += diff_cubes(scratch, refreshed, tol, label=f"{mode}.cube")
-        out += diff_stacks(
-            scratch_stacks(scratch_builder),
-            maintainer.stacks,
-            tol,
-            label=f"{mode}.stacks",
-        )
+    scratch_builder = BellwetherCubeBuilder(
+        ds.task,
+        store,
+        ds.hierarchies,
+        min_subset_size=w.min_subset_size,
+        min_examples=w.min_examples,
+    )
+    # refresh() shares rollup, solve and select with build("optimized"),
+    # so it is judged against the per-pair reference, which shares none
+    # (and which cube-methods proves bit-equal to the batched build).
+    scratch = scratch_builder.build("optimized_serial")
+    out += diff_cubes(scratch, refreshed, EXACT, label="exact.cube")
+    out += diff_stacks(
+        scratch_builder.scan_stacks(),
+        maintainer.stacks,
+        EXACT,
+        label="exact.stacks",
+    )
     return out
 
 
@@ -459,9 +437,9 @@ def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatc
         min_subset_size=w.min_subset_size,
         min_examples=w.min_examples,
     )
-    maintainer = scratch_builder.incremental(mode="exact")
-    maintainer.refresh()
-    direct.evaluate_from_tables(maintainer.level_tables())
+    direct.evaluate_from_tables(
+        scratch_builder.level_tables(scratch_builder.scan_stacks())
+    )
     out: list[Mismatch] = []
     for budget in w.budgets:
         for items in (None, *subsets):
@@ -605,7 +583,7 @@ def _direct_reference(w: Workload, ds, store) -> BasicBellwetherSearch:
     """The exact in-process reference at the store's current version.
 
     Same construction as :func:`_serve_round`: the all-items profile comes
-    from scratch-built exact-mode cube tables (bit-for-bit what the server
+    from scratch-built cube tables (bit-for-bit what the server
     rolls from its own tables), subsets from the raw path.
     """
     direct = BasicBellwetherSearch(ds.task, store, min_examples=w.min_examples)
@@ -616,9 +594,9 @@ def _direct_reference(w: Workload, ds, store) -> BasicBellwetherSearch:
         min_subset_size=w.min_subset_size,
         min_examples=w.min_examples,
     )
-    maintainer = scratch_builder.incremental(mode="exact")
-    maintainer.refresh()
-    direct.evaluate_from_tables(maintainer.level_tables())
+    direct.evaluate_from_tables(
+        scratch_builder.level_tables(scratch_builder.scan_stacks())
+    )
     return direct
 
 

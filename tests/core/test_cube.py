@@ -197,3 +197,99 @@ class TestScalarFallbackCount:
         # One exactly singular matrix makes stacked LAPACK refuse its whole
         # batch, so every problem riding with it is re-solved too.
         assert counted == refused >= deficient > 0
+
+
+class TestOneRollup:
+    """``level_tables`` (one scatter-add per level over every region handed
+    in) against the per-region rollup written out below, bit for bit."""
+
+    @staticmethod
+    def _reference(builder, stacks):
+        # The reference: what level_tables did before it was batched.
+        out = []
+        for level, rm, keep in builder._levels:
+            keep_sidx = np.array([s_idx for s_idx, __, __ in keep])
+            per = [
+                stack.rollup(rm.subset_of_base, len(rm.subsets)).select(keep_sidx)
+                for stack in stacks.values()
+            ]
+            out.append((tuple(level), keep_sidx, per))
+        return out
+
+    @classmethod
+    def _assert_bit_equal(cls, builder, stacks):
+        tables = builder.level_tables(stacks)
+        reference = cls._reference(builder, stacks)
+        assert len(tables) == len(reference) == builder.n_levels
+        for table, (level, keep_sidx, per) in zip(tables, reference):
+            assert table.level == level
+            assert table.regions == tuple(stacks)
+            assert np.array_equal(table.keep_sidx, keep_sidx)
+            for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+                got = getattr(table.stats, name)
+                want = np.concatenate([getattr(s, name) for s in per])
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (level, name)
+
+    @pytest.fixture(scope="class")
+    def mailorder(self):
+        from repro.core import build_store
+        from repro.datasets import make_mailorder
+
+        ds = make_mailorder(n_items=60, n_months=4, seed=1)
+        store, __, __ = build_store(ds.task)
+        return ds, store
+
+    @pytest.mark.parametrize("case", ["plain", "weighted", "restricted", "empty-region"])
+    def test_matches_per_region_rollup(self, mailorder, case):
+        from repro.dimensions import Region
+        from repro.storage import MemoryStore, RegionBlock
+
+        ds, store = mailorder
+        kwargs = {"min_subset_size": 5}
+        if case == "weighted":
+            rng = np.random.default_rng(4)
+            store = MemoryStore(
+                {
+                    r: RegionBlock(
+                        b.item_ids, b.x, b.y, rng.uniform(0.5, 2.0, b.n_examples)
+                    )
+                    for r, b in ((r, store.read(r)) for r in store.regions())
+                },
+                store.feature_names,
+            )
+        elif case == "restricted":
+            kwargs["item_ids"] = list(np.asarray(ds.task.item_ids)[::2])
+        elif case == "empty-region":
+            blocks = {r: store.read(r) for r in store.regions()}
+            first = next(iter(blocks.values()))
+            hollow = RegionBlock(first.item_ids[:0], first.x[:0], first.y[:0])
+            store = MemoryStore(
+                {Region(("nowhere", "nothing")): hollow, **blocks},
+                store.feature_names,
+            )
+        builder = BellwetherCubeBuilder(ds.task, store, ds.hierarchies, **kwargs)
+        stacks = builder.scan_stacks()
+        assert len(stacks) == len(store.regions()) - (case == "empty-region")
+        self._assert_bit_equal(builder, stacks)
+        # Whatever regions it is handed, in whatever order: a refresh rolls
+        # up only the touched ones.
+        some = {r: stacks[r] for r in reversed(list(stacks)[1::3])}
+        self._assert_bit_equal(builder, some)
+        for table in builder.level_tables({}):
+            assert (table.regions, len(table.stats)) == ((), 0)
+
+    def test_optimized_build_is_one_scan_and_a_solve_per_level(self, mailorder):
+        from repro.obs import get_registry
+
+        ds, store = mailorder
+        builder = BellwetherCubeBuilder(
+            ds.task, store, ds.hierarchies, min_subset_size=5
+        )
+        solves = get_registry().counter("ml.linear.batched_solves")
+        io0, solves0 = store.stats.snapshot(), solves.value
+        cube = builder.build("optimized")
+        io = store.stats - io0
+        assert (io.full_scans, io.region_reads) == (1, 0)  # Lemma 2
+        assert 0 < solves.value - solves0 <= builder.n_levels
+        assert len(cube) == len(builder.significant_subsets)

@@ -1,5 +1,8 @@
 """Versioned stores: delta apply semantics, changelog, and history limits."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -119,18 +122,20 @@ class TestMemoryStoreVersioning:
         (applied,) = store.deltas_since(0)
         assert applied.version == 1
         assert applied.new_regions == (C,)
-        removed = applied.removed[B]
-        assert removed.item_ids.tolist() == [4]
-        assert np.array_equal(removed.x, before_b.x[before_b.item_ids == 4])
-        assert set(applied.touched_items(B).tolist()) == {4}
+        # Only the id the store really removed is named — never its rows.
+        assert applied.touched_items(B).tolist() == [4]
         assert set(applied.touched_items(C).tolist()) == {8, 9}
+        assert tuple(applied.touched) == (B, C)
+        assert store.read(B).item_ids.tolist() == before_b.item_ids[:1].tolist()
 
     def test_drop_region_records_the_whole_block(self, store):
-        gone = store.read(A)
         store.apply_delta(StoreDelta({}, drop_regions=(A,)))
         assert A not in store.regions()
         (applied,) = store.deltas_since(0)
-        assert np.array_equal(applied.removed[A].x, gone.x)
+        # A drop names the region; the block itself is not kept anywhere.
+        assert applied.drop_regions == (A,)
+        assert applied.touched_regions == (A,)
+        assert len(applied.touched_items(A)) == 0
 
     def test_drop_unknown_region_is_an_error(self, store):
         with pytest.raises(StorageError, match="cannot drop unknown region"):
@@ -151,6 +156,44 @@ class TestMemoryStoreVersioning:
                 StoreDelta({A: BlockDelta(append=_block([10 + i], seed=20 + i))})
             )
         assert [d.version for d in store.deltas_since(1)] == [2, 3]
+
+
+def _reachable(root):
+    """Every object reachable from ``root``, code and classes excluded."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+def test_changelog_names_what_moved_and_holds_no_rows(store, tmp_path, on_disk):
+    """After an append, a retraction and a region drop the changelog keeps
+    item-id vectors and region tuples only: no block, no delta, no values."""
+    if on_disk:
+        store = DiskStore.from_memory(tmp_path, store)
+    appended = _block([7, 8], seed=12)
+    store.apply_delta(StoreDelta({A: BlockDelta(append=appended)}))
+    store.apply_delta(StoreDelta({A: BlockDelta(retract_ids=np.array([1, 99]))}))
+    store.apply_delta(StoreDelta({C: BlockDelta(append=_block([5]))}, (B,)))
+
+    held = _reachable(store._changelog)
+    assert not [o for o in held if isinstance(o, (RegionBlock, StoreDelta, BlockDelta))]
+    arrays = [o for o in held if isinstance(o, np.ndarray)]
+    assert arrays and all(a.dtype.kind in "iuU" and a.ndim == 1 for a in arrays)
+    assert not any(a is appended.item_ids or a.base is not None for a in arrays)
+
+    first, second, third = store.deltas_since(0)
+    assert first.touched_items(A).tolist() == [7, 8]
+    assert second.touched_items(A).tolist() == [1]  # 99 was never there
+    assert (third.drop_regions, third.new_regions) == ((B,), (C,))
+    assert third.touched_regions == (C, B)
+    assert len(third.touched_items(B)) == 0
 
 
 class TestDiskStoreVersioning:

@@ -1,12 +1,11 @@
 """Property-based tests for the suffstats *delta* algebra.
 
-The incremental layer leans on three algebraic facts beyond Theorem 1's
-merge: retraction inverts merge (``(s + d) - d == s``), merge order never
-changes the answer beyond float associativity, and the stacked rollup is
-the same sum the scalar path computes.  Seeded-random generators cover the
-well-conditioned case and near-/exactly-singular blocks (duplicated
-columns), where the pinv fallback must stay consistent between the scalar
-and stacked solvers.
+Algebraic facts beyond Theorem 1's merge: scalar retraction inverts merge
+(``(s + d) - d == s``), merge order never changes the answer beyond float
+associativity, and the stacked rollup is the same sum the scalar path
+computes.  Seeded-random generators cover the well-conditioned case and
+near-/exactly-singular blocks (duplicated columns), where the pinv fallback
+must stay consistent between the scalar and stacked solvers.
 """
 
 import numpy as np
@@ -35,6 +34,16 @@ def blocks(draw, singular_allowed=True):
     return x, y, w
 
 
+def _cell_stack(x, y, w, cells, n_cells) -> StackedSuffStats:
+    """One problem per cell, each from ``from_data`` over the cell's rows."""
+    return StackedSuffStats.from_stats(
+        [
+            LinearSuffStats.from_data(x[cells == c], y[cells == c], w[cells == c])
+            for c in range(n_cells)
+        ]
+    )
+
+
 def _assert_stats_close(a: LinearSuffStats, b: LinearSuffStats) -> None:
     assert a.n == b.n
     assert np.isclose(a.sum_w, b.sum_w, rtol=1e-9)
@@ -53,30 +62,6 @@ def test_merge_retract_round_trip(block, data):
     d = LinearSuffStats.from_data(x[cut:], y[cut:], w[cut:])
     back = (s + d) - d
     _assert_stats_close(back, s)
-
-
-@given(blocks(), st.data())
-@settings(max_examples=60, deadline=None)
-def test_stacked_merge_retract_round_trip(block, data):
-    """The stacked form of the round trip, over a random cell grouping."""
-    x, y, w = block
-    n_cells = data.draw(st.integers(1, 4))
-    seed = data.draw(st.integers(0, 10_000))
-    rng = np.random.default_rng(seed)
-    cells = rng.integers(0, n_cells, size=len(y))
-    cut = data.draw(st.integers(1, len(y) - 1))
-    s = StackedSuffStats.from_groups(
-        x[:cut], y[:cut], w[:cut], cells[:cut], n_cells
-    )
-    d = StackedSuffStats.from_groups(
-        x[cut:], y[cut:], w[cut:], cells[cut:], n_cells
-    )
-    back = (s + d) - d
-    assert np.array_equal(back.n, s.n)
-    assert np.allclose(back.ytwy, s.ytwy, rtol=1e-9, atol=1e-9)
-    assert np.allclose(back.xtwx, s.xtwx, rtol=1e-9, atol=1e-9)
-    assert np.allclose(back.xtwy, s.xtwy, rtol=1e-9, atol=1e-9)
-    assert np.allclose(back.sum_w, s.sum_w, rtol=1e-9)
 
 
 @given(blocks())
@@ -116,7 +101,7 @@ def test_rollup_matches_scalar_sums(block, data):
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, n_cells, size=len(y))
     target = rng.integers(0, n_out, size=n_cells)
-    stack = StackedSuffStats.from_groups(x, y, w, cells, n_cells)
+    stack = _cell_stack(x, y, w, cells, n_cells)
     rolled = stack.rollup(target, n_out)
     for out in range(n_out):
         expected = LinearSuffStats.zeros(x.shape[1])
@@ -135,7 +120,7 @@ def test_rollup_consistent_with_per_row_stats(block, data):
     """Rolling every row up as its own problem reproduces from_data."""
     x, y, w = block
     n = len(y)
-    per_row = StackedSuffStats.from_groups(x, y, w, np.arange(n), n)
+    per_row = _cell_stack(x, y, w, np.arange(n), n)
     rolled = per_row.rollup(np.zeros(n, dtype=np.int64), 1).row(0)
     whole = LinearSuffStats.from_data(x, y, w)
     _assert_stats_close(rolled, whole)
@@ -168,7 +153,7 @@ def test_assign_and_changed_rows(block, data):
     seed = data.draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
     cells = rng.integers(0, n_cells, size=len(y))
-    stack = StackedSuffStats.from_groups(x, y, w, cells, n_cells)
+    stack = _cell_stack(x, y, w, cells, n_cells)
     original = stack.copy()
     idx = np.unique(rng.integers(0, n_cells, size=2))
     replacement = StackedSuffStats.from_stats(

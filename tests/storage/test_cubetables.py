@@ -3,8 +3,9 @@
 The contract under test (ISSUE 7's tentpole): ``build_cube_tables`` persists
 per-level :class:`~repro.storage.LevelTable` sets keyed on the store version
 and the builder's lattice geometry; ``build_from_tables`` replays them into
-a cube **bit-for-bit equal** to ``build("optimized")`` without touching a
-single fact row; stale tables (version bump, different geometry) are
+a cube **bit-for-bit equal** to the per-pair reference
+``build("optimized_serial")`` (``build("optimized")`` is itself
+``build_from_tables`` on fresh tables) without touching a single fact row; stale tables (version bump, different geometry) are
 detected, and a version bump is patched forward through the store changelog
 instead of rescanning.
 """
@@ -33,7 +34,6 @@ from repro.verify import (
     assert_same_cube,
     assert_same_stacks,
     diff_profiles,
-    scratch_stacks,
 )
 
 
@@ -99,7 +99,9 @@ class TestOneArtifact:
         tables = build_cube_tables(other, table_dir)
         assert other_store.stats.full_scans - scans0 == 1
         assert_same_cube(
-            other.build("optimized"), other.build_from_tables(tables), tol=EXACT
+            other.build("optimized_serial"),
+            other.build_from_tables(tables),
+            tol=EXACT,
         )
 
     def test_tables_need_statistics_not_solutions(self, setup):
@@ -178,14 +180,16 @@ class TestDeltaStreams:
         assert _cells_resolved() == resolved0
         scratch = BellwetherCubeBuilder(ds.task, store, ds.hierarchies)
         assert_same_cube(
-            scratch.build("optimized"), fresh.build_from_tables(tables), tol=EXACT
+            scratch.build("optimized_serial"),
+            fresh.build_from_tables(tables),
+            tol=EXACT,
         )
         version, base = CubeTableStore(table_dir).load_base(
             fresh.geometry_signature()
         )
         assert version == store.version
         assert list(base) == [r for r in store.regions() if r in base]
-        assert_same_stacks(scratch_stacks(scratch), base, EXACT)
+        assert_same_stacks(scratch.scan_stacks(), base, EXACT)
 
 
 class TestWarmBuild:
@@ -195,7 +199,7 @@ class TestWarmBuild:
         warm = builder.build_from_tables(tables)
         scratch = BellwetherCubeBuilder(
             ds.task, store, ds.hierarchies
-        ).build("optimized")
+        ).build("optimized_serial")
         assert_same_cube(scratch, warm, tol=EXACT)
 
     def test_second_call_is_a_hit_with_zero_store_io(self, setup):
@@ -237,7 +241,7 @@ class TestStaleness:
         assert after.get("cube.tables.misses", 0) - before.get("cube.tables.misses", 0) == 1
         scratch = BellwetherCubeBuilder(
             ds.task, store, ds.hierarchies
-        ).build("optimized")
+        ).build("optimized_serial")
         assert_same_cube(scratch, warm, tol=EXACT)
 
     def test_load_rejects_version_mismatch(self, setup):
@@ -274,7 +278,7 @@ class TestStaleness:
             other.build_from_tables(tables),
             BellwetherCubeBuilder(
                 ds.task, store, ds.hierarchies, min_subset_size=7
-            ).build("optimized"),
+            ).build("optimized_serial"),
             tol=EXACT,
         )
 

@@ -1,4 +1,4 @@
-"""Unit tests for CUBE / ROLLUP / iceberg cube."""
+"""Unit tests for CUBE / ROLLUP."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.table import (
     AggregateSpec,
     Table,
     cube,
-    iceberg_cube,
-    iceberg_distinct_count,
     rollup,
 )
 from repro.table.errors import AggregateError
@@ -100,33 +98,3 @@ class TestRollup:
         loc_only = (np.asarray([t == ALL for t in r["time"]])
                     & np.asarray([l != ALL for l in r["loc"]]))
         assert not loc_only.any()
-
-
-class TestIceberg:
-    def test_support_threshold(self, facts):
-        ice = iceberg_cube(facts, ["time", "loc"], min_count=2)
-        supports = dict()
-        for i in range(ice.n_rows):
-            row = ice.row(i)
-            supports[(row["time"], row["loc"])] = row["support"]
-        assert (ALL, ALL) in supports and supports[(ALL, ALL)] == 4
-        assert ("t2", "WI") in supports
-        assert ("t1", "WI") not in supports  # support 1
-
-    def test_extra_aggregates_carried(self, facts):
-        ice = iceberg_cube(
-            facts, ["loc"], min_count=3, aggs=[AggregateSpec("sum", "profit")]
-        )
-        cells = {row["loc"]: row for row in (ice.row(i) for i in range(ice.n_rows))}
-        assert cells["WI"]["sum_profit"] == pytest.approx(8.0)
-
-    def test_distinct_count_constraint(self, facts):
-        cov = iceberg_distinct_count(facts, ["loc"], "item", min_distinct=2)
-        cells = {row["loc"]: row["n_distinct"] for row in (cov.row(i) for i in range(cov.n_rows))}
-        assert cells[ALL] == 3  # items 1,2,3 — distinct, not row count
-        assert cells["WI"] == 2
-        assert "MD" not in cells  # only item 2
-
-    def test_threshold_filters_everything(self, facts):
-        ice = iceberg_cube(facts, ["time", "loc"], min_count=100)
-        assert ice.n_rows == 0

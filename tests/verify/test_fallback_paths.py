@@ -225,15 +225,13 @@ class TestStaleCacheRecovery:
 
         scratch_builder = make_builder()
         assert_same_cube(
-            scratch_builder.build("optimized"),
+            scratch_builder.build("optimized_serial"),
             cold.build_from_tables(tables),
             EXACT,
         )
-
-        from repro.verify import scratch_stacks
 
         version, base = CubeTableStore(tmp_path).load_base(
             cold.geometry_signature()
         )
         assert version == store.version
-        assert_same_stacks(scratch_stacks(scratch_builder), base, EXACT)
+        assert_same_stacks(scratch_builder.scan_stacks(), base, EXACT)

@@ -1,7 +1,8 @@
 """The acceptance demo: a planted fault is caught, shrunk, and replayable.
 
-A deliberately injected bug — merge-mode refresh skipping one suffstats
-retraction — must be flagged by the ``cube-refresh`` oracle class, shrunk
+A deliberately injected bug — a refresh that never writes its recomputed
+dirty cells back, so a retraction is forgotten — must be flagged by the
+``cube-refresh`` oracle class, shrunk
 to the 3-item/2-month floor, and serialized as an artifact that reproduces
 the failure (with the fault planted) and passes clean (without it).
 """
@@ -26,7 +27,9 @@ DEMO = Workload(
     n_items=12,
     n_months=3,
     base_month=2,
-    deltas=(DeltaOp("retract_reappend", region_rank=0, n_victims=2),),
+    # A plain retraction: the rows are gone for good, so a stack that kept
+    # them disagrees with a scratch scan in its integer counts.
+    deltas=(DeltaOp("retract", region_rank=0, n_victims=2),),
 )
 CLS = get_class("cube-refresh")
 

@@ -15,14 +15,20 @@ Two construction algorithms (Figure 4), equivalent by Lemma 1:
   level, accumulating the sufficient statistic
   ``{<MinError[v,c,p], Size[v,c,p]>}`` for every active node.
 
-Split-quality errors default to training-set RMSE (cheap and, for linear
-models, close to cross-validation — Figure 7(c)).  Each level's scan only
-collects sufficient statistics: per (node, block) the design ``[1 | x]`` is
-built once, every numeric threshold of the node takes its left-side
-statistics from that one design and its right side as ``total − left``
-(``StackedSuffStats.from_binary_splits``), and categorical splits take one
-``from_data`` per partition.  Every model of the level (node errors and all
-split partitions on all regions) is then fit by one stacked solve.
+Each stage exists once on :class:`BellwetherTreeBuilder`: ``_grow`` runs one
+pass per level over ``store.scan()`` — or, for RF-hybrid, over the blocks a
+node kept — ``_level`` collects a level's statistics and fits them by one
+stacked solve, ``_errors`` / ``_pick`` turn statistics into a node's
+bellwether region, ``_choose_split`` is the Goodness rule.  Per (node, block)
+the design ``[1 | x]`` is built once, the node's own model takes
+``from_data`` of it, and every (candidate, partition) of the node — the left
+side of a numeric threshold, its right side as ``total − left``, each
+category of a categorical attribute — comes out of one
+``StackedSuffStats.from_binary_splits``.  Split-quality errors are
+training-set RMSE (cheap and, for linear models, close to cross-validation —
+Figure 7(c)).  **naive** shares only ``_pick`` and ``_choose_split``: it
+re-reads every region per subproblem and refits the compacted rows, which
+makes it the reference the kernel is diffed against.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ from .task import BellwetherTask
 _TRACER = get_tracer()
 _SPLIT_EVALS = get_registry().counter(TREE_SPLIT_EVALS)
 _NODES_SPLIT = get_registry().counter(TREE_NODES_SPLIT)
+# sse / Y'WY at or below this is an exact fit (see ``_errors``): a genuine
+# fit leaves >= 1e-6, cancellation noise a few eps.
+_EXACT_FIT = 1024 * np.finfo(np.float64).eps
 
 
 # --------------------------------------------------------------------- splits
@@ -206,16 +215,11 @@ class BellwetherTree:
         data in either (budget spent but nothing collected).
         """
         leaf = self.route_item(item_id)
-        for region in (leaf.region, self.root.region):
-            if region is None:
-                continue
-            block = self.store.read(region)
+        for node in (leaf, self.root):
+            block = self.store.read(node.region)
             hit = np.flatnonzero(block.item_ids == item_id)
             if len(hit):
-                model = leaf.model if region is leaf.region else None
-                if model is None:
-                    model = LinearRegression().fit(block.x, block.y)
-                return float(model.predict(block.x[hit[0]])[0])
+                return float(node.model.predict(block.x[hit[0]])[0])
         fallback_block = self.store.read(leaf.region)
         if fallback_block.n_examples:
             return float(fallback_block.y.mean())
@@ -225,8 +229,39 @@ class BellwetherTree:
 # -------------------------------------------------------------------- builder
 
 
+class _ActiveNode:
+    """One node while its level is decided: its candidate plan, the masks the
+    split kernel reads, and what the pass has found so far."""
+
+    def __init__(self, node: TreeNode, plan: list[tuple[SplitCandidate, np.ndarray]]):
+        self.node, self.plan = node, plan
+        self.index = RowIndex(node.item_ids)
+        # One mask row per (candidate, partition).  A numeric threshold
+        # contributes its left side and takes its right side as that row's
+        # complement; the complements of categorical rows are not kept.
+        masks, sides, complements = [], [], []
+        for c, (split, child_of_item) in enumerate(plan):
+            if split.kind == "num":
+                complements.append(len(masks))
+            for p in range(1 if split.kind == "num" else split.n_children()):
+                masks.append(child_of_item == p)
+                sides.append((c, p))
+        self.masks = np.array(masks, dtype=bool).reshape(len(masks), node.n_items)
+        # which of ``from_binary_splits``' 2M problems are partitions, and
+        # the (candidate, partition) of each
+        self.take = np.array(
+            [*range(len(masks)), *(len(masks) + i for i in complements)], dtype=np.int64
+        )
+        self.sides = sides + [(sides[i][0], 1) for i in complements]
+        self.cache: dict[Region, RegionBlock] | None = None  # RF-hybrid's kept rows
+        self.regions: list[Region] = []  # regions the node has enough rows in,
+        self.errors: list[float] = []  # and its own error on each
+        self.min_error: dict[tuple[int, int], float] = {}  # MinError[v, c, p]
+
+
 class BellwetherTreeBuilder:
-    """Builds bellwether trees with either construction algorithm.
+    """Builds bellwether trees: ``naive``, ``rf`` or ``hybrid`` (= ``rf`` over
+    the rows a node kept), all composing the stages in the module docstring.
 
     Parameters
     ----------
@@ -246,11 +281,6 @@ class BellwetherTreeBuilder:
         A split must reduce the weighted error by at least this fraction of
         ``|S| * Error(h_r | S)`` to be taken — a cheap stand-in for the
         paper's post-hoc MDL pruning that stops noise-driven splits.
-    use_prefix_stats:
-        Evaluate all numeric splits of a node in one pass per block (left
-        statistics per threshold, right side by subtraction) instead of
-        refitting each side of each threshold; ``False`` is the ablation.
-        The trees agree; partition errors can differ in the last bits.
     min_examples:
         Minimum examples for a (region, partition) model to count.
     """
@@ -263,7 +293,6 @@ class BellwetherTreeBuilder:
         min_items: int = 20,
         max_depth: int = 4,
         max_numeric_splits: int = 16,
-        use_prefix_stats: bool = True,
         min_examples: int | None = None,
         min_relative_goodness: float = 0.05,
     ):
@@ -275,7 +304,6 @@ class BellwetherTreeBuilder:
         self.min_items = min_items
         self.max_depth = max_depth
         self.max_numeric_splits = max_numeric_splits
-        self.use_prefix_stats = use_prefix_stats
         self.min_relative_goodness = min_relative_goodness
         p = len(store.feature_names) + 1  # + intercept
         self.min_examples = min_examples if min_examples is not None else max(5, p + 3)
@@ -308,9 +336,10 @@ class BellwetherTreeBuilder:
 
         ``"hybrid"`` is the RF-hybrid refinement Section 5.2 points to:
         during each level's scan, any active node whose restricted training
-        data fits in ``memory_budget_rows`` caches it, and its whole subtree
-        is then built in memory — no further scans of the entire training
-        data for that branch.  Produces the same tree as ``"rf"``.
+        data fits in ``memory_budget_rows`` keeps it, and its subtree grows
+        by the same level function over the kept blocks — no further scans
+        of the entire training data for that branch.  Produces the same
+        tree as ``"rf"``.
         """
         root_ids = (
             self._ids.copy() if item_ids is None else np.asarray(list(item_ids))
@@ -323,12 +352,15 @@ class BellwetherTreeBuilder:
         with _TRACER.span(
             "tree.build", method=method, items=len(root_ids)
         ) as sp:
-            if method == "rf":
-                self._build_rf(root)
-            elif method == "naive":
+            if method == "naive":
                 self._build_naive(root)
-            elif method == "hybrid":
-                self._build_rf(root, memory_budget_rows=memory_budget_rows)
+            elif method in ("rf", "hybrid"):
+                # One scan of the entire training data per level (Lemma 1).
+                self._grow(
+                    [root],
+                    self.store.scan,
+                    memory_budget_rows if method == "hybrid" else None,
+                )
             else:
                 raise TaskError(f"unknown construction method {method!r}")
             tree = BellwetherTree(root, self.task, self.store, self.split_attrs)
@@ -366,31 +398,95 @@ class BellwetherTreeBuilder:
                 )
         return out
 
-    def _partition_rows(
-        self, split: SplitCandidate, item_ids: np.ndarray
-    ) -> np.ndarray:
-        rows = self._index.rows_of(item_ids)
-        values = self._attr_values[split.attr][rows]
-        if split.kind == "cat":
-            values = values.astype(str)
-        return split.partition(values)
+    def _plan(self, node: TreeNode) -> list[tuple[SplitCandidate, np.ndarray]]:
+        """The node's candidate splits, each with the child index of every
+        item; empty when the termination thresholds make the node a leaf."""
+        if node.n_items < self.min_items or node.depth >= self.max_depth:
+            return []
+        rows = self._index.rows_of(node.item_ids)
+        plan = []
+        for split in self._candidate_splits(node.item_ids):
+            values = self._attr_values[split.attr][rows]
+            if split.kind == "cat":
+                values = values.astype(str)
+            plan.append((split, split.partition(values)))
+        return plan
+
+    # ------------------------------------------------------ solve and select
+
+    @staticmethod
+    def _errors(stats: StackedSuffStats) -> np.ndarray:
+        """Split-quality rmse of every problem, from one stacked solve.
+
+        A problem whose ``sse`` is within ``1024·eps`` of ``Y'WY`` is fit
+        exactly: what is left is the cancellation noise of
+        ``Y'WY − β'X'WY``, which differs between evaluation orders, so it
+        reads as exactly ``0.0`` and an exactly-predicted node has
+        Goodness <= 0 on every path.  Tree-local: profiles, cube cells and
+        leaf ``error`` estimates keep ``training_errors()``'s bits.
+        """
+        rmse, sse, __ = stats.training_errors()
+        return np.where(sse <= _EXACT_FIT * stats.ytwy, 0.0, rmse)
+
+    @staticmethod
+    def _pick(
+        regions: Sequence[Region], errors: Sequence[float]
+    ) -> tuple[Region | None, float]:
+        """min_r Error(h_r | S): the first finite minimum in region order,
+        which is the winner of a serial scan's strict ``<`` updates."""
+        errors = np.asarray(errors, dtype=np.float64)
+        finite = np.isfinite(errors)
+        if not finite.any():
+            return None, np.inf
+        k = int(np.flatnonzero(finite & (errors == errors[finite].min()))[0])
+        return regions[k], float(errors[k])
+
+    def _choose_split(self, node: TreeNode, plan, child_error) -> list[TreeNode]:
+        """Take the candidate of ``plan`` with the best Goodness, if any.
+
+        ``child_error(c, p, ids)`` is ``min_r Error(h_r | S_p)`` of partition
+        ``p`` of candidate ``c``; it is asked left to right and only until a
+        partition turns out infeasible.  Returns the children created (none:
+        the node stays a leaf).
+        """
+        if node.region is None:
+            return []
+        parent = node.n_items * node._best_rmse
+        best_goodness, best = self.min_relative_goodness * parent, None
+        for c, (split, child_of_item) in enumerate(plan):
+            children_ids = [
+                node.item_ids[child_of_item == p] for p in range(split.n_children())
+            ]
+            if any(len(ids) == 0 for ids in children_ids):
+                continue
+            total = 0.0
+            for p, ids in enumerate(children_ids):
+                err = child_error(c, p, ids)
+                if not np.isfinite(err):
+                    break
+                total += len(ids) * err
+            else:
+                goodness = parent - total
+                if goodness > best_goodness + 1e-12:
+                    best_goodness, best = goodness, (split, children_ids)
+        if best is None:
+            return []
+        node.split, children_ids = best
+        _NODES_SPLIT.inc()
+        node.children = [
+            TreeNode(item_ids=ids, depth=node.depth + 1) for ids in children_ids
+        ]
+        return node.children
 
     # ----------------------------------------------------------------- naive
 
-    def _node_bellwether(
-        self, item_ids: np.ndarray, store: TrainingDataStore | None = None
-    ) -> tuple[Region | None, float]:
-        """min_r Error(h_r | S) by re-reading every region (naive path).
-
-        Every feasible region's statistics are collected first and fit by
-        one stacked solve; picking the first strict minimum in region order
-        reproduces the serial loop's winner exactly.
-        """
-        store = store if store is not None else self.store
+    def _node_bellwether(self, item_ids: np.ndarray) -> tuple[Region | None, float]:
+        """min_r Error(h_r | S) by re-reading every region and refitting the
+        compacted rows — the reference the one-pass kernel is diffed against."""
         pending: list[LinearSuffStats] = []
         regions: list[Region] = []
-        for region in store.regions():
-            block = store.read(region).restrict_to(item_ids)
+        for region in self.store.regions():
+            block = self.store.read(region).restrict_to(item_ids)
             if block.n_examples < self.min_examples:
                 continue
             pending.append(
@@ -401,281 +497,100 @@ class BellwetherTreeBuilder:
             regions.append(region)
         if not pending:
             return None, np.inf
-        errs = StackedSuffStats.from_stats(pending).rmse()
-        finite = np.isfinite(errs)
-        if not finite.any():
-            return None, np.inf
-        m = errs[finite].min()
-        k = int(np.flatnonzero(errs == m)[0])
-        return regions[k], float(m)
+        return self._pick(regions, self._errors(StackedSuffStats.from_stats(pending)))
 
-    def _build_naive(self, node: TreeNode, store: TrainingDataStore | None = None) -> None:
-        store = store if store is not None else self.store
+    def _build_naive(self, node: TreeNode) -> None:
         with _TRACER.span("tree.node", depth=node.depth, items=node.n_items):
-            self._naive_node(node, store)
+            node.region, node._best_rmse = self._node_bellwether(node.item_ids)
+            children = self._choose_split(
+                node,
+                self._plan(node),
+                lambda c, p, ids: self._node_bellwether(ids)[1],
+            )
+            for child in children:
+                self._build_naive(child)
 
-    def _naive_node(self, node: TreeNode, store: TrainingDataStore) -> None:
-        node.region, node._best_rmse = self._node_bellwether(node.item_ids, store)
-        if (
-            node.n_items < self.min_items
-            or node.depth >= self.max_depth
-            or node.region is None
-        ):
-            return
-        floor = self.min_relative_goodness * node.n_items * node._best_rmse
-        best_split, best_goodness, best_children = None, floor, None
-        for split in self._candidate_splits(node.item_ids):
-            child_of_item = self._partition_rows(split, node.item_ids)
-            children_ids = [
-                node.item_ids[child_of_item == p] for p in range(split.n_children())
-            ]
-            if any(len(c) == 0 for c in children_ids):
-                continue
-            total = 0.0
-            feasible = True
-            for ids in children_ids:
-                __, err = self._node_bellwether(ids, store)
-                if not np.isfinite(err):
-                    feasible = False
-                    break
-                total += len(ids) * err
-            if not feasible:
-                continue
-            goodness = node.n_items * node._best_rmse - total
-            if goodness > best_goodness + 1e-12:
-                best_split, best_goodness, best_children = split, goodness, children_ids
-        if best_split is None:
-            return
-        node.split = best_split
-        _NODES_SPLIT.inc()
-        node.children = [
-            TreeNode(item_ids=ids, depth=node.depth + 1) for ids in best_children
-        ]
-        for child in node.children:
-            self._build_naive(child, store)
+    # ------------------------------------------------------------ rf, hybrid
 
-    # -------------------------------------------------------------------- rf
-
-    def _build_rf(
-        self, root: TreeNode, memory_budget_rows: int | None = None
+    def _grow(
+        self, active: list[TreeNode], scan, memory_budget_rows: int | None
     ) -> None:
-        n_regions = len(self.store.regions())
-        active = [root]
+        """Decide ``active`` and everything below it, one ``scan()`` per level."""
         while active:
-            # One scan of the entire training data per level (Lemma 1).
             with _TRACER.span(
                 "tree.level", level=active[0].depth, nodes=len(active)
             ):
-                active = self._rf_level(active, n_regions, memory_budget_rows)
+                active = self._level(active, scan(), memory_budget_rows)
 
-    def _rf_level(
+    def _level(
         self,
         active: list[TreeNode],
-        n_regions: int,
+        blocks,
         memory_budget_rows: int | None,
     ) -> list[TreeNode]:
-        """Process one tree level: a single scan decides every active node."""
-        per_node_splits = {
-            id(node): self._candidate_splits(node.item_ids) for node in active
-        }
-        per_node_partition = {
-            id(node): {
-                k: self._partition_rows(split, node.item_ids)
-                for k, split in enumerate(per_node_splits[id(node)])
-            }
-            for node in active
-        }
-        per_node_index = {
-            id(node): RowIndex(node.item_ids) for node in active
-        }
-        # Numeric candidates are evaluated together, from one pass over each
-        # block: which candidates, and per candidate which items go left.
-        # Categorical ones, and everything under the ablation, go per mask.
-        per_node_numeric = {
-            key: [
-                k
-                for k, split in enumerate(splits)
-                if self.use_prefix_stats and split.kind == "num"
-            ]
-            for key, splits in per_node_splits.items()
-        }
-        per_node_left = {
-            key: np.stack([per_node_partition[key][k] == 0 for k in numeric])
-            for key, numeric in per_node_numeric.items()
-            if numeric
-        }
-        min_error: dict[tuple[int, int, int], float] = {}
-        node_best: dict[int, tuple[float, Region | None]] = {
-            id(node): (np.inf, None) for node in active
-        }
-        # RF-hybrid: nodes small enough to hold in memory cache their
-        # restricted blocks during this scan; their subtrees then build
-        # without any further scans of the entire training data.
-        cacheable = {
-            id(node)
-            for node in active
-            if memory_budget_rows is not None
-            and node.n_items * n_regions <= memory_budget_rows
-        }
-        cache: dict[int, dict[Region, RegionBlock]] = {
-            key: {} for key in cacheable
-        }
-        # The scan only *collects* sufficient statistics; all the models of
-        # this level (node errors and every split partition's error on every
-        # region) are then fit by a single stacked solve, and the scan's
-        # sequential min-updates replay over the batched errors in order.
-        pending_stats: list[LinearSuffStats] = []
-        pending_slots: list[tuple] = []
-        pending_sides: list[StackedSuffStats] = []
-        side_slots: list[tuple] = []
-        for region, block in self.store.scan():
-            for node in active:
-                key = id(node)
-                sub = block.restrict_to(node.item_ids)
-                if key in cacheable:
-                    cache[key][region] = sub
+        """Process one tree level: one pass over ``blocks`` decides every
+        active node; returns the nodes the next pass has to decide.
+
+        The pass only *collects* sufficient statistics — per (node, block)
+        the node's own model and every (candidate, partition) of its plan;
+        all of them are then fit by a single stacked solve.
+        """
+        states = [_ActiveNode(node, self._plan(node)) for node in active]
+        if memory_budget_rows is not None:
+            # RF-hybrid: a node whose rows fit the budget keeps them, and
+            # its subtree grows from what it kept instead of from the store.
+            n_regions = len(self.store.regions())
+            for st in states:
+                if st.plan and st.node.n_items * n_regions <= memory_budget_rows:
+                    st.cache = {}
+        stacks: list[StackedSuffStats] = []
+        # per stacked problem: (node, region, None) for the node's own model
+        # on that region, (node, None, (c, p)) for a partition of a candidate
+        slots: list[tuple] = []
+        for region, block in blocks:
+            for st in states:
+                sub = block.restrict_to(st.node.item_ids)
+                if st.cache is not None:
+                    st.cache[region] = sub
                 # [1 | x] once per (node, block): the node's own model and
-                # every numeric threshold below read the same design.
+                # every partition below read the same design.
                 z = add_intercept(sub.x)
                 if sub.n_examples >= self.min_examples:
-                    pending_stats.append(
-                        LinearSuffStats.from_data(z, sub.y, sub.weights)
+                    stacks.append(
+                        StackedSuffStats.from_stats(
+                            [LinearSuffStats.from_data(z, sub.y, sub.weights)]
+                        )
                     )
-                    pending_slots.append(("node", key, region))
-                splits = per_node_splits[key]
-                if (
-                    node.n_items < self.min_items
-                    or node.depth >= self.max_depth
-                    or not splits
-                ):
+                    slots.append((st, region, None))
+                if not st.plan:
                     continue
-                # sub's rows within the node
-                child_rows = per_node_index[key].rows_of(sub.item_ids)
-                numeric = per_node_numeric[key]
-                if numeric:
-                    _SPLIT_EVALS.inc(len(numeric))
-                    # problems 0..T-1 are the left sides, T..2T-1 the right
-                    sides = StackedSuffStats.from_binary_splits(
-                        z, sub.y, sub.weights, per_node_left[key][:, child_rows]
-                    )
-                    keep = np.flatnonzero(sides.n >= self.min_examples)
-                    pending_sides.append(sides.select(keep))
-                    side_slots.extend(
-                        ("split", key, numeric[i % len(numeric)], i // len(numeric))
-                        for i in keep
-                    )
-                for c_idx, split in enumerate(splits):
-                    if c_idx in numeric:
-                        continue
-                    stats_per_child = self._split_stats_on_block(
-                        split, sub, per_node_partition[key][c_idx][child_rows]
-                    )
-                    for p, stats in enumerate(stats_per_child):
-                        if stats is not None:
-                            pending_stats.append(stats)
-                            pending_slots.append(("split", key, c_idx, p))
-        if pending_stats:
-            errors = StackedSuffStats.concatenate(
-                [StackedSuffStats.from_stats(pending_stats), *pending_sides]
-            ).rmse()
-            for slot, err in zip(pending_slots + side_slots, errors):
-                if slot[0] == "node":
-                    __, key, region = slot
-                    if err < node_best[key][0]:
-                        node_best[key] = (float(err), region)
-                else:
-                    __, key, c_idx, p = slot
-                    s = (key, c_idx, p)
-                    if err < min_error.get(s, np.inf):
-                        min_error[s] = float(err)
-        next_active: list[TreeNode] = []
-        for node in active:
-            node._best_rmse, node.region = (
-                node_best[id(node)][0],
-                node_best[id(node)][1],
-            )
-            if (
-                node.n_items < self.min_items
-                or node.depth >= self.max_depth
-                or node.region is None
-            ):
-                continue
-            floor = (
-                self.min_relative_goodness * node.n_items * node._best_rmse
-            )
-            best_split, best_goodness, best_children = None, floor, None
-            for c_idx, split in enumerate(per_node_splits[id(node)]):
-                child_of_item = per_node_partition[id(node)][c_idx]
-                children_ids = [
-                    node.item_ids[child_of_item == p]
-                    for p in range(split.n_children())
-                ]
-                if any(len(c) == 0 for c in children_ids):
-                    continue
-                total = 0.0
-                feasible = True
-                for p, ids in enumerate(children_ids):
-                    err = min_error.get((id(node), c_idx, p), np.inf)
-                    if not np.isfinite(err):
-                        feasible = False
-                        break
-                    total += len(ids) * err
-                if not feasible:
-                    continue
-                goodness = node.n_items * node._best_rmse - total
-                if goodness > best_goodness + 1e-12:
-                    best_split, best_goodness, best_children = (
-                        split,
-                        goodness,
-                        children_ids,
-                    )
-            if best_split is None:
-                continue
-            node.split = best_split
-            _NODES_SPLIT.inc()
-            node.children = [
-                TreeNode(item_ids=ids, depth=node.depth + 1)
-                for ids in best_children
-            ]
-            if id(node) in cacheable:
-                # finish this subtree entirely in memory
-                from repro.storage import MemoryStore
-
-                mem = MemoryStore(cache[id(node)], self.store.feature_names)
-                for child in node.children:
-                    self._build_naive(child, store=mem)
-            else:
-                next_active.extend(node.children)
-        return next_active
-
-    def _split_stats_on_block(
-        self,
-        split: SplitCandidate,
-        block: RegionBlock,
-        child_of_row: np.ndarray,
-    ) -> list[LinearSuffStats | None]:
-        """Per-partition statistics on one region's (restricted) block.
-
-        Returns ``None`` for partitions below ``min_examples``; the caller
-        fits everything else in one batched solve at the end of the scan.
-        """
-        _SPLIT_EVALS.inc()
-        if block.n_examples == 0:
-            return [None] * split.n_children()
-        out: list[LinearSuffStats | None] = []
-        for p in range(split.n_children()):
-            mask = child_of_row == p
-            if mask.sum() < self.min_examples:
-                out.append(None)
-            else:
-                out.append(
-                    LinearSuffStats.from_data(
-                        add_intercept(block.x[mask]),
-                        block.y[mask],
-                        None if block.weights is None else block.weights[mask],
-                    )
+                _SPLIT_EVALS.inc(len(st.plan))
+                sides = StackedSuffStats.from_binary_splits(
+                    z, sub.y, sub.weights, st.masks[:, st.index.rows_of(sub.item_ids)]
                 )
-        return out
+                kept = np.flatnonzero(sides.n[st.take] >= self.min_examples)
+                stacks.append(sides.select(st.take[kept]))
+                slots.extend((st, None, st.sides[j]) for j in kept)
+        if stacks:
+            errors = self._errors(StackedSuffStats.concatenate(stacks))
+            for (st, region, side), err in zip(slots, errors):
+                if side is None:
+                    st.regions.append(region)
+                    st.errors.append(err)
+                elif err < st.min_error.get(side, np.inf):
+                    st.min_error[side] = float(err)
+        next_active: list[TreeNode] = []
+        for st in states:
+            node = st.node
+            node.region, node._best_rmse = self._pick(st.regions, st.errors)
+            children = self._choose_split(
+                node, st.plan, lambda c, p, ids: st.min_error.get((c, p), np.inf)
+            )
+            if st.cache is not None:
+                self._grow(children, st.cache.items, None)
+            else:
+                next_active.extend(children)
+        return next_active
 
     # --------------------------------------------------------------- pruning
 
@@ -710,77 +625,75 @@ class BellwetherTreeBuilder:
         return tree
 
     def prune(self, tree: BellwetherTree, validation_ids: Sequence) -> None:
-        """Reduced-error prune ``tree`` in place against held-out items."""
-        val_ids = np.asarray(list(validation_ids))
-        y = self.task.target_values()
-        y_of = dict(zip(np.asarray(self.task.item_ids), y))
+        """Reduced-error prune ``tree`` in place against held-out items.
 
-        def node_prediction(node: TreeNode, item_id) -> float:
-            """Predict with the node treated as a leaf."""
-            if node.region is None:
-                node.region, node._best_rmse = self._node_bellwether(node.item_ids)
-            if node.region is None:
-                return float("nan")
-            block = self.store.read(node.region)
-            train = block.restrict_to(node.item_ids)
-            if train.n_examples < 1:
-                return float("nan")
-            model = LinearRegression().fit(train.x, train.y)
-            hit = np.flatnonzero(block.item_ids == item_id)
-            if len(hit):
-                return float(model.predict(block.x[hit[0]])[0])
-            return float(train.y.mean())
+        A visited node is read and fit once (``_fit``: the model it is served
+        with as a leaf) and scores every item routed to it from that model.
+        """
+        y_of = dict(zip(np.asarray(self.task.item_ids), self.task.target_values()))
 
-        def subtree_prediction(node: TreeNode, item_id) -> float:
-            current = node
-            while not current.is_leaf:
-                value = tree._attr_of[current.split.attr][item_id]
-                current = current.children[current.split.route(value)]
-            return node_prediction(current, item_id)
+        def as_leaf(node: TreeNode, items: np.ndarray) -> list[float]:
+            """Predict ``items`` with the node treated as a leaf."""
+            block, train = self._fit(node)
+            out = []
+            for item_id in items:
+                hit = np.flatnonzero(block.item_ids == item_id)
+                if len(hit):
+                    out.append(float(node.model.predict(block.x[hit[0]])[0]))
+                else:
+                    out.append(float(train.y.mean()))
+            return out
 
-        def sse(values: list[tuple[float, float]]) -> float:
+        def sse(preds: Sequence[float], items: np.ndarray) -> float:
             return float(
-                np.sum([(pred - actual) ** 2 for pred, actual in values])
+                np.sum([(pred - y_of[i]) ** 2 for pred, i in zip(preds, items)])
             )
 
-        def walk(node: TreeNode, routed: np.ndarray) -> None:
-            if node.is_leaf or len(routed) == 0:
-                return
-            buckets: list[list] = [[] for __ in node.children]
-            for item_id in routed:
-                value = tree._attr_of[node.split.attr][item_id]
-                try:
-                    buckets[node.split.route(value)].append(item_id)
-                except SearchError:
-                    continue  # category unseen in the train split
-            for child, bucket in zip(node.children, buckets):
-                walk(child, np.asarray(bucket))
-            as_subtree = [(subtree_prediction(node, i), y_of[i]) for i in routed]
-            as_leaf = [(node_prediction(node, i), y_of[i]) for i in routed]
-            if any(np.isnan(p) for p, __ in as_leaf):
-                return
-            if sse(as_leaf) <= sse(as_subtree):
-                node.split = None
-                node.children = []
+        def walk(node: TreeNode, routed: np.ndarray) -> list[float]:
+            """Prune below ``node``; what is left of it predicts ``routed``."""
+            if len(routed) == 0:
+                return []
+            leaf = as_leaf(node, routed)
+            if node.is_leaf:
+                return leaf
+            values = tree._attr_of[node.split.attr]
+            child_of = np.array([node.split.route(values[i]) for i in routed])
+            subtree = np.empty(len(routed))
+            for k, child in enumerate(node.children):
+                subtree[child_of == k] = walk(child, routed[child_of == k])
+            if sse(leaf, routed) <= sse(subtree, routed):
+                node.split, node.children = None, []
+                return leaf
+            return list(subtree)
 
-        walk(tree.root, val_ids)
+        walk(tree.root, np.asarray(list(validation_ids)))
         self._finalize_leaves(tree)
 
     # -------------------------------------------------------------- finalize
 
-    def _finalize_leaves(self, tree: BellwetherTree) -> None:
-        """Fit the leaf bellwether models and task-level error estimates."""
-        for leaf in tree.leaves():
-            if leaf.region is None:
-                # Node never matched any region with enough examples; fall
-                # back to the globally best region for its items.
-                leaf.region, leaf._best_rmse = self._node_bellwether(leaf.item_ids)
-            if leaf.region is None:
-                raise SearchError(
-                    f"leaf with {leaf.n_items} items has no feasible region"
-                )
-            block = self.store.read(leaf.region).restrict_to(leaf.item_ids)
-            leaf.model = LinearRegression().fit(block.x, block.y, block.weights)
-            leaf.error = self.task.error_estimator.estimate(
-                block.x, block.y, block.weights
+    def _fit(self, node: TreeNode) -> tuple[RegionBlock, RegionBlock]:
+        """Fit ``node.model`` (once) on the node's rows of its bellwether
+        region, with the weights a leaf is served with; returns the region's
+        block and the node's training rows of it."""
+        if node.region is None:  # no region has enough examples of its items
+            raise SearchError(
+                f"leaf with {node.n_items} items has no feasible region"
             )
+        block = self.store.read(node.region)
+        train = block.restrict_to(node.item_ids)
+        if node.model is None:
+            node.model = LinearRegression().fit(train.x, train.y, train.weights)
+        return block, train
+
+    def _finalize_leaves(self, tree: BellwetherTree) -> None:
+        """Fit the leaf bellwether models and task-level error estimates
+        (and the root's model, which ``predict`` falls back to)."""
+        for leaf in tree.leaves():
+            if leaf.error is not None:
+                continue
+            __, train = self._fit(leaf)
+            leaf.error = self.task.error_estimator.estimate(
+                train.x, train.y, train.weights
+            )
+        if tree.root.model is None:
+            self._fit(tree.root)

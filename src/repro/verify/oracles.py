@@ -10,7 +10,8 @@ every class also checks its operation counters against the paper's bounds:
 * ``cube-methods`` — Lemma 2: single-scan/optimized cubes read the data
   exactly once, naive pays ``n_regions × n_subsets`` region reads; the
   batched build issues at most one stacked solve per lattice level.
-* ``tree-methods`` — Lemma 1: the RF tree reads the data once per level.
+* ``tree-methods`` — Lemma 1: the RF tree reads the data once per level,
+  RF-hybrid no more often; the naive tree refits every subproblem.
 * ``exec-workers`` — the worker fan-out changes nothing; the scan stays in
   the parent process.
 * ``search-refresh`` / ``cube-refresh`` — incremental refresh equals a
@@ -217,35 +218,35 @@ def _cube_methods(w: Workload) -> list[Mismatch]:
 
 @_oracle_class(
     "tree-methods",
-    "naive tree and prefix-stats ablation vs RF tree (Lemma 1 scan bound)",
+    "naive tree (per-subproblem refit) and RF-hybrid tree vs RF tree "
+    "(Lemma 1 scan bound)",
 )
 def _tree_methods(w: Workload) -> list[Mismatch]:
     ds = w.dataset()
     store, __, __ = w.full_store()
-    kwargs = dict(
+    builder = BellwetherTreeBuilder(
+        ds.task,
+        store,
         split_attrs=("category", "rdexpense"),
         min_items=max(2, w.n_items // 6),
         max_depth=2,
         max_numeric_splits=3,
         min_examples=w.min_examples,
     )
-    oracle_builder = BellwetherTreeBuilder(
-        ds.task, store, use_prefix_stats=True, **kwargs
-    )
-    ablation_builder = BellwetherTreeBuilder(
-        ds.task, store, use_prefix_stats=False, **kwargs
-    )
+    # Half the root's rows: the root scans, smaller nodes keep their blocks.
+    budget = len(ds.task.item_ids) * len(store.regions()) // 2
+    paths = {
+        "naive": lambda: builder.build("naive"),
+        "hybrid": lambda: builder.build("hybrid", memory_budget_rows=budget),
+    }
     io0 = store.stats.snapshot()
     try:
-        rf = oracle_builder.build("rf")
+        rf = builder.build("rf")
     except SearchError:
         # Infeasible on this workload (e.g. a leaf with no feasible
         # region).  Every path must agree on that outcome too.
         out: list[Mismatch] = []
-        for label, build in (
-            ("naive", lambda: oracle_builder.build("naive")),
-            ("no-prefix-stats", lambda: ablation_builder.build("rf")),
-        ):
+        for label, build in paths.items():
             try:
                 build()
             except SearchError:
@@ -254,14 +255,17 @@ def _tree_methods(w: Workload) -> list[Mismatch]:
                 Mismatch(f"{label}.outcome", "SearchError", "a tree")
             )
         return out
-    io = store.stats - io0
-    out = _expect("rf.full_scans", rf.n_levels, io.full_scans)
+    rf_scans = (store.stats - io0).full_scans
+    out = _expect("rf.full_scans", rf.n_levels, rf_scans)
 
-    naive = oracle_builder.build("naive")
-    out += diff_trees(rf.root, naive.root, label="naive")
+    out += diff_trees(rf.root, paths["naive"]().root, label="naive")
 
-    ablation = ablation_builder.build("rf")
-    out += diff_trees(rf.root, ablation.root, label="no-prefix-stats")
+    io0 = store.stats.snapshot()
+    hybrid = paths["hybrid"]()
+    scans = (store.stats - io0).full_scans
+    out += diff_trees(rf.root, hybrid.root, label="hybrid")
+    if scans > rf_scans:
+        out.append(Mismatch("hybrid.full_scans", f"<= {rf_scans}", str(scans)))
     return out
 
 

@@ -6,15 +6,14 @@ from repro.core import BellwetherTreeBuilder
 from repro.verify import assert_same_tree
 
 
-@pytest.fixture(scope="module", params=["prefix", "refit"])
-def builders(request, small_task, small_store):
+@pytest.fixture(scope="module")
+def builders(small_task, small_store):
     store, __, __ = small_store
     kwargs = dict(
         split_attrs=("category", "rd"),
         min_items=8,
         max_depth=2,
         max_numeric_splits=3,
-        use_prefix_stats=request.param == "prefix",
     )
     return BellwetherTreeBuilder(small_task, store, **kwargs)
 
@@ -36,21 +35,3 @@ class TestLemma1:
         }
         assert rf_leaves == naive_leaves
 
-
-class TestPrefixStatsAblation:
-    def test_fast_numeric_path_matches_refit(self, small_task, small_store):
-        """The prefix-suff-stats numeric evaluation changes nothing."""
-        store, __, __ = small_store
-        kwargs = dict(
-            split_attrs=("category", "rd"),
-            min_items=8,
-            max_depth=2,
-            max_numeric_splits=3,
-        )
-        fast = BellwetherTreeBuilder(
-            small_task, store, use_prefix_stats=True, **kwargs
-        ).build("rf")
-        slow = BellwetherTreeBuilder(
-            small_task, store, use_prefix_stats=False, **kwargs
-        ).build("rf")
-        assert_same_tree(fast.root, slow.root)

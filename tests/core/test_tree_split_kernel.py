@@ -1,10 +1,11 @@
-"""The RF tree's one-pass numeric-split kernel.
+"""The RF tree's one-pass split kernel.
 
-Every numeric threshold of a node is evaluated on a block from one design
-matrix (``StackedSuffStats.from_binary_splits``).  Three referees: the
-per-mask :meth:`LinearSuffStats.from_data` the ablation path still runs, the
-operation counters the bench journal gates two-sided, and Lemma 1 on a data
-set where the tree really splits on numeric attributes.
+Every (candidate, partition) of a node — both sides of a numeric threshold,
+each category of a categorical attribute — is evaluated on a block from one
+design matrix (``StackedSuffStats.from_binary_splits``).  Three referees: a
+per-mask :meth:`LinearSuffStats.from_data`, the operation counters the bench
+journal gates two-sided, and Lemma 1 (``naive`` refits every subproblem) on a
+data set where the tree really splits on numeric attributes.
 """
 
 import numpy as np
@@ -39,6 +40,12 @@ def split_problems(draw):
         # midpoints, plus thresholds that leave the left / right side empty
         for b in (-1.0, 0.5, 1.5, 2.5, 4.5, 9.0):
             masks.append(values < b)
+    for __ in range(draw(st.integers(0, 2))):
+        # a k-way categorical candidate: one mask row per category, skewed
+        # so that some categories stay empty or below MIN_EXAMPLES
+        k = draw(st.integers(2, 5))
+        category = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.5)))
+        masks.extend(category == c for c in range(k))
     return x, y, w, np.array(masks).reshape(len(masks), n)
 
 
@@ -66,9 +73,9 @@ def test_one_pass_sides_equal_from_data_on_each_mask(problem):
         assert got.sum_w == pytest.approx(want.sum_w, rel=1e-9, abs=1e-9)
 
 
-# What the parent commit counts on the configurations the bench journal
-# gates two-sided (fig11c, fig12b, the prefix ablation): the kernel changed
-# how a split is evaluated, never how many are.
+# What the commit before the kernel counted on the configurations the bench
+# journal gates two-sided (fig11c, fig12b, the ablation fixture): the kernel
+# changed how a split is evaluated, never how many are.
 JOURNALED = {
     "fig11c": (
         dict(n_items=1_200, n_regions=32, seed=0, hierarchy_leaves=3),
@@ -88,9 +95,8 @@ JOURNALED = {
 }
 
 
-@pytest.mark.parametrize("use_prefix_stats", [True, False])
 @pytest.mark.parametrize("config", sorted(JOURNALED))
-def test_operation_counters_read_what_the_parent_reads(config, use_prefix_stats):
+def test_operation_counters_read_what_the_parent_reads(config):
     data, tree_kwargs, want = JOURNALED[config]
     ds = make_scalability(**data)
     registry = get_registry()
@@ -99,7 +105,6 @@ def test_operation_counters_read_what_the_parent_reads(config, use_prefix_stats)
         ds.task,
         ds.store,
         split_attrs=ds.task.item_feature_attrs,
-        use_prefix_stats=use_prefix_stats,
         **tree_kwargs,
     ).build("rf")
     moved = {
@@ -159,21 +164,19 @@ def numeric_simulation():
 def test_lemma_1_where_the_tree_splits_on_thresholds(numeric_simulation):
     task, store = numeric_simulation
     kwargs = dict(min_items=30, max_depth=4, max_numeric_splits=7)
-    fast = BellwetherTreeBuilder(task, store, use_prefix_stats=True, **kwargs)
-    refit = BellwetherTreeBuilder(task, store, use_prefix_stats=False, **kwargs)
-    rf = fast.build("rf")
+    builder = BellwetherTreeBuilder(task, store, **kwargs)
+    rf = builder.build("rf")
     assert rf.n_levels >= 4  # root + three levels of splits
     assert any(
         node.split is not None and node.split.kind == "num"
         for node in _internal_nodes(rf.root)
     )
     scans = store.stats.full_scans
-    fast.build("rf")
+    builder.build("rf")
     assert store.stats.full_scans - scans == rf.n_levels
     for other in (
-        fast.build("naive"),
-        fast.build("hybrid", memory_budget_rows=400),
-        refit.build("rf"),
+        builder.build("naive"),
+        builder.build("hybrid", memory_budget_rows=400),
     ):
         assert_same_tree(rf.root, other.root)
 

@@ -7,11 +7,17 @@ from repro.core import (
     AggregateTargetQuery,
     BasicBellwetherSearch,
     BellwetherTask,
+    BellwetherTreeBuilder,
     FactAggregate,
     TaskError,
     TrainingDataGenerator,
 )
-from repro.ml import LinearSuffStats, TrainingSetEstimator, add_intercept
+from repro.ml import (
+    LinearRegression,
+    LinearSuffStats,
+    TrainingSetEstimator,
+    add_intercept,
+)
 from repro.table import Table
 
 
@@ -125,3 +131,71 @@ class TestWeightPlumbing:
             items, "item", targets=np.ones(2), weights=np.array([1.0, 2.0])
         )
         assert list(task.item_weights) == [1.0, 2.0]
+
+
+class TestWeightedPruning:
+    @pytest.fixture()
+    def grown(self, weighted_task):
+        """A tree that splits, its builder, store and held-out items."""
+        gen = TrainingDataGenerator(weighted_task)
+        # without the full-period regions, whose feature *is* the target
+        store = gen.generate(
+            regions=[r for r in gen.all_regions() if not str(r).startswith("[1-4")]
+        )
+        builder = BellwetherTreeBuilder(
+            weighted_task, store, min_items=6, max_depth=2,
+            max_numeric_splits=4, min_relative_goodness=0.0,
+        )
+        ids = np.asarray(weighted_task.item_ids)
+        tree = builder.build("rf", item_ids=ids[:22])
+        nodes, stack = [], [tree.root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].children)
+        assert len(nodes) > 1
+        return builder, store, tree, nodes, ids[22:]
+
+    def test_prune_fits_and_reads_a_node_once(self, grown, monkeypatch):
+        """Not once per (node, held-out item): a visited node is read and
+        fit once, a collapsed one once more for its error estimate."""
+        builder, store, tree, nodes, held_out = grown
+        fits = []
+        real_fit = LinearRegression.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(self)
+            return real_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearRegression, "fit", counting_fit)
+        before = store.stats.snapshot()
+        builder.prune(tree, held_out)
+        assert len(fits) <= len(nodes)
+        assert (store.stats - before).region_reads <= 2 * len(nodes)
+
+    def test_prune_scores_a_node_with_the_model_it_keeps(self, grown, monkeypatch):
+        """The held-out predictions that decide a prune come from each
+        node's own weighted model — the one a surviving leaf is served with —
+        not from an unweighted refit per (node, item)."""
+        builder, store, tree, nodes, held_out = grown
+        scored = []  # (model, x, prediction) of every predict during prune
+        real_predict = LinearRegression.predict
+
+        def recording_predict(self, x):
+            out = real_predict(self, x)
+            scored.append((self, np.array(x), out))
+            return out
+
+        monkeypatch.setattr(LinearRegression, "predict", recording_predict)
+        builder.prune(tree, held_out)
+        monkeypatch.undo()
+        kept = {id(node.model) for node in nodes if node.model is not None}
+        assert scored and all(id(model) in kept for model, __, __ in scored)
+        for leaf in tree.leaves():
+            block = store.read(leaf.region).restrict_to(leaf.item_ids)
+            assert block.weights is not None
+            served = LinearRegression().fit(block.x, block.y, block.weights)
+            assert np.array_equal(leaf.model.coef, served.coef)
+            mine = [(x, out) for model, x, out in scored if model is leaf.model]
+            assert mine, "no held-out item was scored with the leaf's own model"
+            for x, out in mine:
+                assert np.array_equal(out, leaf.model.predict(x))

@@ -530,27 +530,27 @@ class BellwetherCubeBuilder:
     ) -> StackedSuffStats:
         """One region's per-base-cell g statistics as a dense stack.
 
-        Each present cell's statistics come from the same
-        :meth:`LinearSuffStats.from_data` call the per-problem path makes,
-        so the stacked rollup accumulates identical addends (absent cells
+        Rows are grouped by cell with a stable argsort, so each present
+        cell's segment holds the rows — in block order — the per-problem
+        path hands :meth:`LinearSuffStats.from_data`, and
+        :meth:`StackedSuffStats.from_segments` yields the same bits: the
+        stacked rollup accumulates identical addends (absent cells
         contribute exact zeros) and the batched cube matches
         ``optimized_serial`` bit for bit.
         """
-        design = add_intercept(block.x)
-        stack = StackedSuffStats.zeros(n_cells, design.shape[1])
         order = np.argsort(cell_of_row, kind="stable")
         sorted_cells = cell_of_row[order]
         starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
-        bounds = np.append(starts, len(sorted_cells))
-        for b_idx in range(len(starts)):
-            rows = order[bounds[b_idx]:bounds[b_idx + 1]]
-            cell = int(sorted_cells[bounds[b_idx]])
-            s = LinearSuffStats.from_data(
-                design[rows],
-                block.y[rows],
-                None if block.weights is None else block.weights[rows],
-            )
-            stack.set_row(cell, s)
+        stack = StackedSuffStats.zeros(n_cells, block.n_features + 1)
+        stack.assign(
+            sorted_cells[starts],
+            StackedSuffStats.from_segments(
+                add_intercept(block.x[order]),
+                block.y[order],
+                None if block.weights is None else block.weights[order],
+                np.append(starts, len(order)),
+            ),
+        )
         return stack
 
     def level_tables(

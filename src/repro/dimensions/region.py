@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -31,6 +31,20 @@ class Region:
     """One candidate region: a tuple of per-dimension values."""
 
     values: tuple[RegionValue, ...]
+    #: ``hash`` of the region, taken once: regions key every per-region dict
+    #: and a frozen dataclass would rehash ``values`` on each lookup.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.values,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are per process: a pickle carries the values only
+        # and the receiving process takes its own hash.
+        return Region, (self.values,)
 
     def __str__(self) -> str:
         parts = [str(v) for v in self.values]

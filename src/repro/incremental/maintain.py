@@ -36,7 +36,7 @@ from repro.core.cube import (
     solve_where,
 )
 from repro.dimensions import Region
-from repro.ml import LinearSuffStats, StackedSuffStats, add_intercept
+from repro.ml import StackedSuffStats
 from repro.exceptions import ConfigError
 from repro.obs.catalog import (
     INCR_CACHE_HITS,
@@ -46,7 +46,7 @@ from repro.obs.catalog import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage import StorageError
+from repro.storage import RegionBlock, StorageError
 
 __all__ = ["IncrementalCubeMaintainer"]
 
@@ -101,10 +101,6 @@ class IncrementalCubeMaintainer:
     @property
     def _n_cells(self) -> int:
         return len(self.builder._cells)
-
-    @property
-    def _p(self) -> int:
-        return len(self.builder.store.feature_names) + 1  # + intercept
 
     def _ordered_regions(self) -> list[Region]:
         """Held regions in store-scan order (the builder's region order)."""
@@ -260,28 +256,24 @@ class IncrementalCubeMaintainer:
         cell_of_row = builder._cell_of_item[rows_item]
         if old is None:
             return builder._cell_stats_stack(block, cell_of_row, self._n_cells)
-        # Recompute the dirty cells from the updated block.  Rows reach
-        # from_data in ascending row order — the same order the builder's
-        # stable-argsort grouping uses — so recomputed statistics
-        # are bit-identical to a scratch pass; clean cells' rows did not
-        # move relative to each other and keep their cached bits.
+        # Recompute the dirty cells from their rows of the updated block,
+        # through the builder's own grouping, so the statistics are
+        # bit-identical to a scratch pass; a dirty cell left without rows
+        # comes back as exact zeros.  Clean cells' rows did not move
+        # relative to each other and keep their cached bits.
+        dirty = np.isin(cell_of_row, dirty_cells)
+        recomputed = builder._cell_stats_stack(
+            RegionBlock(
+                block.item_ids[dirty],
+                block.x[dirty],
+                block.y[dirty],
+                None if block.weights is None else block.weights[dirty],
+            ),
+            cell_of_row[dirty],
+            self._n_cells,
+        )
         stack = old.copy()
-        design = add_intercept(block.x)
-        refreshed = []
-        for cell in dirty_cells:
-            rows = np.flatnonzero(cell_of_row == cell)
-            if len(rows):
-                refreshed.append(
-                    LinearSuffStats.from_data(
-                        design[rows],
-                        block.y[rows],
-                        None if block.weights is None else block.weights[rows],
-                    )
-                )
-            else:
-                refreshed.append(LinearSuffStats.zeros(self._p))
-        if refreshed:
-            stack.assign(dirty_cells, StackedSuffStats.from_stats(refreshed))
+        stack.assign(dirty_cells, recomputed.select(dirty_cells))
         return stack
 
     # ----------------------------------------------------------------- result

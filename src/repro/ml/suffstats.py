@@ -250,6 +250,63 @@ class StackedSuffStats:
         )
 
     @classmethod
+    def from_segments(
+        cls,
+        x: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray | None,
+        bounds: np.ndarray,
+    ) -> "StackedSuffStats":
+        """``g`` of every run of consecutive rows of one block.
+
+        Problem ``k`` is rows ``bounds[k]:bounds[k + 1]`` of ``x`` (``(n, p)``,
+        C-contiguous), ``y`` and ``w``; ``bounds`` is non-decreasing.  The
+        block is validated once; each segment then gets the three products
+        :meth:`LinearSuffStats.from_data` makes, on a contiguous slice of
+        the same rows in the same order, written straight into the stack —
+        the same bits as ``from_data`` per segment, which stays the
+        definition.  An empty segment is exact zeros with ``n = 0``.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.ndim != 2:
+            raise FitError(f"x must be 2-D, got shape {x.shape}")
+        if y.shape != (x.shape[0],):
+            raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+        bounds = np.asarray(bounds, dtype=np.intp)
+        n = np.diff(bounds)
+        if len(bounds) and (
+            (n < 0).any() or bounds[0] < 0 or bounds[-1] > len(y)
+        ):
+            raise FitError("segment bounds must be non-decreasing within the block")
+        out = cls.zeros(len(n), x.shape[1])
+        out.n[:] = n
+        if w is None:
+            xw, yw = x, y
+            out.sum_w[:] = n
+        else:
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape != y.shape:
+                raise FitError(f"w has shape {w.shape}, expected {y.shape}")
+            if (w <= 0).any():
+                raise FitError("weights must be strictly positive")
+            xw = x * w[:, None]
+            yw = y * w
+        edges = bounds.tolist()
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if a == b:
+                continue
+            xs = x[a:b]
+            out.ytwy[k] = yw[a:b] @ y[a:b]
+            # ``xs`` itself when unweighted, so matmul sees ``x.T @ x`` as
+            # from_data's does
+            np.matmul(xs.T, xs if w is None else xw[a:b], out=out.xtwx[k])
+            np.matmul(xs.T, yw[a:b], out=out.xtwy[k])
+            if w is not None:
+                out.sum_w[k] = w[a:b].sum()
+        return out
+
+    @classmethod
     def from_binary_splits(
         cls,
         x: np.ndarray,
@@ -350,24 +407,6 @@ class StackedSuffStats:
             self.ytwy.copy(), self.xtwx.copy(), self.xtwy.copy(),
             self.n.copy(), self.sum_w.copy(),
         )
-
-    def set_row(self, i: int, stats: LinearSuffStats) -> None:
-        """Overwrite problem ``i`` in place with scalar statistics.
-
-        The builders fill a zeroed stack one present problem at a time from
-        per-cell :meth:`LinearSuffStats.from_data` results; routing the
-        write through the class keeps component mutation an implementation
-        detail of the stack.
-        """
-        if self.p != stats.p:
-            raise FitError(
-                f"cannot set a p={stats.p} problem into a p={self.p} stack"
-            )
-        self.ytwy[i] = stats.ytwy
-        self.xtwx[i] = stats.xtwx
-        self.xtwy[i] = stats.xtwy
-        self.n[i] = stats.n
-        self.sum_w[i] = stats.sum_w
 
     def assign(self, idx: np.ndarray, other: "StackedSuffStats") -> None:
         """Overwrite problems ``idx`` in place with the other stack's rows.

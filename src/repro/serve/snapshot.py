@@ -31,8 +31,10 @@ every unchanged piece with their predecessor.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from math import isfinite
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +53,7 @@ __all__ = [
     "Snapshot",
     "dumps",
     "render_cube",
+    "render_heads",
     "render_regions",
 ]
 
@@ -60,20 +63,31 @@ def dumps(value) -> bytes:
     return json.dumps(value).encode()
 
 
-def _region_result_json(r: RegionResult) -> bytes:
-    return dumps(
-        {
-            "region": region_to_json(r.region),
-            "region_str": str(r.region),
-            "cost": float(r.cost),
-            "coverage": float(r.coverage),
-            "n_examples": int(r.n_items),
-            "rmse": float(r.rmse),
-            "sse": None if r.error.sse is None else float(r.error.sse),
-            "dof": int(r.error.dof),
-            "error_kind": r.error.kind,
-        }
-    )
+def _float(value) -> str:
+    """``json.dumps(float(value))``: ``float.__repr__``, and JSON's three
+    non-finite spellings."""
+    value = float(value)
+    if isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def render_heads(costs: Mapping[Region, float]) -> dict[Region, bytes]:
+    """Region -> the start of its ``bellwether`` / ``feasible[]`` entry.
+
+    The three fields that depend on the region alone, ``costs`` pricing it;
+    :meth:`Profile.render` appends a subset's six.
+    """
+    return {
+        region: dumps(
+            {
+                "region": region_to_json(region),
+                "region_str": str(region),
+                "cost": float(cost),
+            }
+        )[:-1]
+        for region, cost in costs.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -85,11 +99,28 @@ class Profile:
     json: Mapping[Region, bytes]
 
     @classmethod
-    def render(cls, results: Sequence[RegionResult]) -> "Profile":
-        return cls(
-            tuple(results),
-            MappingProxyType({r.region: _region_result_json(r) for r in results}),
-        )
+    def render(
+        cls, results: Sequence[RegionResult], heads: Mapping[Region, bytes]
+    ) -> "Profile":
+        """``results`` (priced as ``heads`` were) with every entry rendered:
+        the region's head plus this subset's coverage and error, the bytes
+        ``json.dumps`` of the whole entry would give."""
+        rendered = {}
+        for r in results:
+            error = r.error
+            rendered[r.region] = heads[r.region] + (
+                ', "coverage": %s, "n_examples": %d, "rmse": %s, "sse": %s, '
+                '"dof": %d, "error_kind": %s}'
+                % (
+                    _float(r.coverage),
+                    r.n_items,
+                    _float(error.rmse),
+                    "null" if error.sse is None else _float(error.sse),
+                    error.dof,
+                    encode_basestring_ascii(error.kind),
+                )
+            ).encode()
+        return cls(tuple(results), MappingProxyType(rendered))
 
 
 @dataclass(frozen=True)
@@ -222,16 +253,19 @@ class Snapshot:
     #: results evaluated from ``rows``.
     costs: Mapping[Region, float] = field(default_factory=dict)
     min_examples: int = 0
+    #: Every priced region's entry head (:func:`render_heads` of ``costs``).
+    heads: Mapping[Region, bytes] = field(default_factory=dict)
     #: Every region's training rows: what a never-seen item subset is
     #: evaluated from.  ``None`` until the first subset question at a
     #: deployment (one scan builds it); carried across deltas after that.
     rows: RegionRows | None = None
 
     def __post_init__(self):
-        # Own read-only copies: nothing the builder keeps can alias in.
-        for name in ("profiles", "models", "cube", "costs"):
+        # Own read-only copies: nothing the builder keeps can alias in.  A
+        # read-only mapping already is one, a predecessor's, kept as it is.
+        for name in ("profiles", "models", "cube", "costs", "heads"):
             value = getattr(self, name)
-            if value is not None:
+            if value is not None and not isinstance(value, MappingProxyType):
                 object.__setattr__(self, name, MappingProxyType(dict(value)))
 
     # ------------------------------------------------------------ /bellwether
@@ -239,7 +273,7 @@ class Snapshot:
     def evaluate(self, ids) -> Profile:
         """The profile of item subset ``ids``, computed from ``rows``."""
         return Profile.render(
-            self.rows.evaluate(ids, self.costs, self.min_examples)
+            self.rows.evaluate(ids, self.costs, self.min_examples), self.heads
         )
 
     def bellwether(

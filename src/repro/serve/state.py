@@ -87,6 +87,7 @@ from .snapshot import (
     dumps,
     infeasible,
     render_cube,
+    render_heads,
     render_regions,
 )
 
@@ -394,8 +395,15 @@ class ServerState:
         self.search.refresh(parallel=self._parallel, tables=tables)
         _record_adoption()
         regions = tuple(self.store.regions())
+        # Region heads are a function of the costs: while those stand, the
+        # predecessor's mapping and its rendered heads are this snapshot's.
+        costs = self.search.costs
+        if snap is not None and costs == snap.costs:
+            costs, heads = snap.costs, snap.heads
+        else:
+            heads = render_heads(costs)
         profiles = {
-            key: Profile.render(results)
+            key: Profile.render(results, heads)
             for key, results in self.search.profiles.items()
         }
         return self._publish(
@@ -415,7 +423,8 @@ class ServerState:
                     version, regions, profiles[None], self.task.cost
                 ),
                 tables=tables,
-                costs=self.search.costs,
+                costs=costs,
+                heads=heads,
                 min_examples=self.search.min_examples,
                 rows=self._carried_rows(snap),
             )
@@ -445,7 +454,7 @@ class ServerState:
         profiles.update(fresh)
         for key, results in self.search.profiles.items():
             if key not in profiles:
-                profiles[key] = Profile.render(results)
+                profiles[key] = Profile.render(results, snap.heads)
         subsets = [key for key in profiles if key is not None]
         evicted = set(subsets[:-MAX_SUBSET_PROFILES])
         models = snap.models

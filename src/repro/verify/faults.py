@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.ml.suffstats import StackedSuffStats
+from repro.incremental.maintain import IncrementalCubeMaintainer
 
 __all__ = ["FAULTS", "inject"]
 
@@ -20,19 +20,28 @@ __all__ = ["FAULTS", "inject"]
 def _skip_retraction():
     """A refresh 'forgets' to write its recomputed dirty cells back.
 
-    ``StackedSuffStats.assign`` is how ``IncrementalCubeMaintainer`` lands
-    the statistics it recomputed for the cells a delta touched; returning
-    without writing leaves retracted (and appended) rows' old sums in the
-    cached stack — a dropped retraction.  The integer example counts then
-    disagree with a scratch rebuild, so the ``cube-refresh`` stack audit
-    must flag it at any workload size.
+    ``IncrementalCubeMaintainer._refresh_stack`` recomputes the cells a
+    delta touched and assigns them over a copy of the cached stack; handing
+    back the cached stack instead leaves retracted (and appended) rows' old
+    sums in place — a dropped retraction.  (A region seen for the first
+    time has no cached stack and is built as usual: the scratch builds the
+    oracle compares against share that code.)  The integer example counts
+    then disagree with a scratch rebuild, so the ``cube-refresh`` stack
+    audit must flag it at any workload size.
     """
-    original = StackedSuffStats.assign
-    StackedSuffStats.assign = lambda self, idx, other: None
+    original = IncrementalCubeMaintainer._refresh_stack
+
+    def forgetful(self, region, block, dirty_cells):
+        cached = self._stacks.get(region)
+        if cached is None:
+            return original(self, region, block, dirty_cells)
+        return cached
+
+    IncrementalCubeMaintainer._refresh_stack = forgetful
     try:
         yield
     finally:
-        StackedSuffStats.assign = original
+        IncrementalCubeMaintainer._refresh_stack = original
 
 
 FAULTS = {

@@ -1,5 +1,10 @@
 """Unit tests for interval dimensions, regions and region spaces."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -136,3 +141,59 @@ class TestRegionSpace:
     def test_empty_dimensions_rejected(self):
         with pytest.raises(RegionError):
             RegionSpace([])
+
+
+class TestRegionHash:
+    """The hash is taken once per region and never travels in a pickle."""
+
+    def test_equal_regions_hash_equal_and_key_the_same_entry(self):
+        a = Region((Interval(1, 3), "MD"))
+        b = Region((Interval(1, 3), "MD"))
+        assert a == b and hash(a) == hash(b) == hash((a.values,))
+        assert {a: "x"}[b] == "x"
+        assert a != Region((Interval(1, 4), "MD"))
+        assert repr(a) == "Region([1-3, MD])"
+
+    def test_pickle_carries_the_values_only(self):
+        region = Region((Interval(1, 3), "MD"))
+        blob = pickle.dumps(region)
+        assert b"_hash" not in blob
+        back = pickle.loads(blob)
+        assert back == region and hash(back) == hash(region)
+
+    def test_round_trip_into_a_process_with_another_hash_seed(self):
+        """String hashes are per process: a region shipped to a worker (as
+        ``ParallelExecutor`` does) must be found in the worker's own dicts."""
+        regions = [Region((Interval(1, k), name)) for k in (1, 2) for name in ("MD", "WI")]
+        child = (
+            "import pickle, sys\n"
+            "from repro.dimensions import Interval, Region\n"
+            "shipped = pickle.load(sys.stdin.buffer)\n"
+            "local = {Region((Interval(1, k), n)): (k, n)"
+            " for k in (1, 2) for n in ('MD', 'WI')}\n"
+            "assert [local[r] for r in shipped] =="
+            " [(1, 'MD'), (1, 'WI'), (2, 'MD'), (2, 'WI')]\n"
+            "sys.stdout.buffer.write(pickle.dumps((shipped, hash(shipped[0]))))\n"
+        )
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join(
+                [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]
+            ),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(regions),
+            capture_output=True,
+            env=env,
+            check=True,
+        ).stdout
+        back, child_hash = pickle.loads(out)
+        # the other process hashed the strings differently ...
+        assert child_hash != hash(regions[0])
+        # ... and what comes back is found here again
+        held = {region: k for k, region in enumerate(regions)}
+        assert [held[r] for r in back] == [0, 1, 2, 3]

@@ -150,6 +150,10 @@ def test_repeated_ids_name_the_same_subset(live):
 # --------------------------------------------------- (b) carried across deltas
 
 
+def _tables(rows):
+    return {table.regions: table for table in rows.tables}
+
+
 def test_a_delta_carries_the_rows_forward_without_a_scan(live):
     handle, month = live
     state = handle.state
@@ -168,15 +172,18 @@ def test_a_delta_carries_the_rows_forward_without_a_scan(live):
         reads.append(io.region_reads)
         assert got["store_version"] == new.version == old.version + 1
         assert _answer(got) == _reference(state, ids)
-        # untouched regions share their arrays; touched ones were re-read
+        # a table none of whose regions moved is shared as it is; a touched
+        # region's table was laid out again
         assert new.rows.regions == tuple(state.store.regions())
-        held = dict(zip(old.rows.regions, old.rows.blocks))
-        for region, rows in zip(new.rows.regions, new.rows.blocks):
-            if region in delta.touched_regions:
-                assert rows is not held.get(region)
+        held = _tables(old.rows)
+        shared = 0
+        for regions, table in _tables(new.rows).items():
+            if set(regions).isdisjoint(delta.touched_regions) and regions in held:
+                assert table is held[regions]
+                shared += 1
             else:
-                assert rows is held[region]
-                assert rows.design is held[region].design
+                assert table is not held.get(regions)
+        assert 0 < shared < len(new.rows.tables)
     # one region re-read, then three: the reads follow the delta, not the store
     assert reads[1] == 3 * reads[0] > 0
     assert reads[2] < len(state.store.regions())

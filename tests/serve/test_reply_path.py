@@ -22,14 +22,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.serve.app as app_module
 from repro.core import BasicBellwetherSearch
-from repro.core.basic import select_bellwether
-from repro.dimensions import region_to_json
+from repro.core.basic import RegionResult, select_bellwether
+from repro.dimensions import Interval, Region, region_to_json
 from repro.incremental import month_append_delta, month_split_store
 from repro.obs import catalog
+from repro.ml import ErrorEstimate
 from repro.serve import ServerState, serve_in_thread
+from repro.serve.snapshot import Profile, render_heads
 from repro.serve.state import MAX_SUBSET_PROFILES
 
 from .conftest import N_ITEMS, SUBSET
@@ -338,6 +342,65 @@ def test_bodies_equal_the_reference_renderer_byte_for_byte(live):
     before = _assert_bodies_match_reference(handle)
     handle.state.apply_delta(delta)
     assert _assert_bodies_match_reference(handle) == before >= 2 * 8 + 4
+
+
+# An entry is its region's head, rendered once per snapshot, plus six
+# fields formatted per subset: together the bytes json.dumps gives the dict.
+
+_SPECIAL_FLOATS = (
+    0.0, -0.0, 1.0, 3.0, 1e16, 1e-7, 1e22, 1e-5, 123456789012345680.0,
+    5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, float("nan"),
+    float("inf"), float("-inf"),
+)
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.integers(-10**6, 10**6).map(float),
+)
+_numbers = st.one_of(
+    _floats, _floats.map(np.float64), st.integers(0, 10**9), st.integers(0, 10**9).map(np.int64)
+)
+_REGIONS = (
+    Region((Interval(1, 8), "MD")),
+    Region(("All",)),
+    Region((Interval(2, 2), 'quo"te\\', "caf\u00e9")),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_REGIONS), _numbers, _numbers, _numbers,
+            st.one_of(st.none(), _numbers),
+            st.integers(0, 10**9).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
+            st.integers(0, 10**9).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
+            st.sampled_from(["training", "cv", 'we"ird\n']),
+        ),
+        max_size=4,
+        unique_by=lambda row: row[0],
+    )
+)
+@example([(_REGIONS[0], np.float64(1e16), -0.0, float("nan"), None, np.int64(7), 3, "cv")])
+@settings(max_examples=300, deadline=None)
+def test_rendered_entries_equal_json_dumps_of_the_reference_dict(rows):
+    results = [
+        RegionResult(
+            region=region,
+            cost=cost,
+            coverage=coverage,
+            n_items=n_items,
+            error=ErrorEstimate(rmse=rmse, kind=kind, sse=sse, dof=dof),
+        )
+        for region, cost, coverage, rmse, sse, n_items, dof, kind in rows
+    ]
+    heads = render_heads({r.region: r.cost for r in results})
+    profile = Profile.render(results, heads)
+    assert profile.results == tuple(results)
+    assert list(profile.json) == [r.region for r in results]
+    for r in results:
+        want = json.dumps(_region_result_json(r)).encode()
+        assert profile.json[r.region] == want
+        assert want.startswith(heads[r.region])
 
 
 def test_in_process_payloads_parse_the_same_bytes(served, conn):

@@ -12,6 +12,7 @@ import dataclasses
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.serve.state as state_module
@@ -20,6 +21,7 @@ from repro.incremental import month_append_delta, month_split_store
 from repro.obs import get_registry
 from repro.serve import ServeClient, ServerState, serve_in_thread
 from repro.serve.snapshot import Snapshot
+from repro.storage import BlockDelta, RegionBlock, StoreDelta
 from repro.verify import EXACT, assert_same_cube
 
 from .conftest import SUBSET
@@ -136,6 +138,52 @@ def test_cold_subset_build_shares_the_old_profiles(live):
     for key, profile in before.profiles.items():
         assert after.profiles[key] is profile
     assert after.tables is before.tables
+
+
+def test_successor_snapshots_keep_read_only_mappings_as_they_are(live):
+    """``dataclasses.replace`` re-runs ``__post_init__``: what is already a
+    read-only mapping of a predecessor is kept, not copied again; a plain
+    dict handed in is still copied, so the builder's cannot alias in."""
+    handle, delta = live
+    state = handle.state
+    with ServeClient(handle.host, handle.port) as client:
+        before = state._snapshot
+        client.bellwether(budget=BUDGET, items=OTHER_SUBSET)  # a new profile
+        after = state._snapshot
+    assert after is not before
+    assert after.costs is before.costs and after.heads is before.heads
+    assert after.models is before.models
+
+    mine = {frozenset({1}): next(iter(after.profiles.values()))}
+    copied = dataclasses.replace(after, profiles=mine)
+    mine.clear()
+    assert len(copied.profiles) == 1
+    with pytest.raises(TypeError):
+        copied.costs[None] = 1.0
+
+    # A delta that brings regions prices them and renders their heads ...
+    state.apply_delta(delta)
+    grown = state._snapshot
+    assert grown.version == after.version + 1
+    assert set(grown.heads) == set(grown.costs) > set(after.costs)
+    # ... and one that leaves regions and costs standing shares both.
+    region = grown.regions[0]
+    block = state.store.read(region)
+    moved = block.item_ids[:3]
+    keep = np.isin(block.item_ids, moved)
+    state.apply_delta(
+        StoreDelta(
+            {
+                region: BlockDelta(
+                    append=RegionBlock(block.item_ids[keep], block.x[keep], block.y[keep]),
+                    retract_ids=moved,
+                )
+            }
+        )
+    )
+    adopted = state._snapshot
+    assert adopted.version == grown.version + 1
+    assert adopted.costs is grown.costs and adopted.heads is grown.heads
 
 
 def test_start_up_and_a_delta_solve_no_cube(dataset, tmp_path):

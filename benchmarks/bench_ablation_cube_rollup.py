@@ -2,9 +2,11 @@
 
 The optimized cube merges per-base-cell sufficient statistics up the item
 hierarchy lattice; the single-scan cube refits a model per (region, subset).
-Identical results (tested); this bench quantifies the saving and a second
+Identical results (tested); this bench quantifies the saving, a second
 ablation shows the tree's one-pass split kernel against a refit per
-threshold and side (the loop is written here: the tree has one path).
+threshold and side (the loop is written here: the tree has one path), and
+a third the rollup kernel itself — rank rounds against ``np.add.at``, the
+scatter it replaced, at the shape of the e2e serve fixture.
 """
 
 import time
@@ -108,3 +110,59 @@ def test_ablation_tree_prefix_stats(benchmark):
     assert fast_s * 1.5 < slow_s
 
     benchmark.pedantic(one_pass, rounds=1, iterations=1)
+
+
+def test_ablation_rollup_kernel(benchmark):
+    # The e2e serve fixture's table build: 156 regions x 12 base cells,
+    # p = 9, rolled up to nine lattice levels of 12..1 subsets.
+    n_regions, n_cells, p = 156, 12, 9
+    rng = np.random.default_rng(0)
+    n = n_regions * n_cells
+    cells = StackedSuffStats(
+        ytwy=rng.normal(size=n),
+        xtwx=rng.normal(size=(n, p, p)),
+        xtwy=rng.normal(size=(n, p)),
+        n=rng.integers(0, 60, size=n),
+        sum_w=rng.uniform(0, 60, size=n),
+    )
+    levels = []
+    for n_subsets in (12, 8, 4, 6, 4, 2, 3, 2, 1):
+        subset_of_base = np.arange(n_cells) * n_subsets // n_cells
+        first = np.arange(n_regions)[:, None] * n_subsets
+        levels.append(((first + subset_of_base).ravel(), n_regions * n_subsets))
+
+    def rank_rounds():
+        return [cells.rollup(target, n_out) for target, n_out in levels]
+
+    def add_at():
+        out = []
+        for target, n_out in levels:
+            rolled = StackedSuffStats.zeros(n_out, p)
+            for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+                np.add.at(getattr(rolled, name), target, getattr(cells, name))
+            out.append(rolled)
+        return out
+
+    def best_of(fn, reps=7):
+        times = []
+        for __ in range(reps):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    for got, want in zip(rank_rounds(), add_at()):
+        for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    rounds_s, add_at_s = best_of(rank_rounds), best_of(add_at)
+    publish(
+        "ablation_rollup_kernel",
+        render_grid(
+            "Ablation — rollup kernel: rank rounds vs np.add.at (same bits)",
+            ("n_cells", "levels", "rounds_ms", "add_at_ms", "ratio"),
+            [(n, len(levels), rounds_s * 1e3, add_at_s * 1e3, add_at_s / rounds_s)],
+        ),
+    )
+    assert rounds_s * 1.3 < add_at_s
+
+    benchmark.pedantic(rank_rounds, rounds=1, iterations=1)

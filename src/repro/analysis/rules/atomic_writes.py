@@ -9,7 +9,7 @@ spirit from scan accounting to durability: every file write under
 ``repro/storage`` and ``repro/incremental`` must either go through
 ``_atomic_write`` or follow the tmp-then-replace idiom by hand.
 
-Flagged: ``.write_bytes()`` / ``.write_text()``, ``np.savez*`` and write-
+Flagged: ``.write_bytes()`` / ``.write_text()``, numpy's ``savez*`` and write-
 or append-mode ``open()`` whose target is not a temp path — plus the
 inverse bug, a temp write in a function that never
 calls ``os.replace`` (the commit that never happens).  A path is "temp"

@@ -47,7 +47,7 @@ from repro.ml import (
 from repro.obs.catalog import CUBE_SUBSETS_BUILT
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage import LevelTable, TrainingDataStore
+from repro.storage import BaseCellTable, LevelTable, RegionBlock, TrainingDataStore
 
 from .exceptions import SearchError, TaskError
 from .rowindex import RowIndex
@@ -55,6 +55,14 @@ from .task import BellwetherTask
 
 _TRACER = get_tracer()
 _SUBSETS_BUILT = get_registry().counter(CUBE_SUBSETS_BUILT)
+
+#: Rows ``scan_stacks`` lays end to end before taking their statistics at
+#: once.  A laid-out row costs ~16 (p + 3) bytes of transients (the design
+#: laid and gathered, targets, weights, the sort), so this keeps them under
+#: ~2 MB up to p = 12; a longer block is a run of its own.  Grouping saves
+#: the fixed numpy price of a call per region, which is most of what a
+#: ~300-row region costs and nothing to a long one.
+SCAN_ROWS = 8_192
 
 
 def _first_strict_min(values: np.ndarray) -> int:
@@ -437,11 +445,9 @@ class BellwetherCubeBuilder:
         best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
         batchable = self._batchable()
         for region, block in self.store.scan():
-            block = block.restrict_to(self._ids)
+            block, cell_of_row = self._own_rows(block)
             if block.n_examples == 0:
                 continue
-            rows_item = self._index.rows_of(block.item_ids)
-            cell_of_row = self._cell_of_item[rows_item]
             design = add_intercept(block.x) if batchable else None
             for __, rm, keep in self._levels:
                 subset_of_row = rm.subset_of_base[cell_of_row]
@@ -508,21 +514,79 @@ class BellwetherCubeBuilder:
 
     # -------------------------------------------------------------- optimized
 
+    def _own_rows(self, block: RegionBlock) -> tuple[RegionBlock, np.ndarray]:
+        """``block``'s rows of this builder's items, and each one's base cell."""
+        block, rows_item = self._index.restrict(block)
+        return block, self._cell_of_item[rows_item]
+
     def scan_stacks(self) -> dict[Region, StackedSuffStats]:
         """One scan: every region's base-cell statistics, in store order.
 
         Regions holding no row of this builder's items are left out.
+        Consecutive regions are laid end to end, up to :data:`SCAN_ROWS`
+        rows and as long as they agree on being weighted, and each run's
+        statistics are taken at once (:meth:`_laid_stacks`).
         """
         stacks: dict[Region, StackedSuffStats] = {}
-        n_cells = len(self._cells)
+        run: list[tuple[Region, RegionBlock, np.ndarray]] = []
+        rows = 0
         for region, block in self.store.scan():
-            block = block.restrict_to(self._ids)
+            block, cell_of_row = self._own_rows(block)
             if block.n_examples == 0:
                 continue
-            rows_item = self._index.rows_of(block.item_ids)
-            cell_of_row = self._cell_of_item[rows_item]
-            stacks[region] = self._cell_stats_stack(block, cell_of_row, n_cells)
+            if run and (
+                rows + block.n_examples > SCAN_ROWS
+                or (block.weights is None) != (run[0][1].weights is None)
+            ):
+                stacks.update(self._laid_stacks(run))
+                run, rows = [], 0
+            run.append((region, block, cell_of_row))
+            rows += block.n_examples
+        if run:
+            stacks.update(self._laid_stacks(run))
         return stacks
+
+    def _laid_stacks(
+        self, run: Sequence[tuple[Region, RegionBlock, np.ndarray]]
+    ) -> BaseCellTable:
+        """:meth:`_cell_stats_stack` of every ``(region, block, cell_of_row)``
+        of ``run`` from one grouping: the blocks laid end to end.
+
+        A stable argsort by (region, cell) leaves each segment the rows, in
+        block order, :meth:`_cell_stats_stack` groups for that region alone,
+        so the statistics are the same bits; that method stays the
+        one-block case and the reference.  The regions' stacks are windows
+        of one stack over the whole run.
+        """
+        regions, blocks, cells = zip(*run)
+        n_cells = len(self._cells)
+        sizes = [block.n_examples for block in blocks]
+        key = np.concatenate(cells) + np.repeat(
+            np.arange(len(run)) * n_cells, sizes
+        )
+        # the narrowest key type: numpy sorts 16-bit keys by radix, and a
+        # stable sort is the same permutation whatever the type
+        key = key.astype(np.min_scalar_type(len(run) * n_cells))
+        order = np.argsort(key, kind="stable")
+        sorted_keys = key[order]
+        starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+        design = np.empty((len(key), blocks[0].n_features + 1))
+        design[:, 0] = 1.0
+        np.concatenate([block.x for block in blocks], out=design[:, 1:])
+        weights = None
+        if blocks[0].weights is not None:
+            weights = np.concatenate([block.weights for block in blocks])[order]
+        laid = StackedSuffStats.zeros(len(run) * n_cells, design.shape[1])
+        laid.assign(
+            sorted_keys[starts],
+            StackedSuffStats.from_segments(
+                design[order],
+                np.concatenate([block.y for block in blocks])[order],
+                weights,
+                np.append(starts, len(order)),
+            ),
+        )
+        return BaseCellTable(regions, n_cells, laid)
 
     @staticmethod
     def _cell_stats_stack(
@@ -567,12 +631,10 @@ class BellwetherCubeBuilder:
         ``optimized_serial`` does, so the sums are the same bits.  No
         solves, no reads.
         """
-        regions = tuple(stacks)
-        n_regions = len(regions)
         p = len(self.store.feature_names) + 1  # + intercept
-        all_cells = StackedSuffStats.concatenate(
-            [StackedSuffStats.zeros(0, p), *stacks.values()]
-        )
+        cells = BaseCellTable.of(stacks, len(self._cells), p)
+        regions, all_cells = cells.regions, cells.stats
+        n_regions = len(regions)
         tables: list[LevelTable] = []
         with _TRACER.span(
             "cube.rollup", regions=n_regions, cells=len(self._cells)
@@ -671,11 +733,9 @@ class BellwetherCubeBuilder:
         best: dict[CubeSubset, tuple[Region, ErrorEstimate]] = {}
         n_cells = len(self._cells)
         for region, block in self.store.scan():
-            block = block.restrict_to(self._ids)
+            block, cell_of_row = self._own_rows(block)
             if block.n_examples == 0:
                 continue
-            rows_item = self._index.rows_of(block.item_ids)
-            cell_of_row = self._cell_of_item[rows_item]
             design = add_intercept(block.x)
             # g per base cell, one grouped pass over the block.
             order = np.argsort(cell_of_row, kind="stable")

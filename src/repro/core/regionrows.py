@@ -295,13 +295,11 @@ def _offsets(arrays) -> np.ndarray:
 def _columns(block: RegionBlock, items: RowIndex) -> tuple:
     """``(design, y, weights, pos, strangers)`` of one region's block."""
     ids = np.asarray(block.item_ids)
-    known = items.contains(ids)
-    pos = np.full(len(ids), len(items), dtype=np.intp)
-    pos[known] = items.rows_of(ids[known])
+    pos = items.locate(ids)
     return (
         add_intercept(block.x),
         np.asarray(block.y, dtype=np.float64),
         block.weights,
         pos,
-        ids[~known],
+        ids[pos == len(items)],
     )

@@ -35,41 +35,56 @@ class RowIndex:
     def ids(self) -> np.ndarray:
         return self._ids
 
-    def contains(self, wanted: np.ndarray) -> np.ndarray:
-        """Boolean per entry of ``wanted``: is it one of the indexed ids?"""
+    def locate(self, wanted: np.ndarray) -> np.ndarray:
+        """Row position of every entry of ``wanted``; ``len(self)`` if absent.
+
+        One lookup answers both "which of these ids are indexed" (``< len``)
+        and "where" — what :meth:`contains` and :meth:`rows_of` are views of.
+        """
         wanted = np.asarray(wanted)
         if self._dict is not None:
+            absent = len(self._ids)
             return np.fromiter(
-                (i in self._dict for i in wanted), dtype=bool, count=len(wanted)
+                (self._dict.get(i, absent) for i in wanted),
+                dtype=np.int64,
+                count=len(wanted),
             )
         if len(self._ids) == 0 or len(wanted) == 0:
-            return np.zeros(len(wanted), dtype=bool)
+            return np.full(len(wanted), len(self._ids), dtype=np.int64)
         pos = np.searchsorted(self._sorted, wanted)
-        pos = np.minimum(pos, len(self._sorted) - 1)
-        return self._sorted[pos] == wanted
+        np.minimum(pos, len(self._sorted) - 1, out=pos)
+        rows = self._order[pos].astype(np.int64, copy=False)
+        missing = self._sorted[pos] != wanted
+        if missing.any():
+            rows = np.where(missing, len(self._ids), rows)
+        return rows
+
+    def restrict(self, block):
+        """``block``'s rows of indexed items, and each one's row position.
+
+        The :class:`~repro.storage.RegionBlock` ``restrict_to(self.ids)``
+        makes, rows in block order, from the one lookup that also says where
+        each row's item sits; a block holding nothing else comes back as it
+        is, not copied.
+        """
+        rows = self.locate(block.item_ids)
+        held = rows < len(self._ids)
+        if held.all():
+            return block, rows
+        return block.where(held), rows[held]
+
+    def contains(self, wanted: np.ndarray) -> np.ndarray:
+        """Boolean per entry of ``wanted``: is it one of the indexed ids?"""
+        return self.locate(wanted) < len(self._ids)
 
     def rows_of(self, wanted: np.ndarray) -> np.ndarray:
         """Row position of every entry of ``wanted`` (KeyError if absent)."""
         wanted = np.asarray(wanted)
-        if self._dict is not None:
-            try:
-                return np.fromiter(
-                    (self._dict[i] for i in wanted),
-                    dtype=np.int64,
-                    count=len(wanted),
-                )
-            except KeyError as exc:
-                raise KeyError(f"unknown item id {exc.args[0]!r}") from None
-        if len(wanted) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if len(self._ids) == 0:
-            raise KeyError(f"unknown item id {wanted[0]!r}")
-        pos = np.searchsorted(self._sorted, wanted)
-        pos = np.minimum(pos, len(self._sorted) - 1)
-        missing = self._sorted[pos] != wanted
+        rows = self.locate(wanted)
+        missing = rows == len(self._ids)
         if missing.any():
             raise KeyError(f"unknown item id {wanted[missing][0]!r}")
-        return self._order[pos].astype(np.int64, copy=False)
+        return rows
 
     def member_mask(self, wanted: np.ndarray) -> np.ndarray:
         """Boolean over the *indexed* ids: membership in ``wanted``."""

@@ -549,7 +549,9 @@ class BellwetherTreeBuilder:
         slots: list[tuple] = []
         for region, block in blocks:
             for st in states:
-                sub = block.restrict_to(st.node.item_ids)
+                # the node's rows of the block and each one's column of the
+                # node's masks, from one lookup
+                sub, at = st.index.restrict(block)
                 if st.cache is not None:
                     st.cache[region] = sub
                 # [1 | x] once per (node, block): the node's own model and
@@ -566,7 +568,7 @@ class BellwetherTreeBuilder:
                     continue
                 _SPLIT_EVALS.inc(len(st.plan))
                 sides = StackedSuffStats.from_binary_splits(
-                    z, sub.y, sub.weights, st.masks[:, st.index.rows_of(sub.item_ids)]
+                    z, sub.y, sub.weights, st.masks[:, at]
                 )
                 kept = np.flatnonzero(sides.n[st.take] >= self.min_examples)
                 stacks.append(sides.select(st.take[kept]))

@@ -165,12 +165,12 @@ class IncrementalCubeMaintainer:
         _REGIONS_REFRESHED.inc(len(touched))
         for region, id_lists in touched.items():
             dirty_cells = self._dirty_cells(np.concatenate(id_lists))
-            block = store.read(region).restrict_to(builder._ids)
+            block, cell_of_row = builder._own_rows(store.read(region))
             if block.n_examples == 0:
                 self._forget_region(region)
                 continue
             self._stacks[region] = self._refresh_stack(
-                region, block, dirty_cells
+                region, block, cell_of_row, dirty_cells
             )
             self._dirty[region] = np.union1d(
                 self._dirty.pop(region, dirty_cells), dirty_cells
@@ -238,22 +238,19 @@ class IncrementalCubeMaintainer:
     def _dirty_cells(self, item_ids: np.ndarray) -> np.ndarray:
         """The base cells of the builder's items among ``item_ids``."""
         builder = self.builder
-        ids = np.unique(item_ids)
-        known = builder._index.contains(ids)
-        rows = builder._index.rows_of(ids[known])
-        return np.unique(builder._cell_of_item[rows])
+        rows = builder._index.locate(np.unique(item_ids))
+        return np.unique(builder._cell_of_item[rows[rows < len(builder._index)]])
 
     def _refresh_stack(
         self,
         region: Region,
-        block,
+        block: RegionBlock,
+        cell_of_row: np.ndarray,
         dirty_cells: np.ndarray,
     ) -> StackedSuffStats:
         """The region's updated base-cell stack, dirty cells recomputed."""
         builder = self.builder
         old = self._stacks.get(region)
-        rows_item = builder._index.rows_of(block.item_ids)
-        cell_of_row = builder._cell_of_item[rows_item]
         if old is None:
             return builder._cell_stats_stack(block, cell_of_row, self._n_cells)
         # Recompute the dirty cells from their rows of the updated block,
@@ -263,14 +260,7 @@ class IncrementalCubeMaintainer:
         # relative to each other and keep their cached bits.
         dirty = np.isin(cell_of_row, dirty_cells)
         recomputed = builder._cell_stats_stack(
-            RegionBlock(
-                block.item_ids[dirty],
-                block.x[dirty],
-                block.y[dirty],
-                None if block.weights is None else block.weights[dirty],
-            ),
-            cell_of_row[dirty],
-            self._n_cells,
+            block.where(dirty), cell_of_row[dirty], self._n_cells
         )
         stack = old.copy()
         stack.assign(dirty_cells, recomputed.select(dirty_cells))

@@ -36,7 +36,7 @@ from repro.obs.catalog import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage import CubeTableStore, LevelTable, StorageError
+from repro.storage import BaseCellTable, CubeTableStore, LevelTable, StorageError
 
 __all__ = ["build_cube_tables"]
 
@@ -81,7 +81,10 @@ def build_cube_tables(
         except StorageError:
             _BASE_MISSES.inc()
         sp.annotate(source=maintainer.advance())
-        stacks = maintainer.stacks
+        # laid end to end once, for the rollup and for the save
+        stacks = BaseCellTable.of(
+            maintainer.stacks, signature["n_cells"], signature["p"]
+        )
         tables = builder.level_tables(stacks)
         table_store.save(tables, signature, store_version, stacks)
         _BUILDS.inc()

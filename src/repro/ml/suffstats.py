@@ -451,13 +451,41 @@ class StackedSuffStats:
         ``target[i]`` names the output problem that input problem ``i``
         merges into — e.g. the cube's base-cell -> subset map, repeated per
         region.  This is the vectorized form of the dict-of-``+`` rollup.
+
+        The sums are taken in rank rounds: round ``k`` adds, with one
+        ``out[t] += src`` per component, the ``k``-th input (in input
+        order) of every output that has one.  Targets are distinct within a
+        round, so the fancy-indexed add loses nothing, and every output
+        starts at zero and receives its addends one at a time in input
+        order — the IEEE additions ``np.add.at`` performs, hence its bits
+        (a pairwise or blocked reduction such as ``np.add.reduceat`` would
+        associate them differently).  Rounds number as many as the most
+        inputs any output takes, not as many as there are inputs.
         """
+        target = np.asarray(target, dtype=np.intp)
+        if target.shape != (len(self),):
+            raise FitError(
+                f"rollup target has shape {target.shape}, expected ({len(self)},)"
+            )
+        if len(target) and not (0 <= target.min() and target.max() < n_out):
+            raise FitError(f"rollup targets must lie in [0, {n_out})")
         out = StackedSuffStats.zeros(n_out, self.p)
-        np.add.at(out.ytwy, target, self.ytwy)
-        np.add.at(out.xtwx, target, self.xtwx)
-        np.add.at(out.xtwy, target, self.xtwy)
-        np.add.at(out.n, target, self.n)
-        np.add.at(out.sum_w, target, self.sum_w)
+        # Inputs grouped by target, input order kept within a group; an
+        # input's rank is its distance from the start of its group.
+        by_target = np.argsort(target, kind="stable")
+        grouped = target[by_target]
+        first = np.flatnonzero(np.diff(grouped, prepend=-1))
+        rank = np.arange(len(target)) - np.repeat(
+            first, np.diff(np.append(first, len(target)))
+        )
+        by_rank = np.argsort(rank, kind="stable")
+        rows, into = by_target[by_rank], grouped[by_rank]
+        edges = np.append(0, np.cumsum(np.bincount(rank))).tolist()
+        for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+            # one gather lays a component's addends out round after round
+            addends, sums = getattr(self, name)[rows], getattr(out, name)
+            for a, b in zip(edges[:-1], edges[1:]):
+                sums[into[a:b]] += addends[a:b]
         return out
 
     # ------------------------------------------------------------------ solve

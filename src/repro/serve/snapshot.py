@@ -140,8 +140,9 @@ class FittedModel:
         train_mean = float(train.y.mean()) if train.n_examples else 0.0
         rows = RowIndex(block.item_ids)
         wanted = np.asarray(ids)
-        found = wanted[rows.contains(wanted)]
-        row_of = dict(zip(found.tolist(), rows.rows_of(found).tolist()))
+        at = rows.locate(wanted)
+        found = at < len(rows)
+        row_of = dict(zip(wanted[found].tolist(), at[found].tolist()))
         predictions = []
         total = 0.0
         for item in ids:

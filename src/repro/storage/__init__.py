@@ -24,12 +24,13 @@ from .block_store import (
     TrainingDataStore,
     open_store,
 )
-from .cubetables import CubeTableStore, LevelTable, StaleCacheError
+from .cubetables import BaseCellTable, CubeTableStore, LevelTable, StaleCacheError
 from .delta import AppliedDelta, BlockDelta, StoreDelta, apply_block_delta
 from .stats import IOStats
 
 __all__ = [
     "AppliedDelta",
+    "BaseCellTable",
     "BlockDelta",
     "BlockWriter",
     "CubeTableStore",

@@ -127,15 +127,18 @@ class RegionBlock:
         extra = self.weights.nbytes if self.weights is not None else 0
         return self.item_ids.nbytes + self.x.nbytes + self.y.nbytes + extra
 
+    def where(self, keep: np.ndarray) -> "RegionBlock":
+        """The rows a boolean mask (or an index array) selects, in its order."""
+        return RegionBlock(
+            self.item_ids[keep],
+            self.x[keep],
+            self.y[keep],
+            None if self.weights is None else self.weights[keep],
+        )
+
     def restrict_to(self, item_ids: np.ndarray) -> "RegionBlock":
         """The sub-block for a subset of items (S_r in the paper)."""
-        mask = np.isin(self.item_ids, item_ids)
-        return RegionBlock(
-            self.item_ids[mask],
-            self.x[mask],
-            self.y[mask],
-            None if self.weights is None else self.weights[mask],
-        )
+        return self.where(np.isin(self.item_ids, item_ids))
 
 
 class TrainingDataStore:
@@ -380,10 +383,11 @@ def _write_region(directory: Path, idx: int, block: RegionBlock) -> dict:
 def _raw_columns(path: Path, rows: int, columns: Mapping) -> dict[str, np.ndarray]:
     """Read-only windows over every stored column, from one mapping of the file.
 
-    The windows keep the mapping alive; it is unmapped when the last of
-    them is dropped.
+    A column holds ``rows`` elements unless its entry names a ``count`` of
+    its own.  The windows keep the mapping alive; it is unmapped when the
+    last of them is dropped.
     """
-    if rows == 0:
+    if not any(col.get("count", rows) for col in columns.values()):
         return {
             name: np.empty(0, dtype=np.dtype(col["dtype"]))
             for name, col in columns.items()
@@ -392,7 +396,10 @@ def _raw_columns(path: Path, rows: int, columns: Mapping) -> dict[str, np.ndarra
         buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     return {
         name: np.frombuffer(
-            buf, dtype=np.dtype(col["dtype"]), count=rows, offset=int(col["offset"])
+            buf,
+            dtype=np.dtype(col["dtype"]),
+            count=int(col.get("count", rows)),
+            offset=int(col["offset"]),
         )
         for name, col in columns.items()
     }

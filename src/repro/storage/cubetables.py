@@ -31,8 +31,7 @@ set with ``--skip-existing`` semantics.
 from __future__ import annotations
 
 import json
-import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,13 +47,13 @@ from repro.obs.catalog import (
 from repro.analysis.runtime import CUBE_TABLES_IO, TrackedLock
 from repro.obs.metrics import get_registry
 
-from .block_store import StorageError, _atomic_write
+from .block_store import StorageError, _atomic_write, _raw_columns, _write_raw
 
 _BYTES_WRITTEN = get_registry().counter(CUBE_TABLES_BYTES_WRITTEN)
 _BYTES_READ = get_registry().counter(CUBE_TABLES_BYTES_READ)
 
 _FORMAT = "repro-cube-tables"
-_LAYOUT_VERSION = 1
+_LAYOUT_VERSION = 2
 
 
 class StaleCacheError(StorageError):
@@ -95,11 +94,55 @@ class LevelTable:
         return len(self.keep_sidx)
 
 
+class BaseCellTable(Mapping):
+    """Every region's base-cell stack, held as one stack, region-major.
+
+    A read-only ``{region: StackedSuffStats}`` in region order whose values
+    are windows of :attr:`stats`: region ``k`` is problems
+    ``k * n_cells:(k + 1) * n_cells``.  The rollup and the save both want the
+    stacks end to end; handed this, neither lays them out again.
+    """
+
+    def __init__(
+        self, regions: Sequence[Region], n_cells: int, stats: StackedSuffStats
+    ):
+        self.regions = tuple(regions)
+        self.n_cells = int(n_cells)
+        self.stats = stats
+        self._at = {region: k for k, region in enumerate(self.regions)}
+
+    @classmethod
+    def of(
+        cls, stacks: Mapping[Region, StackedSuffStats], n_cells: int, p: int
+    ) -> "BaseCellTable":
+        """``stacks`` laid end to end — itself when it already is."""
+        if isinstance(stacks, cls):
+            return stacks
+        return cls(
+            stacks,
+            n_cells,
+            StackedSuffStats.concatenate(
+                [StackedSuffStats.zeros(0, p), *stacks.values()]
+            ),
+        )
+
+    def __getitem__(self, region: Region) -> StackedSuffStats:
+        k = self._at[region]
+        return self.stats.select(slice(k * self.n_cells, (k + 1) * self.n_cells))
+
+    def __iter__(self) -> Iterator[Region]:
+        return iter(self.regions)
+
+    def __len__(self) -> int:
+        return len(self.regions)
+
+
 def _canonical(signature: dict) -> str:
     return json.dumps(signature, sort_keys=True)
 
 
 _COMPONENTS = ("ytwy", "xtwx", "xtwy", "n", "sum_w")
+_STAMP = "__version__"
 
 
 def _put(arrays: dict, prefix: str, stats: StackedSuffStats) -> None:
@@ -107,21 +150,21 @@ def _put(arrays: dict, prefix: str, stats: StackedSuffStats) -> None:
         arrays[f"{prefix}_{name}"] = getattr(stats, name)
 
 
-def _get(data, prefix: str) -> StackedSuffStats:
-    return StackedSuffStats(*(data[f"{prefix}_{name}"] for name in _COMPONENTS))
-
-
 class CubeTableStore:
     """Saves/loads a cube's suffstats tables in one directory.
 
-    Layout: ``cube_tables_meta.json`` (format, store version, geometry
-    signature, per-level region keys, the base-cell table's region keys) +
-    ``cube_tables.npz`` (the stacked component arrays, keyed
-    ``L{i}_{component}`` per level and ``base_{component}`` for the
-    base-cell table).  The metadata is written last and atomically — it is
-    the commit point; a crash mid-save leaves the old statistics or none,
-    never a torn set.  An npz member that is not asked for is not read, so
-    loading the level tables does not pay for the base.
+    Layout v2: ``cube_tables.dat`` — the stacked component arrays as raw
+    C-contiguous buffers back to back, ``L{i}_{component}`` per level and
+    ``base_{component}`` for the base-cell table, behind an 8-byte store
+    version stamp — + ``cube_tables_meta.json`` (format, store version,
+    geometry signature, every member's offset, dtype and element count, each
+    distinct region list once, and per level / for the base which list it
+    is).  The metadata is written last and atomically — it is the commit
+    point; a crash mid-save leaves the old statistics or none, never a torn
+    set.  A load maps the data file once and copies out only the members it
+    returns, so loading the level tables does not pay for the base.  A
+    directory written in the retired npz layout (v1) is refused with a
+    :class:`~repro.storage.StorageError`; the next build replaces it.
 
     Thread safety: save/load serialize on an instance lock (the query
     service calls both from request threads), the data file is also written
@@ -132,7 +175,8 @@ class CubeTableStore:
     """
 
     _META = "cube_tables_meta.json"
-    _DATA = "cube_tables.npz"
+    _DATA = "cube_tables.dat"
+    _RETIRED_DATA = "cube_tables.npz"
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
@@ -159,43 +203,64 @@ class CubeTableStore:
         region, one stack of ``signature["n_cells"]`` problems.
         """
         arrays: dict[str, np.ndarray] = {
-            "__version__": np.asarray([int(version)], dtype=np.int64)
+            _STAMP: np.asarray([int(version)], dtype=np.int64)
         }
         p = int(signature.get("p", 0))
+        # Each distinct region list is written once; a build's level tables
+        # and its base all share one.
+        region_lists: list[tuple[Region, ...]] = []
+
+        def listed(regions) -> int:
+            regions = tuple(regions)
+            for k, known in enumerate(region_lists):
+                if known is regions or known == regions:
+                    return k
+            region_lists.append(regions)
+            return len(region_lists) - 1
+
+        levels = []
         for i, t in enumerate(tables):
             if len(t.stats):
                 p = t.stats.p
             _put(arrays, f"L{i}", t.stats)
+            levels.append(
+                {
+                    "level": list(t.level),
+                    "regions": listed(t.regions),
+                    "keep_sidx": [int(s) for s in t.keep_sidx],
+                }
+            )
         if base:
-            _put(arrays, "base", StackedSuffStats.concatenate(list(base.values())))
-        meta_payload = json.dumps(
-            {
-                "format": _FORMAT,
-                "layout_version": _LAYOUT_VERSION,
-                "version": int(version),
-                "p": p,
-                "signature": signature,
-                "levels": [
-                    {
-                        "level": list(t.level),
-                        "regions": [region_to_json(r) for r in t.regions],
-                        "keep_sidx": [int(s) for s in t.keep_sidx],
-                    }
-                    for t in tables
-                ],
-                "base_regions": None
-                if base is None
-                else [region_to_json(r) for r in base],
-            }
-        ).encode()
+            _put(
+                arrays,
+                "base",
+                BaseCellTable.of(base, int(signature["n_cells"]), p).stats,
+            )
+        base_regions = None if base is None else listed(base)
         with self._io_lock:
             self._dir.mkdir(parents=True, exist_ok=True)
-            tmp = self.data_path.with_name(self.data_path.name + ".tmp")
-            with tmp.open("wb") as f:
-                np.savez(f, **arrays)
-            os.replace(tmp, self.data_path)
+            data_bytes, columns = _write_raw(self.data_path, arrays)
+            for name, entry in columns.items():
+                entry["count"] = int(arrays[name].size)
+            meta_payload = json.dumps(
+                {
+                    "format": _FORMAT,
+                    "layout_version": _LAYOUT_VERSION,
+                    "version": int(version),
+                    "p": p,
+                    "signature": signature,
+                    "regions": [
+                        [region_to_json(r) for r in regions]
+                        for regions in region_lists
+                    ],
+                    "levels": levels,
+                    "base_regions": base_regions,
+                    "columns": columns,
+                }
+            ).encode()
             _atomic_write(self.meta_path, meta_payload)
-            _BYTES_WRITTEN.inc(self.data_path.stat().st_size + len(meta_payload))
+            (self._dir / self._RETIRED_DATA).unlink(missing_ok=True)
+            _BYTES_WRITTEN.inc(data_bytes + len(meta_payload))
 
     def load(
         self,
@@ -214,15 +279,13 @@ class CubeTableStore:
                     f"cube tables are at store version {meta['version']}, "
                     f"store is at {expected_version}"
                 )
-            with self._data(meta) as data:
+            with self._data(meta) as read:
                 return [
-                    self._level_table(data, i, entry, meta["p"])
+                    self._level_table(read, i, entry, meta)
                     for i, entry in enumerate(meta["levels"])
                 ]
 
-    def load_base(
-        self, signature: dict
-    ) -> tuple[int, dict[Region, StackedSuffStats]]:
+    def load_base(self, signature: dict) -> tuple[int, BaseCellTable]:
         """The base-cell table plus the store version it was saved at.
 
         Geometry is verified like :meth:`load` (:class:`StaleCacheError` on
@@ -236,31 +299,27 @@ class CubeTableStore:
             if meta["base_regions"] is None:
                 raise StorageError(f"no base-cell table at {self._dir}")
             n_cells = int(signature["n_cells"])
-            with self._data(meta) as data:
-                regions = [region_from_json(key) for key in meta["base_regions"]]
+            with self._data(meta) as read:
+                regions = meta["regions"][meta["base_regions"]]
                 flat = (
-                    _get(data, "base")
+                    read("base")
                     if regions
                     else StackedSuffStats.zeros(0, meta["p"])
                 )
-                if len(flat) != len(regions) * n_cells or (
-                    len(flat) and flat.p != meta["p"]
-                ):
+                if len(flat) != len(regions) * n_cells:
                     raise StorageError(
                         f"base-cell table has {len(flat)} problems, expected "
                         f"{len(regions) * n_cells} (p={meta['p']})"
                     )
-                return meta["version"], {
-                    region: flat.select(slice(i * n_cells, (i + 1) * n_cells))
-                    for i, region in enumerate(regions)
-                }
+                return meta["version"], BaseCellTable(regions, n_cells, flat)
 
     def _read_meta(self, signature: dict) -> dict:
         """The decoded metadata, verified against ``signature``."""
         if not self.meta_path.exists():
             raise StorageError(f"no cube tables at {self._dir}")
         try:
-            raw = json.loads(self.meta_path.read_text())
+            payload = self.meta_path.read_bytes()
+            raw = json.loads(payload)
             if raw.get("format") != _FORMAT:
                 raise StorageError(
                     f"{self.meta_path} is not a {_FORMAT} file "
@@ -275,8 +334,14 @@ class CubeTableStore:
             meta = {
                 "version": int(raw["version"]),
                 "p": int(raw["p"]),
+                "regions": [
+                    tuple(region_from_json(key) for key in keys)
+                    for keys in raw["regions"]
+                ],
                 "levels": list(raw["levels"]),
                 "base_regions": raw.get("base_regions"),
+                "columns": dict(raw["columns"]),
+                "nbytes": len(payload),
             }
             saved_sig = raw["signature"]
         except StorageError:
@@ -294,46 +359,58 @@ class CubeTableStore:
 
     @contextmanager
     def _data(self, meta: dict):
-        """The open data file, refused when torn from ``meta``.
+        """``read(prefix)``: one stack copied out of the mapped data file,
+        which is refused when torn from ``meta``.
 
         Anything that goes wrong decoding it inside the block surfaces as
-        :class:`StorageError`; the byte counter moves on a clean exit.
+        :class:`StorageError`; on a clean exit the byte counter moves by
+        the metadata plus the windows that were copied out, and the
+        mapping goes with the block.
         """
+        copied = meta["nbytes"]
+        p = meta["p"]
+
+        def read(prefix: str) -> StackedSuffStats:
+            nonlocal copied
+            arrays = [np.array(windows[f"{prefix}_{name}"]) for name in _COMPONENTS]
+            copied += sum(array.nbytes for array in arrays)
+            ytwy, xtwx, xtwy, n, sum_w = arrays
+            return StackedSuffStats(
+                ytwy,
+                xtwx.reshape(len(ytwy), p, p),
+                xtwy.reshape(len(ytwy), p),
+                n,
+                sum_w,
+            )
+
         try:
-            with np.load(self.data_path) as data:
-                if "__version__" in data.files:
-                    data_version = int(data["__version__"][0])
-                    if data_version != meta["version"]:
-                        raise StorageError(
-                            f"torn cube tables at {self._dir}: metadata says "
-                            f"store version {meta['version']}, data file was "
-                            f"written at {data_version}"
-                        )
-                yield data
+            windows = _raw_columns(self.data_path, 0, meta["columns"])
+            data_version = int(windows[_STAMP][0])
+            if data_version != meta["version"]:
+                raise StorageError(
+                    f"torn cube tables at {self._dir}: metadata says "
+                    f"store version {meta['version']}, data file was "
+                    f"written at {data_version}"
+                )
+            yield read
         except StorageError:
             raise
         except Exception as exc:
             raise StorageError(
                 f"unreadable cube tables {self.data_path}: {exc!r}"
             ) from exc
-        _BYTES_READ.inc(
-            self.data_path.stat().st_size + self.meta_path.stat().st_size
-        )
+        _BYTES_READ.inc(copied)
 
     @staticmethod
-    def _level_table(data, i: int, entry: dict, p: int) -> LevelTable:
-        regions = tuple(region_from_json(key) for key in entry["regions"])
+    def _level_table(read, i: int, entry: dict, meta: dict) -> LevelTable:
+        regions = meta["regions"][entry["regions"]]
         keep_sidx = np.asarray(entry["keep_sidx"], dtype=np.int64)
         n_problems = len(regions) * len(keep_sidx)
-        if f"L{i}_ytwy" in data.files:
-            stats = _get(data, f"L{i}")
-        else:
-            stats = StackedSuffStats.zeros(0, p)
-        if len(stats) != n_problems or (len(stats) and stats.p != p):
+        stats = read(f"L{i}")
+        if len(stats) != n_problems:
             raise StorageError(
-                f"cube table level {i} has {len(stats)} problems "
-                f"(p={stats.p if len(stats) else '?'}); expected "
-                f"{n_problems} (p={p})"
+                f"cube table level {i} has {len(stats)} problems; "
+                f"expected {n_problems} (p={meta['p']})"
             )
         return LevelTable(
             level=tuple(int(x) for x in entry["level"]),

@@ -31,10 +31,10 @@ def _skip_retraction():
     """
     original = IncrementalCubeMaintainer._refresh_stack
 
-    def forgetful(self, region, block, dirty_cells):
+    def forgetful(self, region, block, cell_of_row, dirty_cells):
         cached = self._stacks.get(region)
         if cached is None:
-            return original(self, region, block, dirty_cells)
+            return original(self, region, block, cell_of_row, dirty_cells)
         return cached
 
     IncrementalCubeMaintainer._refresh_stack = forgetful

@@ -75,3 +75,26 @@ def test_get_rules_rejects_unknown_ids():
 
     with pytest.raises(AnalysisError):
         get_rules(["RPR999"])
+
+
+def test_rpr001_lets_the_storage_layer_map_files_but_not_zip_them(tmp_path):
+    """Internals and mappings are the storage layer's own; ``np.savez`` /
+    ``np.load`` are flagged there too, with no per-file exemption."""
+    source = (
+        "import mmap\n"
+        "import numpy as np\n"
+        "def read(store, f, path):\n"
+        "    store._meta\n"
+        "    mmap.mmap(f.fileno(), 0)\n"
+        "    np.memmap(path)\n"
+        "    np.load(path)\n"
+        "    np.savez_compressed(path)\n"
+    )
+    found = {}
+    for layer in ("storage", "core"):
+        path = tmp_path / "src" / "repro" / layer / "cubetables.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(source)
+        engine = Engine(root=tmp_path, rules=get_rules(["RPR001"]))
+        found[layer] = [f.line for f in engine.run([path])]
+    assert found == {"storage": [7, 8], "core": [4, 5, 6, 7, 8]}

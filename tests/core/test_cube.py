@@ -205,14 +205,21 @@ class TestOneRollup:
 
     @staticmethod
     def _reference(builder, stacks):
-        # The reference: what level_tables did before it was batched.
+        # The reference: Theorem 1's sum written out — per region, every
+        # base cell added to its subset one at a time, in cell order.
+        from repro.ml import StackedSuffStats
+
         out = []
         for level, rm, keep in builder._levels:
             keep_sidx = np.array([s_idx for s_idx, __, __ in keep])
-            per = [
-                stack.rollup(rm.subset_of_base, len(rm.subsets)).select(keep_sidx)
-                for stack in stacks.values()
-            ]
+            per = []
+            for stack in stacks.values():
+                rolled = StackedSuffStats.zeros(len(rm.subsets), stack.p)
+                for cell, s_idx in enumerate(rm.subset_of_base.tolist()):
+                    for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+                        sums = getattr(rolled, name)
+                        sums[s_idx] = sums[s_idx] + getattr(stack, name)[cell]
+                per.append(rolled.select(keep_sidx))
             out.append((tuple(level), keep_sidx, per))
         return out
 
@@ -293,3 +300,81 @@ class TestOneRollup:
         assert (io.full_scans, io.region_reads) == (1, 0)  # Lemma 2
         assert 0 < solves.value - solves0 <= builder.n_levels
         assert len(cube) == len(builder.significant_subsets)
+
+
+class TestLaidOutScan:
+    """``scan_stacks`` (regions laid end to end, one grouping per run) against
+    ``_cell_stats_stack`` region by region, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def awkward(self):
+        """A store with every kind of block the scan has to group: weighted
+        and unweighted stretches, ids the item table does not know, a region
+        of nothing else, a region of odd items only, a zero-row region."""
+        from repro.core import build_store
+        from repro.datasets import make_mailorder
+        from repro.dimensions import Region
+        from repro.storage import MemoryStore, RegionBlock
+
+        ds = make_mailorder(n_items=60, n_months=4, seed=1)
+        store, __, __ = build_store(ds.task)
+        rng = np.random.default_rng(11)
+        blocks = {}
+        for k, region in enumerate(store.regions()):
+            b = store.read(region)
+            # weighted in stretches of three regions, unweighted in between
+            w = rng.uniform(0.5, 2.0, b.n_examples) if (k // 3) % 2 else None
+            blocks[region] = RegionBlock(b.item_ids, b.x, b.y, w)
+        regions = list(blocks)
+        b = blocks[regions[4]]
+        mixed = b.item_ids.copy()
+        mixed[::5] = 10_000 + np.arange(len(mixed[::5]))
+        blocks[regions[4]] = RegionBlock(mixed, b.x, b.y, b.weights)
+        blocks[regions[7]] = RegionBlock(b.item_ids + 20_000, b.x, b.y, b.weights)
+        odd = np.asarray(ds.task.item_ids)[1::2]
+        blocks[regions[9]] = blocks[regions[9]].restrict_to(odd)
+        blocks = {
+            Region(("nowhere", "nothing")): RegionBlock(b.item_ids[:0], b.x[:0], b.y[:0]),
+            **blocks,
+        }
+        return ds, MemoryStore(blocks, store.feature_names)
+
+    @staticmethod
+    def _per_region(builder):
+        out = {}
+        n_cells = len(builder._cells)
+        for region in builder.store.regions():
+            block = builder.store.read(region).restrict_to(builder._ids)
+            if block.n_examples:
+                cells = builder._cell_of_item[builder._index.rows_of(block.item_ids)]
+                out[region] = builder._cell_stats_stack(block, cells, n_cells)
+        return out
+
+    @pytest.mark.parametrize("budget", [1, 97, "two-regions", 10**9])
+    @pytest.mark.parametrize("items", ["all", "even"])
+    def test_matches_the_one_block_case(self, awkward, monkeypatch, budget, items):
+        from repro.core import cube as cube_module
+
+        ds, store = awkward
+        kwargs = {"min_subset_size": 5}
+        if items == "even":
+            kwargs["item_ids"] = list(np.asarray(ds.task.item_ids)[::2])
+        builder = BellwetherCubeBuilder(ds.task, store, ds.hierarchies, **kwargs)
+        want = self._per_region(builder)
+        if budget == "two-regions":  # a run that ends exactly on the budget
+            budget = sum(
+                int(np.isin(store.read(r).item_ids, builder._ids).sum())
+                for r in list(want)[:2]
+            )
+        monkeypatch.setattr(cube_module, "SCAN_ROWS", budget)
+        got = builder.scan_stacks()
+        assert list(got) == list(want)
+        # strangers only, odd items only (for the even builder), no rows
+        regions = store.regions()
+        assert regions[0] not in got and regions[8] not in got
+        assert (regions[10] in got) == (items == "all")
+        for region in want:
+            for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+                a, b = getattr(got[region], name), getattr(want[region], name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes(), (region, name)

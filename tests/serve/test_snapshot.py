@@ -204,7 +204,7 @@ def test_start_up_and_a_delta_solve_no_cube(dataset, tmp_path):
     assert resolved.value == before
     assert store.stats.full_scans == scans0
     assert sorted(f.name for f in (tmp_path / "tables").iterdir()) == [
-        "cube_tables.npz",
+        "cube_tables.dat",
         "cube_tables_meta.json",
     ]
     cube = state.builder.build_from_tables(state._snapshot.tables)

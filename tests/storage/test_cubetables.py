@@ -10,6 +10,8 @@ detected, and a version bump is patched forward through the store changelog
 instead of rescanning.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.obs import get_registry
 from repro.storage import (
     BlockDelta,
     CubeTableStore,
+    LevelTable,
     RegionBlock,
     StaleCacheError,
     StorageError,
@@ -72,7 +75,7 @@ class TestOneArtifact:
         __, __s, builder, table_dir = setup
         build_cube_tables(builder, table_dir)
         assert sorted(f.name for f in table_dir.iterdir()) == [
-            "cube_tables.npz",
+            "cube_tables.dat",
             "cube_tables_meta.json",
         ]
 
@@ -350,3 +353,156 @@ class TestBuildFromTablesValidation:
         )
         with pytest.raises(TaskError):
             other.build_from_tables(tables)
+
+
+_COMPONENTS = ("ytwy", "xtwx", "xtwy", "n", "sum_w")
+
+
+def _same_bytes(a, b) -> bool:
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).shape == getattr(b, name).shape
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in _COMPONENTS
+    )
+
+
+def _nbytes(stats) -> int:
+    return sum(getattr(stats, name).nbytes for name in _COMPONENTS)
+
+
+class TestLayoutV2:
+    """One raw data file + the JSON metadata; what a load copies out."""
+
+    @pytest.fixture()
+    def saved(self, setup):
+        __, store, builder, table_dir = setup
+        stacks = builder.scan_stacks()
+        tables = builder.level_tables(stacks)
+        signature = builder.geometry_signature()
+        table_store = CubeTableStore(table_dir)
+        table_store.save(tables, signature, store.version, stacks)
+        return table_store, signature, store.version, tables, stacks
+
+    def test_round_trip_is_byte_for_byte(self, saved):
+        table_store, signature, version, tables, stacks = saved
+        loaded = table_store.load(signature, version)
+        assert len(loaded) == len(tables)
+        for got, want in zip(loaded, tables):
+            assert (got.level, got.regions) == (want.level, want.regions)
+            assert np.array_equal(got.keep_sidx, want.keep_sidx)
+            assert _same_bytes(got.stats, want.stats)
+            # copies, not windows of the mapped file
+            assert got.stats.xtwx.flags.owndata or got.stats.xtwx.base.flags.owndata
+            assert got.stats.xtwx.flags.writeable
+        base_version, base = table_store.load_base(signature)
+        assert base_version == version
+        assert list(base) == list(stacks)
+        assert all(_same_bytes(base[r], stacks[r]) for r in stacks)
+
+    def test_region_keys_are_written_once(self, saved):
+        table_store, __, __v, tables, __s = saved
+        meta = json.loads(table_store.meta_path.read_text())
+        assert meta["layout_version"] == 2
+        assert len(meta["regions"]) == 1
+        assert len(meta["regions"][0]) == tables[0].n_regions
+        assert [entry["regions"] for entry in meta["levels"]] == [0] * len(tables)
+        assert meta["base_regions"] == 0
+        # the data file is the members back to back, nothing else
+        last = max(meta["columns"].values(), key=lambda c: c["offset"])
+        assert table_store.data_path.stat().st_size == (
+            last["offset"] + last["count"] * np.dtype(last["dtype"]).itemsize
+        )
+
+    def test_tables_over_different_regions_keep_their_own(self, setup):
+        __, store, builder, table_dir = setup
+        stacks = builder.scan_stacks()
+        some = {r: stacks[r] for r in list(stacks)[::2]}
+        signature = builder.geometry_signature()
+        tables = builder.level_tables(some)
+        table_store = CubeTableStore(table_dir)
+        table_store.save(tables, signature, store.version, stacks)
+        assert len(json.loads(table_store.meta_path.read_text())["regions"]) == 2
+        loaded = table_store.load(signature, store.version)
+        assert all(t.regions == tuple(some) for t in loaded)
+        assert list(table_store.load_base(signature)[1]) == list(stacks)
+
+    def test_byte_counters_count_what_was_copied(self, saved):
+        table_store, signature, version, tables, stacks = saved
+        registry = get_registry()
+        meta_bytes = table_store.meta_path.stat().st_size
+
+        def read_by(call) -> int:
+            before = registry.counter_values().get("cube.tables.bytes_read", 0)
+            call()
+            return registry.counter_values()["cube.tables.bytes_read"] - before
+
+        level_bytes = sum(_nbytes(t.stats) for t in tables)
+        base_bytes = sum(_nbytes(s) for s in stacks.values())
+        assert read_by(lambda: table_store.load(signature, version)) == (
+            level_bytes + meta_bytes
+        )
+        assert read_by(lambda: table_store.load_base(signature)) == (
+            base_bytes + meta_bytes
+        )
+        before = registry.counter_values()["cube.tables.bytes_written"]
+        table_store.save(tables, signature, version, stacks)
+        written = registry.counter_values()["cube.tables.bytes_written"] - before
+        assert written == table_store.data_path.stat().st_size + meta_bytes
+        assert written == 8 + level_bytes + base_bytes + meta_bytes
+
+    def test_loaded_tables_never_alias_a_saved_file(self, saved):
+        """A load is the caller's own copy: the next save does not move it
+        and writing to it does not reach the file."""
+        table_store, signature, version, tables, stacks = saved
+        loaded = table_store.load(signature, version)
+        __, base = table_store.load_base(signature)
+        other = [
+            LevelTable(t.level, t.regions, t.keep_sidx, t.stats + t.stats)
+            for t in tables
+        ]
+        table_store.save(other, signature, version + 1, stacks)
+        assert all(_same_bytes(a.stats, b.stats) for a, b in zip(loaded, tables))
+        assert all(_same_bytes(base[r], stacks[r]) for r in stacks)
+        for t in loaded:
+            t.stats.xtwx[:] = -1.0
+        again = table_store.load(signature, version + 1)
+        assert all(_same_bytes(a.stats, b.stats) for a, b in zip(again, other))
+
+    def test_a_v1_directory_is_refused_then_replaced(self, setup):
+        """The retired npz layout is never read: loud refusal, one scan, and
+        the rebuilt directory holds the v2 pair only."""
+        ds, store, builder, table_dir = setup
+        table_dir.mkdir()
+        signature = builder.geometry_signature()
+        (table_dir / "cube_tables.npz").write_bytes(b"PK\x03\x04 an old zip")
+        (table_dir / "cube_tables_meta.json").write_text(
+            json.dumps(
+                {
+                    "format": "repro-cube-tables",
+                    "layout_version": 1,
+                    "version": store.version,
+                    "p": signature["p"],
+                    "signature": signature,
+                    "levels": [],
+                    "base_regions": [],
+                }
+            )
+        )
+        table_store = CubeTableStore(table_dir)
+        with pytest.raises(StorageError, match="layout v1 unsupported"):
+            table_store.load(signature, store.version)
+        with pytest.raises(StorageError, match="layout v1 unsupported"):
+            table_store.load_base(signature)
+        scans0 = store.stats.full_scans
+        tables = build_cube_tables(builder, table_dir)
+        assert store.stats.full_scans - scans0 == 1
+        assert sorted(f.name for f in table_dir.iterdir()) == [
+            "cube_tables.dat",
+            "cube_tables_meta.json",
+        ]
+        assert_same_cube(
+            builder.build("optimized_serial"),
+            builder.build_from_tables(tables),
+            tol=EXACT,
+        )

@@ -26,6 +26,7 @@ from repro.ml import (
 from repro.storage import (
     CubeTableStore,
     DiskStore,
+    LevelTable,
     RegionBlock,
     StaleCacheError,
     StorageError,
@@ -180,6 +181,61 @@ class TestSuffStatsCacheFaults:
         cache.meta_path.write_text(json.dumps(meta))
         with pytest.raises(StorageError, match="base-cell table has 3"):
             cache.load_base(_signature(n_cells=2))
+
+
+class TestKilledSave:
+    """The metadata is the commit point: a save killed before it leaves the
+    old tables (data file not yet replaced) or none (data replaced: the
+    pair is torn and refused) — never new numbers under the old key."""
+
+    @staticmethod
+    def _tables(version: int) -> list[LevelTable]:
+        stats = _stacks(n_cells=2)[Region(("a",))]
+        return [
+            LevelTable(
+                level=(0,),
+                regions=(Region(("a",)),),
+                keep_sidx=np.asarray([0, 1], dtype=np.int64),
+                stats=stats if version == 1 else stats + stats,
+            )
+        ]
+
+    @pytest.mark.parametrize("killed_at", ["_write_raw", "_atomic_write"])
+    def test_kill_before_the_metadata_write(self, tmp_path, monkeypatch, killed_at):
+        import repro.storage.cubetables as cubetables
+
+        cache = CubeTableStore(tmp_path)
+        cache.save(self._tables(1), _signature(), 1, _stacks())
+        old = cache.load(_signature(), 1)[0].stats
+        real = getattr(cubetables, killed_at)
+
+        def killed(path, payload):
+            if killed_at == "_atomic_write":
+                raise OSError("killed before the metadata was replaced")
+            # the data file dies half written, under its temporary name
+            path.with_name(path.name + ".tmp").write_bytes(b"half")
+            raise OSError("killed while writing the data file")
+
+        monkeypatch.setattr(cubetables, killed_at, killed)
+        with pytest.raises(OSError, match="killed"):
+            cache.save(self._tables(2), _signature(), 2, _stacks())
+        monkeypatch.setattr(cubetables, killed_at, real)
+        reopened = CubeTableStore(tmp_path)
+        if killed_at == "_write_raw":
+            got = reopened.load(_signature(), 1)[0].stats
+            assert got.xtwx.tobytes() == old.xtwx.tobytes()
+            assert reopened.load_base(_signature())[0] == 1
+        else:
+            with pytest.raises(StorageError, match="torn"):
+                reopened.load(_signature(), 1)
+            with pytest.raises(StorageError, match="torn"):
+                reopened.load_base(_signature())
+        with pytest.raises(StorageError):
+            reopened.load(_signature(), 2)
+        # the next save goes through and is what a load returns
+        reopened.save(self._tables(2), _signature(), 2, _stacks())
+        got = reopened.load(_signature(), 2)[0].stats
+        assert got.xtwx.tobytes() == self._tables(2)[0].stats.xtwx.tobytes()
 
 
 class TestMaintainerRebuildsOnBrokenCache:

@@ -3,9 +3,11 @@
 The optimized cube merges per-base-cell sufficient statistics up the item
 hierarchy lattice; the single-scan cube refits a model per (region, subset).
 Identical results (tested); this bench quantifies the saving, a second
-ablation shows the tree's one-pass split kernel against a refit per
-threshold and side (the loop is written here: the tree has one path), and
-a third the rollup kernel itself — rank rounds against ``np.add.at``, the
+ablation shows the tree's split kernel (value bins, prefix sums, right =
+total − left) against a refit per threshold and side (the loop is written
+here: the tree has one path), a third the same kernel against the masked
+Gram matrices it replaced, at the shape of one ``batch_build`` block, and a
+fourth the rollup kernel itself — rank rounds against ``np.add.at``, the
 scatter it replaced, at the shape of the e2e serve fixture.
 """
 
@@ -46,6 +48,32 @@ def test_ablation_suffstats_rollup(benchmark):
     benchmark.pedantic(lambda: builder.build("optimized"), rounds=1, iterations=1)
 
 
+def _binned(values: list[np.ndarray], thresholds: list[np.ndarray]):
+    """Bin codes as the tree lays them out: attribute r's bins in a run of
+    ``width`` starting at ``r·width``, a value's bin the number of the
+    attribute's thresholds at or below it."""
+    width = 1 + max(len(t) for t in thresholds)
+    codes = np.array(
+        [
+            r * width + np.searchsorted(t, v, side="right")
+            for r, (v, t) in enumerate(zip(values, thresholds))
+        ],
+        dtype=np.uint8,
+    )
+    return codes, width
+
+
+def _lefts(codes: np.ndarray, thresholds: list[np.ndarray], width: int):
+    """One mask row per threshold, true where the item goes left."""
+    return np.array(
+        [
+            run <= r * width + j
+            for r, (run, t) in enumerate(zip(codes, thresholds))
+            for j in range(len(t))
+        ]
+    )
+
+
 def test_ablation_tree_prefix_stats(benchmark):
     ds = make_scalability(
         n_items=1_500, n_regions=16, n_numeric_features=6, seed=0
@@ -59,28 +87,31 @@ def test_ablation_tree_prefix_stats(benchmark):
         max_numeric_splits=8,
     )
     # The root's candidates as the level function hands them to the kernel:
-    # one row per threshold, true where the item goes left.
+    # every item's bin under each attribute's thresholds.
     items = ds.task.item_table
     ids = np.asarray(items[ds.task.id_column])
-    left = np.array(
-        [
-            np.asarray(items[split.attr], dtype=np.float64) < split.threshold
-            for split in builder._candidate_splits(ids)
-        ]
-    )
+    splits = builder._candidate_splits(ids)
+    attrs = sorted({split.attr for split in splits})
+    thresholds = [
+        np.array([s.threshold for s in splits if s.attr == attr]) for attr in attrs
+    ]
+    values = [np.asarray(items[attr], dtype=np.float64) for attr in attrs]
+    codes, width = _binned(values, thresholds)
+    left = _lefts(codes, thresholds, width)
     index = RowIndex(ids)
 
     def one_pass():
         for __, block in ds.store.scan():
-            StackedSuffStats.from_binary_splits(
+            StackedSuffStats.from_bins(
                 add_intercept(block.x),
                 block.y,
                 block.weights,
-                left[:, index.rows_of(block.item_ids)],
-            )
+                codes[:, index.rows_of(block.item_ids)],
+                len(codes) * width,
+            ).cuts(width)
 
     def refit_per_side():
-        # the tree's split statistics before the kernel: gather each side of
+        # the tree's split statistics without a kernel: gather each side of
         # each threshold and take its statistics from scratch
         for __, block in ds.store.scan():
             sides = left[:, index.rows_of(block.item_ids)]
@@ -100,16 +131,71 @@ def test_ablation_tree_prefix_stats(benchmark):
     publish(
         "ablation_tree_prefix",
         render_grid(
-            "Ablation — numeric splits: one pass per block vs refit per side",
+            "Ablation — numeric splits: value bins per block vs refit per side",
             ("n_features", "prefix_s", "refit_s", "ratio"),
             [(6, fast_s, slow_s, slow_s / fast_s)],
         ),
     )
-    # Every threshold of a node from one design matrix per block, the right
-    # side by subtraction: a fast path has to be fast, not within noise.
+    # Every threshold of a node from one Gram matrix per bin, the left side
+    # a prefix sum and the right by subtraction: a fast path has to be
+    # fast, not within noise.
     assert fast_s * 1.5 < slow_s
 
     benchmark.pedantic(one_pass, rounds=1, iterations=1)
+
+
+def test_ablation_tree_split_kernel(benchmark):
+    # One batch_build block: 2500 rows, p = 7 ([1 | x] with six regional
+    # features), two numeric attributes with four thresholds each.
+    n, p, n_thresholds = 2_500, 7, 4
+    rng = np.random.default_rng(0)
+    z = add_intercept(rng.normal(size=(n, p - 1)))
+    y = z @ rng.normal(size=p) + rng.normal(size=n)
+    values = [rng.normal(size=n) for __ in range(2)]
+    thresholds = [np.quantile(v, np.linspace(0.2, 0.8, n_thresholds)) for v in values]
+    codes, width = _binned(values, thresholds)
+    left = _lefts(codes, thresholds, width)
+
+    def value_bins():
+        bins = StackedSuffStats.from_bins(z, y, None, codes, len(codes) * width)
+        return bins.cuts(width)
+
+    def masked_gram():
+        # the retired kernel: one masked Gram matrix of [X | y] per
+        # threshold for its left side, the block total once, right = total
+        # − left — T·n·q² multiply-adds where the bins take A·n·q²
+        a = np.column_stack([z, y])
+        gram = np.empty((2 * len(left), a.shape[1], a.shape[1]))
+        for k, mask in enumerate(left):
+            np.matmul(a.T * mask, a, out=gram[k])
+        gram[len(left):] = a.T @ a - gram[: len(left)]
+        return gram
+
+    def best_of(fn, reps=30):
+        times = []
+        for __ in range(reps):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # the same sides, up to float associativity
+    sides, gram = value_bins(), masked_gram()
+    for k, side in enumerate(sides):
+        assert np.allclose(side.xtwx, gram[k * len(left) : (k + 1) * len(left), :p, :p])
+        assert np.allclose(side.xtwy, gram[k * len(left) : (k + 1) * len(left), :p, p])
+    bins_s, masked_s = best_of(value_bins), best_of(masked_gram)
+    publish(
+        "ablation_tree_split_kernel",
+        render_grid(
+            "Ablation — split kernel on one batch_build block: value bins vs masked Gram",
+            ("rows", "thresholds", "bins_ms", "masked_ms", "ratio"),
+            [(n, len(left), bins_s * 1e3, masked_s * 1e3, masked_s / bins_s)],
+        ),
+    )
+    assert bins_s * 1.5 < masked_s
+
+    benchmark.pedantic(value_bins, rounds=1, iterations=1)
 
 
 def test_ablation_rollup_kernel(benchmark):

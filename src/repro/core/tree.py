@@ -19,22 +19,32 @@ Each stage exists once on :class:`BellwetherTreeBuilder`: ``_grow`` runs one
 pass per level over ``store.scan()`` — or, for RF-hybrid, over the blocks a
 node kept — ``_level`` collects a level's statistics and fits them by one
 stacked solve, ``_errors`` / ``_pick`` turn statistics into a node's
-bellwether region, ``_choose_split`` is the Goodness rule.  Per (node, block)
-the design ``[1 | x]`` is built once, the node's own model takes
-``from_data`` of it, and every (candidate, partition) of the node — the left
-side of a numeric threshold, its right side as ``total − left``, each
-category of a categorical attribute — comes out of one
-``StackedSuffStats.from_binary_splits``.  Split-quality errors are
-training-set RMSE (cheap and, for linear models, close to cross-validation —
-Figure 7(c)).  **naive** shares only ``_pick`` and ``_choose_split``: it
-re-reads every region per subproblem and refits the compacted rows, which
-makes it the reference the kernel is diffed against.
+bellwether region, ``_choose_split`` is the Goodness rule.
+
+Splits come from sorted value bins (Theorem 1 makes a side's statistics a
+sum, so a numeric attribute's m nested thresholds are prefix sums of its
+m + 1 bins).  Each item of a node has one bin code per split attribute: the
+number of the attribute's thresholds at or below its value, or its
+category's index.  Per (node, block) the design ``[1 | x]`` is built once,
+the node's own model takes ``from_data`` of it, and one
+``StackedSuffStats.from_bins`` takes one Gram matrix per bin of every
+attribute — A·n·q² multiply-adds for A attributes, however many thresholds.
+Once per level ``StackedSuffStats.cuts`` reads every threshold's left side
+(the running sum of the bins below it) and right side (``total − left``)
+off the bins of all nodes and blocks; a category's side is its bin.
+Split-quality errors are training-set RMSE (cheap and, for linear models,
+close to cross-validation — Figure 7(c)).  **naive** shares only ``_pick``
+and ``_choose_split``: it re-reads every region per subproblem and refits
+the compacted rows, which makes it the reference the kernel is diffed
+against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -92,15 +102,39 @@ class SplitCandidate:
 
     def partition(self, values: np.ndarray) -> np.ndarray:
         """Child index per item (vectorized route)."""
-        if self.kind == "cat":
-            index = {v: k for k, v in enumerate(self.categories)}
-            return np.array([index[v] for v in values], dtype=np.int64)
-        return (np.asarray(values, dtype=np.float64) >= self.threshold).astype(np.int64)
+        edges = self.categories if self.kind == "cat" else (self.threshold,)
+        return _bin_codes(self.attr, self.kind, edges, values)
 
     def __str__(self) -> str:
         if self.kind == "cat":
             return f"<{self.attr}>"
         return f"<{self.attr} >= {self.threshold:g}>"
+
+
+def _bin_codes(attr: str, kind: str, edges: Sequence, values) -> np.ndarray:
+    """Every value's bin under one attribute's candidates.
+
+    Numeric ``edges`` are ascending thresholds and a value's bin is the
+    number of them at or below it, so the left side (``value < t_j``) of
+    threshold ``j`` is bins ``0..j``.  Categorical ``edges`` are the
+    categories and a value's bin is its category's index.
+    """
+    if kind == "num":
+        return np.searchsorted(
+            np.asarray(edges, dtype=np.float64),
+            np.asarray(values, dtype=np.float64),
+            side="right",
+        )
+    categories = np.asarray(edges, dtype=str)
+    values = np.asarray(values).astype(str)
+    order = np.argsort(categories, kind="stable")
+    pos = np.minimum(np.searchsorted(categories[order], values), len(order) - 1)
+    unseen = categories[order][pos] != values
+    if unseen.any():
+        raise SearchError(
+            f"value {values[unseen][0]!r} not seen when splitting on {attr!r}"
+        )
+    return order[pos]
 
 
 @dataclass
@@ -230,29 +264,39 @@ class BellwetherTree:
 
 
 class _ActiveNode:
-    """One node while its level is decided: its candidate plan, the masks the
-    split kernel reads, and what the pass has found so far."""
+    """One node while its level is decided: its candidate plan, the bin
+    codes the split kernel reads, and what the pass has found so far."""
 
-    def __init__(self, node: TreeNode, plan: list[tuple[SplitCandidate, np.ndarray]]):
-        self.node, self.plan = node, plan
+    def __init__(self, k: int, node: TreeNode, plan, attrs, width: int):
+        self.k, self.node, self.plan = k, node, plan
         self.index = RowIndex(node.item_ids)
-        # One mask row per (candidate, partition).  A numeric threshold
-        # contributes its left side and takes its right side as that row's
-        # complement; the complements of categorical rows are not kept.
-        masks, sides, complements = [], [], []
-        for c, (split, child_of_item) in enumerate(plan):
-            if split.kind == "num":
-                complements.append(len(masks))
-            for p in range(1 if split.kind == "num" else split.n_children()):
-                masks.append(child_of_item == p)
-                sides.append((c, p))
-        self.masks = np.array(masks, dtype=bool).reshape(len(masks), node.n_items)
-        # which of ``from_binary_splits``' 2M problems are partitions, and
-        # the (candidate, partition) of each
-        self.take = np.array(
-            [*range(len(masks)), *(len(masks) + i for i in complements)], dtype=np.int64
-        )
-        self.sides = sides + [(sides[i][0], 1) for i in complements]
+        # The kernel's bins, one attribute after another.  A categorical
+        # attribute's k categories are k bins, each a partition of its
+        # candidate.  A numeric attribute's m thresholds cut its values into
+        # m + 1 bins, laid out in a run of ``width`` so that the level takes
+        # the left side (bins 0..j) and right side (total − left) of every
+        # threshold from the running sums of all runs at once.  A slot names
+        # the (node, region, (candidate, partition)) a problem is; bins of a
+        # numeric run and cuts past a run's last threshold are no partition.
+        keys, self.bin_slots, numeric, cut_of = [], [], [], []
+        for kind, cands, codes in attrs:
+            first = len(self.bin_slots)
+            keys.append(codes + first)
+            if kind == "cat":
+                c = cands[0]
+                n_children = plan[c][0].n_children()
+                self.bin_slots += [(k, None, (c, p)) for p in range(n_children)]
+            else:
+                self.bin_slots += [None] * width
+                numeric += range(first, first + width)
+                cut_of += list(cands) + [None] * (width - 1 - len(cands))
+        self.n_bins = len(self.bin_slots)
+        # the smallest unsigned dtype: numpy's stable sort of it is a radix sort
+        dtype = np.min_scalar_type(max(self.n_bins - 1, 0))
+        self.keys = np.array(keys, dtype=dtype).reshape(len(keys), node.n_items)
+        self.numeric = np.array(numeric, dtype=np.intp)
+        self.left_slots = [c if c is None else (k, None, (c, 0)) for c in cut_of]
+        self.right_slots = [c if c is None else (k, None, (c, 1)) for c in cut_of]
         self.cache: dict[Region, RegionBlock] | None = None  # RF-hybrid's kept rows
         self.regions: list[Region] = []  # regions the node has enough rows in,
         self.errors: list[float] = []  # and its own error on each
@@ -398,19 +442,31 @@ class BellwetherTreeBuilder:
                 )
         return out
 
-    def _plan(self, node: TreeNode) -> list[tuple[SplitCandidate, np.ndarray]]:
+    def _plan(self, node: TreeNode) -> tuple[list, list]:
         """The node's candidate splits, each with the child index of every
-        item; empty when the termination thresholds make the node a leaf."""
+        item, and per split attribute its kind, the plan positions of its
+        candidates and every item's bin code under them; both empty when the
+        termination thresholds make the node a leaf."""
         if node.n_items < self.min_items or node.depth >= self.max_depth:
-            return []
+            return [], []
         rows = self._index.rows_of(node.item_ids)
-        plan = []
-        for split in self._candidate_splits(node.item_ids):
-            values = self._attr_values[split.attr][rows]
-            if split.kind == "cat":
-                values = values.astype(str)
-            plan.append((split, split.partition(values)))
-        return plan
+        plan, attrs = [], []
+        for attr, group in groupby(
+            self._candidate_splits(node.item_ids), key=attrgetter("attr")
+        ):
+            splits = list(group)
+            kind = splits[0].kind
+            edges = (
+                splits[0].categories if kind == "cat" else [s.threshold for s in splits]
+            )
+            codes = _bin_codes(attr, kind, edges, self._attr_values[attr][rows])
+            attrs.append((kind, range(len(plan), len(plan) + len(splits)), codes))
+            # threshold j sends the items of bins j + 1.. right
+            plan += [
+                (split, codes if kind == "cat" else codes > j)
+                for j, split in enumerate(splits)
+            ]
+        return plan, attrs
 
     # ------------------------------------------------------ solve and select
 
@@ -504,7 +560,7 @@ class BellwetherTreeBuilder:
             node.region, node._best_rmse = self._node_bellwether(node.item_ids)
             children = self._choose_split(
                 node,
-                self._plan(node),
+                self._plan(node)[0],
                 lambda c, p, ids: self._node_bellwether(ids)[1],
             )
             for child in children:
@@ -532,10 +588,25 @@ class BellwetherTreeBuilder:
         active node; returns the nodes the next pass has to decide.
 
         The pass only *collects* sufficient statistics — per (node, block)
-        the node's own model and every (candidate, partition) of its plan;
-        all of them are then fit by a single stacked solve.
+        the node's own model and the bins of its split attributes; every
+        (candidate, partition) is then read off the bins and all of them are
+        fit by a single stacked solve.
         """
-        states = [_ActiveNode(node, self._plan(node)) for node in active]
+        plans = [self._plan(node) for node in active]
+        # the numeric runs' width: the most thresholds of any attribute, + 1
+        width = 1 + max(
+            (
+                len(cands)
+                for __, attrs in plans
+                for kind, cands, __ in attrs
+                if kind == "num"
+            ),
+            default=0,
+        )
+        states = [
+            _ActiveNode(k, node, plan, attrs, width)
+            for k, (node, (plan, attrs)) in enumerate(zip(active, plans))
+        ]
         if memory_budget_rows is not None:
             # RF-hybrid: a node whose rows fit the budget keeps them, and
             # its subtree grows from what it kept instead of from the store.
@@ -543,39 +614,54 @@ class BellwetherTreeBuilder:
             for st in states:
                 if st.plan and st.node.n_items * n_regions <= memory_budget_rows:
                     st.cache = {}
-        stacks: list[StackedSuffStats] = []
-        # per stacked problem: (node, region, None) for the node's own model
-        # on that region, (node, None, (c, p)) for a partition of a candidate
-        slots: list[tuple] = []
+        models: list[LinearSuffStats] = []
+        bins: list[StackedSuffStats] = []
+        numeric: list[np.ndarray] = []  # where the bins of numeric runs are
+        # per problem, in the order the level stacks them (models, bins,
+        # left cuts, right cuts): (node, region, None) for the node's own
+        # model on that region, (node, None, (c, p)) for a partition of a
+        # candidate, None for a problem that is neither
+        model_slots, bin_slots, left_slots, right_slots = [], [], [], []
         for region, block in blocks:
             for st in states:
                 # the node's rows of the block and each one's column of the
-                # node's masks, from one lookup
+                # node's bin codes, from one lookup
                 sub, at = st.index.restrict(block)
                 if st.cache is not None:
                     st.cache[region] = sub
                 # [1 | x] once per (node, block): the node's own model and
-                # every partition below read the same design.
+                # every bin below read the same design.
                 z = add_intercept(sub.x)
                 if sub.n_examples >= self.min_examples:
-                    stacks.append(
-                        StackedSuffStats.from_stats(
-                            [LinearSuffStats.from_data(z, sub.y, sub.weights)]
-                        )
-                    )
-                    slots.append((st, region, None))
+                    models.append(LinearSuffStats.from_data(z, sub.y, sub.weights))
+                    model_slots.append((st.k, region, None))
                 if not st.plan:
                     continue
                 _SPLIT_EVALS.inc(len(st.plan))
-                sides = StackedSuffStats.from_binary_splits(
-                    z, sub.y, sub.weights, st.masks[:, at]
+                numeric.append(st.numeric + len(bin_slots))
+                bins.append(
+                    StackedSuffStats.from_bins(
+                        z, sub.y, sub.weights, st.keys[:, at], st.n_bins
+                    )
                 )
-                kept = np.flatnonzero(sides.n[st.take] >= self.min_examples)
-                stacks.append(sides.select(st.take[kept]))
-                slots.extend((st, None, st.sides[j]) for j in kept)
+                bin_slots += st.bin_slots
+                left_slots += st.left_slots
+                right_slots += st.right_slots
+        stacks = [StackedSuffStats.from_stats(models)] if models else []
+        if bins:
+            every = StackedSuffStats.concatenate(bins)
+            stacks += [every, *every.select(np.concatenate(numeric)).cuts(width)]
         if stacks:
-            errors = self._errors(StackedSuffStats.concatenate(stacks))
-            for (st, region, side), err in zip(slots, errors):
+            stack = StackedSuffStats.concatenate(stacks)
+            slots = model_slots + bin_slots + left_slots + right_slots
+            kept = np.flatnonzero(
+                (stack.n >= self.min_examples)
+                & np.array([slot is not None for slot in slots], dtype=bool)
+            )
+            errors = self._errors(stack.select(kept))
+            for j, err in zip(kept.tolist(), errors):
+                k, region, side = slots[j]
+                st = states[k]
                 if side is None:
                     st.regions.append(region)
                     st.errors.append(err)

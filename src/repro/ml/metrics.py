@@ -180,9 +180,12 @@ class TrainingSetEstimator(ErrorEstimator):
         model = self.model_factory()
         model.fit(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), w)
         stats = model.stats
+        # one solve for both: rmse is sqrt(sse / dof) under mse()'s dof rule
+        sse = stats.sse()
+        dof = stats.n - stats.p
         return ErrorEstimate(
-            rmse=stats.rmse(),
+            rmse=float(np.sqrt(sse / (dof if dof > 0 else stats.n))),
             kind="training",
-            sse=stats.sse(),
+            sse=sse,
             dof=stats.dof,
         )

@@ -78,22 +78,12 @@ class LinearSuffStats:
         ``x`` is ``(n, p)``; callers wanting an intercept must include a
         constant column (see :func:`add_intercept`).
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2:
-            raise FitError(f"x must be 2-D, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+        x, y, w = _checked_block(x, y, w)
         if w is None:
             xw = x
             yw = y
             sum_w = float(x.shape[0])
         else:
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != y.shape:
-                raise FitError(f"w has shape {w.shape}, expected {y.shape}")
-            if (w <= 0).any():
-                raise FitError("weights must be strictly positive")
             xw = x * w[:, None]
             yw = y * w
             sum_w = float(w.sum())
@@ -191,6 +181,24 @@ class LinearSuffStats:
         return max(self.n - self.p, 1)
 
 
+def _checked_block(x, y, w):
+    """A block's ``x`` (``(n, p)``), ``y`` and ``w`` (``(n,)`` or None) as
+    float64, validated once for whichever kernel takes its statistics."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise FitError(f"x must be 2-D, got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+    if w is not None:
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != y.shape:
+            raise FitError(f"w has shape {w.shape}, expected {y.shape}")
+        if (w <= 0).any():
+            raise FitError("weights must be strictly positive")
+    return x, y, w
+
+
 def add_intercept(x: np.ndarray) -> np.ndarray:
     """Prepend the constant-1 column (footnote 1 of the paper)."""
     x = np.asarray(x, dtype=np.float64)
@@ -267,12 +275,8 @@ class StackedSuffStats:
         the same bits as ``from_data`` per segment, which stays the
         definition.  An empty segment is exact zeros with ``n = 0``.
         """
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim != 2:
-            raise FitError(f"x must be 2-D, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+        x, y, w = _checked_block(x, y, w)
+        x = np.ascontiguousarray(x)
         bounds = np.asarray(bounds, dtype=np.intp)
         n = np.diff(bounds)
         if len(bounds) and (
@@ -285,11 +289,6 @@ class StackedSuffStats:
             xw, yw = x, y
             out.sum_w[:] = n
         else:
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != y.shape:
-                raise FitError(f"w has shape {w.shape}, expected {y.shape}")
-            if (w <= 0).any():
-                raise FitError("weights must be strictly positive")
             xw = x * w[:, None]
             yw = y * w
         edges = bounds.tolist()
@@ -307,39 +306,69 @@ class StackedSuffStats:
         return out
 
     @classmethod
-    def from_binary_splits(
+    def from_bins(
         cls,
         x: np.ndarray,
         y: np.ndarray,
         w: np.ndarray | None,
-        left: np.ndarray,
+        codes: np.ndarray,
+        n_bins: int,
     ) -> "StackedSuffStats":
-        """Both sides of T binary splits of one design block, in one pass.
+        """``g`` of every bin of one block: problem ``b`` sums the rows coded ``b``.
 
-        ``left`` is a ``(T, n)`` boolean matrix: row ``i`` is on the left of
-        split ``t`` iff ``left[t, i]``.  Problems ``0..T-1`` are the left
-        sides, ``T..2T-1`` the right sides as ``total − left`` (Theorem 1),
-        so a row is multiplied once per split and never sorted or gathered.
-        One Gram matrix of ``[X | y]`` per split carries ``X'WX``, ``X'WY``
-        and ``Y'WY`` together.  Agrees with :meth:`LinearSuffStats.from_data`
-        on each side up to float associativity; ``n`` is exact.
+        ``codes`` is a ``(k, n)`` array of unsigned bin indices below
+        ``n_bins``: row ``i`` of ``x`` (``(n, p)``), ``y`` and
+        ``w`` belongs to bin ``codes[j, i]`` for every code row ``j``, so code
+        rows over disjoint bin ranges give k partitions of the block side by
+        side.  One stable argsort of the codes (numpy's radix sort for 8- and
+        16-bit codes) lays every bin's rows out contiguously, in block order,
+        and one gather copies ``[x | y]`` into that layout; each non-empty bin
+        then costs one Gram matrix of its rows, which carries ``X'WX``,
+        ``X'WY`` and ``Y'WY`` together.  That is ``k·n·q²`` multiply-adds for
+        a block, however many bins the codes name.  Agrees with
+        :meth:`LinearSuffStats.from_data` of a bin's rows up to float
+        associativity; ``n`` is exact, and so is ``sum_w`` (the bin's
+        weights summed in block order, as ``from_data`` sums them).  An
+        empty bin is exact zeros with ``n = 0``.
         """
-        a = np.column_stack([x, y]).astype(np.float64, copy=False)
-        awt = a.T if w is None else (a * w[:, None]).T
-        t, q = len(left), a.shape[1]
-        gram = np.empty((2 * t, q, q))
-        for k in range(t):
-            np.matmul(awt * left[k], a, out=gram[k])
-        gram[t:] = awt @ a - gram[:t]
-        n = left.sum(axis=1)
-        sum_w = n.astype(np.float64) if w is None else left @ w
-        total_w = float(a.shape[0]) if w is None else w.sum()
+        x, y, w = _checked_block(x, y, w)
+        n, p = x.shape
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or codes.shape[1] != n or codes.dtype.kind != "u":
+            raise FitError(
+                f"codes must be unsigned integers of shape (k, {n}), got "
+                f"{codes.dtype} {codes.shape}"
+            )
+        flat = codes.reshape(-1)
+        if flat.size and int(flat.max()) >= n_bins:
+            raise FitError(f"bin codes must lie in [0, {n_bins})")
+        a = np.empty((n, p + 1))
+        a[:, :p] = x
+        a[:, p] = y
+        # entry j·n + i of ``flat`` is row i: the gather wraps modulo n
+        order = np.argsort(flat, kind="stable")
+        rows = np.take(a, order, axis=0, mode="wrap")
+        counts = np.bincount(flat, minlength=n_bins)
+        gram = np.zeros((n_bins, p + 1, p + 1))
+        if w is None:
+            weighted, sum_w = rows, counts.astype(np.float64)
+        else:
+            weighted = np.take(a * w[:, None], order, axis=0, mode="wrap")
+            row_w = np.take(w, order, mode="wrap")
+            sum_w = np.zeros(n_bins)
+        edges = np.append(0, np.cumsum(counts)).tolist()
+        for b in np.flatnonzero(counts).tolist():
+            lo, hi = edges[b], edges[b + 1]
+            # ``rows[lo:hi]`` twice when unweighted, so matmul sees a.T @ a
+            np.matmul(weighted[lo:hi].T, rows[lo:hi], out=gram[b])
+            if w is not None:
+                sum_w[b] = row_w[lo:hi].sum()
         return cls(
-            ytwy=gram[:, -1, -1],
-            xtwx=gram[:, :-1, :-1],
-            xtwy=gram[:, :-1, -1],
-            n=np.concatenate([n, a.shape[0] - n]),
-            sum_w=np.concatenate([sum_w, total_w - sum_w]),
+            ytwy=gram[:, p, p],
+            xtwx=gram[:, :p, :p],
+            xtwy=gram[:, :p, p],
+            n=counts,
+            sum_w=sum_w,
         )
 
     @classmethod
@@ -487,6 +516,30 @@ class StackedSuffStats:
             for a, b in zip(edges[:-1], edges[1:]):
                 sums[into[a:b]] += addends[a:b]
         return out
+
+    def cuts(self, width: int) -> tuple["StackedSuffStats", "StackedSuffStats"]:
+        """Both sides of every cut of runs of ``width`` ordered bins (Theorem 1).
+
+        The stack is read as consecutive runs of ``width`` problems — the
+        bins of one ordered attribute, as :meth:`from_bins` makes them.  Cut
+        ``j`` of a run (``0 <= j < width − 1``) puts bins ``0..j`` on its
+        left: problem ``r·(width − 1) + j`` of ``left`` is their sum, the
+        run's running sum taken in bin order, and the same problem of
+        ``right`` is the run's total − left.  A run padded with empty bins
+        has cuts past its last bin whose left is the total and whose right
+        is empty.
+        """
+        if width < 1 or len(self) % width:
+            raise FitError(f"{len(self)} problems are not runs of {width}")
+        runs = len(self) // width
+        left, right = {}, {}
+        for name in ("ytwy", "xtwx", "xtwy", "n", "sum_w"):
+            comp = getattr(self, name)
+            running = np.cumsum(comp.reshape(runs, width, *comp.shape[1:]), axis=1)
+            shape = (runs * (width - 1), *comp.shape[1:])
+            left[name] = running[:, :-1].reshape(shape)
+            right[name] = (running[:, -1:] - running[:, :-1]).reshape(shape)
+        return StackedSuffStats(**left), StackedSuffStats(**right)
 
     # ------------------------------------------------------------------ solve
 

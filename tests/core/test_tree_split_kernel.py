@@ -1,76 +1,165 @@
-"""The RF tree's one-pass split kernel.
+"""The RF tree's split kernel: every split side from sorted value bins.
 
-Every (candidate, partition) of a node — both sides of a numeric threshold,
-each category of a categorical attribute — is evaluated on a block from one
-design matrix (``StackedSuffStats.from_binary_splits``).  Three referees: a
-per-mask :meth:`LinearSuffStats.from_data`, the operation counters the bench
-journal gates two-sided, and Lemma 1 (``naive`` refits every subproblem) on a
-data set where the tree really splits on numeric attributes.
+Per (node, block) every item gets one bin code per split attribute — the
+number of a numeric attribute's thresholds at or below its value, or its
+category's index — and ``StackedSuffStats.from_bins`` takes one Gram matrix
+per bin; a threshold's left side is the sum of the bins below it and its
+right side the total − left (``StackedSuffStats.cuts``), a category's side
+is its bin.  Three referees: :meth:`LinearSuffStats.from_data` of the masked
+rows, the operation counters the bench journal gates two-sided, and Lemma 1
+(``naive`` refits every subproblem) on data sets where the tree really
+splits — on numeric thresholds, on categories, and on both.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BellwetherTreeBuilder, DirectTask
-from repro.datasets import make_scalability, make_simulation
-from repro.ml import LinearSuffStats, StackedSuffStats, TrainingSetEstimator, add_intercept
+from repro.core import BellwetherTreeBuilder, DirectTask, TreeNode, build_store
+from repro.core.tree import _ActiveNode
+from repro.datasets import make_mailorder, make_scalability, make_simulation
+from repro.dimensions import Region
+from repro.ml import (
+    FitError,
+    LinearSuffStats,
+    StackedSuffStats,
+    TrainingSetEstimator,
+    add_intercept,
+)
 from repro.obs import get_registry
-from repro.storage import MemoryStore, RegionBlock
+from repro.storage import FilteredStore, MemoryStore, RegionBlock
 from repro.table import Table
 from repro.verify import assert_same_tree
 
-MIN_EXAMPLES = 4
+
+def _assert_stats_close(got, want, scale):
+    assert got.n == want.n
+    assert np.allclose(got.xtwx, want.xtwx, rtol=1e-9, atol=scale)
+    assert np.allclose(got.xtwy, want.xtwy, rtol=1e-9, atol=scale)
+    assert got.ytwy == pytest.approx(want.ytwy, rel=1e-9, abs=scale)
+    assert got.sum_w == pytest.approx(want.sum_w, rel=1e-12)
+
+
+def _rows(z, y, w, mask):
+    return LinearSuffStats.from_data(z[mask], y[mask], None if w is None else w[mask])
+
+
+def _scale(z, y, w):
+    total = LinearSuffStats.from_data(z, y, w)
+    return 1e-9 * max(1.0, float(np.abs(total.xtwx).max()), abs(total.ytwy))
 
 
 @st.composite
-def split_problems(draw):
+def binned_blocks(draw):
+    """A design block and the bin codes of 1–3 attributes, laid out as the
+    tree lays them: attribute r's bins in a run of ``width`` starting at
+    ``r·width``.  An attribute uses 1..width of its bins, skewed so that
+    some bins stay empty and some hold every row."""
     n = draw(st.integers(0, 40))
     p = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2**16))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x = rng.normal(scale=3.0, size=(n, p))
     y = rng.normal(scale=5.0, size=n)
     w = rng.uniform(0.25, 4.0, size=n) if draw(st.booleans()) else None
-    masks = []
-    for __ in range(draw(st.integers(1, 3))):
-        # few distinct values: ties on both sides of most thresholds
-        values = rng.integers(0, 6, size=n).astype(np.float64)
-        # midpoints, plus thresholds that leave the left / right side empty
-        for b in (-1.0, 0.5, 1.5, 2.5, 4.5, 9.0):
-            masks.append(values < b)
-    for __ in range(draw(st.integers(0, 2))):
-        # a k-way categorical candidate: one mask row per category, skewed
-        # so that some categories stay empty or below MIN_EXAMPLES
-        k = draw(st.integers(2, 5))
-        category = rng.choice(k, size=n, p=rng.dirichlet(np.full(k, 0.5)))
-        masks.extend(category == c for c in range(k))
-    return x, y, w, np.array(masks).reshape(len(masks), n)
+    width = draw(st.integers(1, 6))
+    codes = []
+    for r in range(draw(st.integers(1, 3))):
+        used = draw(st.integers(1, width))
+        share = rng.dirichlet(np.full(used, 0.5))
+        codes.append(r * width + rng.choice(used, size=n, p=share))
+    return x, y, w, np.array(codes, dtype=np.uint8).reshape(len(codes), n), width
 
 
-@settings(max_examples=60, deadline=None)
-@given(split_problems())
-def test_one_pass_sides_equal_from_data_on_each_mask(problem):
-    x, y, w, left = problem
+@settings(max_examples=80, deadline=None)
+@given(binned_blocks())
+@example((np.zeros((0, 2)), np.zeros(0), None, np.zeros((2, 0), np.uint8), 3))
+@example((np.ones((5, 1)), np.arange(5.0), np.ones(5), np.zeros((1, 5), np.uint8), 4))
+def test_bins_and_cuts_equal_from_data_on_the_masked_rows(block):
+    x, y, w, codes, width = block
     z = add_intercept(x)
-    sides = StackedSuffStats.from_binary_splits(z, y, w, left)
-    t = len(left)
-    assert len(sides) == 2 * t
-    total = LinearSuffStats.from_data(z, y, w)
-    scale = 1e-9 * max(1.0, float(np.abs(total.xtwx).max()), abs(total.ytwy))
-    for k, mask in enumerate(np.concatenate([left, ~left])):
-        got = sides.row(k)
-        want = LinearSuffStats.from_data(
-            z[mask], y[mask], None if w is None else w[mask]
-        )
-        assert got.n == want.n == int(mask.sum())
-        # the rule of the mask path: the same sides are dropped
-        assert (got.n >= MIN_EXAMPLES) == (mask.sum() >= MIN_EXAMPLES)
-        assert np.allclose(got.xtwx, want.xtwx, rtol=1e-9, atol=scale)
-        assert np.allclose(got.xtwy, want.xtwy, rtol=1e-9, atol=scale)
-        assert got.ytwy == pytest.approx(want.ytwy, rel=1e-9, abs=scale)
-        assert got.sum_w == pytest.approx(want.sum_w, rel=1e-9, abs=1e-9)
+    scale = _scale(z, y, w)
+    bins = StackedSuffStats.from_bins(z, y, w, codes, codes.shape[0] * width)
+    assert len(bins) == codes.shape[0] * width
+    for b in range(len(bins)):
+        want = _rows(z, y, w, (codes == b).any(axis=0))
+        _assert_stats_close(bins.row(b), want, scale)
+        # a bin's weights are summed in block order, as from_data sums them
+        assert bins.sum_w[b] == want.sum_w
+    # every cut of every run: the bins below it, and the total − those
+    left, right = bins.cuts(width)
+    assert len(left) == len(right) == codes.shape[0] * (width - 1)
+    for r, run in enumerate(codes):
+        for j in range(width - 1):
+            on_left = run <= r * width + j
+            k = r * (width - 1) + j
+            _assert_stats_close(left.row(k), _rows(z, y, w, on_left), scale)
+            _assert_stats_close(right.row(k), _rows(z, y, w, ~on_left), scale)
+
+
+def test_more_than_255_bins_take_16_bit_codes():
+    rng = np.random.default_rng(0)
+    n, n_bins = 900, 300
+    z = add_intercept(rng.normal(size=(n, 2)))
+    y = rng.normal(size=n)
+    w = rng.uniform(0.5, 2.0, size=n)
+    codes = rng.integers(0, n_bins - 1, size=n).astype(np.uint16)  # last bin empty
+    bins = StackedSuffStats.from_bins(z, y, w, codes[None], n_bins)
+    scale = _scale(z, y, w)
+    for b in range(n_bins):
+        _assert_stats_close(bins.row(b), _rows(z, y, w, codes == b), scale)
+    assert bins.n[-1] == 0 and bins.n.sum() == n
+
+
+def test_the_kernel_refuses_codes_it_cannot_read():
+    z, y = np.ones((3, 2)), np.zeros(3)
+    with pytest.raises(FitError, match="unsigned"):
+        StackedSuffStats.from_bins(z, y, None, np.zeros((1, 3), dtype=np.int64), 2)
+    with pytest.raises(FitError, match=r"\[0, 2\)"):
+        StackedSuffStats.from_bins(z, y, None, np.array([[0, 1, 2]], np.uint8), 2)
+    with pytest.raises(FitError, match="runs of 4"):
+        StackedSuffStats.zeros(6, 2).cuts(4)
+
+
+@pytest.fixture(scope="module")
+def many_categories():
+    """600 items in 300 categories and a threshold attribute over 3 regions:
+    a node's bin codes no longer fit 8 bits."""
+    rng = np.random.default_rng(5)
+    n_items = 600
+    items = np.arange(1, n_items + 1)
+    category = np.array([f"c{k:03d}" for k in rng.permutation(n_items) % 300], dtype=object)
+    value = rng.integers(0, 20, size=n_items).astype(np.float64)
+    target = np.where(value < 10, 2.0, -1.0) + rng.normal(scale=0.1, size=n_items)
+    task = DirectTask(
+        Table({"item": items, "category": category, "value": value}),
+        "item",
+        targets=target,
+        item_feature_attrs=("category", "value"),
+        error_estimator=TrainingSetEstimator(),
+    )
+    blocks = {}
+    for r in range(3):
+        held = np.sort(rng.choice(items, size=400, replace=False))
+        x = rng.normal(size=(len(held), 2))
+        blocks[Region((f"r{r}",))] = RegionBlock(held, x, target[held - 1] + x[:, 0])
+    return task, MemoryStore(blocks, ("f0", "f1"))
+
+
+def test_a_node_with_more_than_255_bins_widens_its_codes(many_categories):
+    task, store = many_categories
+    builder = BellwetherTreeBuilder(
+        task, store, min_items=10, max_depth=1, max_numeric_splits=3, min_examples=3
+    )
+    root = TreeNode(item_ids=np.asarray(task.item_ids), depth=0)
+    plan, attrs = builder._plan(root)
+    state = _ActiveNode(0, root, plan, attrs, width=4)
+    assert state.n_bins == 300 + 4
+    assert state.keys.dtype == np.uint16
+    rf = builder.build("rf")
+    assert str(rf.root.split) == "<value >= 9.5>"
+    assert_same_tree(rf.root, builder.build("naive").root)
+    assert_same_tree(rf.root, builder.build("hybrid", memory_budget_rows=10**6).root)
 
 
 # What the commit before the kernel counted on the configurations the bench
@@ -179,6 +268,46 @@ def test_lemma_1_where_the_tree_splits_on_thresholds(numeric_simulation):
         builder.build("hybrid", memory_budget_rows=400),
     ):
         assert_same_tree(rf.root, other.root)
+
+
+def _categorical_workload(name):
+    """Trees whose candidates are mostly or only categories.
+
+    Mail order with ``category`` + ``rdexpense`` over the regions a 10.0
+    budget affords (fig 8's setting): seed 3 splits the root by category,
+    seed 1 twice by thresholds with the categorical candidate beside them.
+    The Section 7.3 simulation: eight binary categorical features, a planted
+    tree the RF tree recovers five levels deep.
+    """
+    if name == "simulation-7.3":
+        ds = make_simulation(n_items=400, n_regions=8, seed=3)
+        return ds.task, ds.store, dict(min_items=30, max_depth=4)
+    ds = make_mailorder(
+        n_items=60,
+        seed=int(name[-1]),
+        heterogeneous=True,
+        error_estimator=TrainingSetEstimator(),
+    )
+    store, costs, __ = build_store(ds.task)
+    affordable = [r for r in store.regions() if costs[r] <= 10.0]
+    return ds.task, FilteredStore(store, affordable), dict(
+        split_attrs=("category", "rdexpense"),
+        min_items=20,
+        max_depth=3,
+        max_numeric_splits=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "workload", ["mailorder-seed1", "mailorder-seed3", "simulation-7.3"]
+)
+def test_lemma_1_where_the_tree_splits_on_categories(workload):
+    task, store, kwargs = _categorical_workload(workload)
+    builder = BellwetherTreeBuilder(task, store, **kwargs)
+    rf = builder.build("rf")
+    assert rf.n_levels >= 2
+    assert_same_tree(rf.root, builder.build("naive").root)
+    assert_same_tree(rf.root, builder.build("hybrid", memory_budget_rows=10**9).root)
 
 
 def _internal_nodes(root):

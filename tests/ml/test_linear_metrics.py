@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.ml import (
     CrossValidationEstimator,
@@ -139,6 +141,32 @@ class TestTrainingSetEstimator:
         cv = CrossValidationEstimator(seed=0).estimate(x, y)
         tr = TrainingSetEstimator().estimate(x, y)
         assert tr.rmse == pytest.approx(cv.rmse, rel=0.15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        p=st.integers(1, 4),
+        collinear=st.booleans(),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=10, p=3, collinear=True, weighted=True, seed=0)
+    @example(n=3, p=4, collinear=False, weighted=False, seed=1)
+    def test_one_solve_keeps_the_bits_of_three(self, n, p, collinear, weighted, seed):
+        # n <= p interpolates (dof falls back to n); a repeated column makes
+        # the normal matrix singular, so every solve is the pinv fallback
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=3.0, size=(n, p))
+        if collinear:
+            x[:, -1] = x[:, 0]
+        y = rng.normal(scale=5.0, size=n)
+        w = rng.uniform(0.25, 4.0, size=n) if weighted else None
+        got = TrainingSetEstimator().estimate(x, y, w)
+        # the estimate as three solves: the fit's, rmse()'s and sse()'s
+        stats = LinearRegression().fit(x, y, w).stats
+        assert got.rmse.hex() == stats.rmse().hex()
+        assert got.sse.hex() == stats.sse().hex()
+        assert got.dof == stats.dof
 
 
 class TestConfidenceIntervals:

@@ -13,7 +13,7 @@ produced.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -98,69 +98,157 @@ class BasicBellwetherResult:
         return float(np.mean([r.rmse for r in self.feasible]))
 
 
+def _first_strict_min(values: np.ndarray) -> int:
+    """Index chosen by ``min()``'s rule, ``if v < best: best = v``.
+
+    The first value seeds ``best`` unconditionally — even a NaN seed, which
+    then never loses a comparison; a later NaN never wins one, and a tie
+    goes to the earlier value.  Every pick made from arrays (a profile's
+    winner, a cube cell's) uses it, so it equals the serial loops' pick.
+    """
+    if np.isnan(values[0]):
+        return 0
+    return int(np.flatnonzero(values == np.nanmin(values))[0])
+
+
+@dataclass(frozen=True, eq=False)
+class RegionProfile:
+    """An evaluated profile as columns: entry ``k`` is region ``regions[at[k]]``.
+
+    One array per field, entries in evaluation order (store order on every
+    path), no object per region.  ``regions`` is the region list the
+    profile was evaluated over — a store's, shared by every profile taken
+    from it — so ``at`` also indexes anything aligned with that list.
+    """
+
+    regions: tuple[Region, ...]
+    at: np.ndarray
+    cost: np.ndarray
+    coverage: np.ndarray
+    n_items: np.ndarray
+    rmse: np.ndarray
+    #: NaN where the estimate carries none (a cross-validated one).
+    sse: np.ndarray
+    dof: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def region(self, k: int) -> Region:
+        return self.regions[self.at[k]]
+
+    @classmethod
+    def of(
+        cls,
+        results: Sequence[RegionResult],
+        regions: Sequence[Region] | None = None,
+    ) -> "RegionProfile":
+        """The columns of ``results``, in their order.
+
+        ``regions`` (default: the results' own, in order) is the list
+        ``at`` indexes; every result's region must be in it.
+        """
+        if regions is None:
+            regions = tuple(r.region for r in results)
+            at = np.arange(len(regions))
+        else:
+            index = {region: k for k, region in enumerate(regions)}
+            at = np.array([index[r.region] for r in results], dtype=np.intp)
+        return cls(
+            tuple(regions),
+            at,
+            np.array([r.cost for r in results], dtype=np.float64),
+            np.array([r.coverage for r in results], dtype=np.float64),
+            np.array([r.n_items for r in results], dtype=np.int64),
+            np.array([r.error.rmse for r in results], dtype=np.float64),
+            np.array(
+                [np.nan if r.error.sse is None else r.error.sse for r in results],
+                dtype=np.float64,
+            ),
+            np.array([r.error.dof for r in results], dtype=np.int64),
+        )
+
+    def training_results(self) -> list[RegionResult]:
+        """Each entry as a :class:`RegionResult` with a training-set estimate.
+
+        The list :meth:`BasicBellwetherSearch.evaluate_from_tables` caches
+        for a profile :func:`results_from_stats` solved.
+        """
+        columns = (self.cost, self.coverage, self.n_items, self.rmse, self.sse, self.dof)
+        return [
+            RegionResult(
+                region=self.regions[at],
+                cost=cost,
+                coverage=coverage,
+                n_items=n,
+                error=ErrorEstimate(rmse=rmse, kind="training", sse=sse, dof=dof),
+            )
+            for at, cost, coverage, n, rmse, sse, dof in zip(
+                self.at.tolist(), *(column.tolist() for column in columns)
+            )
+        ]
+
+    def select(self, criterion: Criterion) -> tuple[int | None, np.ndarray]:
+        """``(winner, feasible)``: the one winner rule.
+
+        ``feasible`` holds the entries ``criterion`` admits, in order; the
+        winner is the one among them its objective ranks first under
+        ``min()``'s rule (:func:`_first_strict_min`), ``None`` when none is
+        admitted.
+        """
+        feasible = np.flatnonzero(criterion.admits(self.cost, self.coverage))
+        if not len(feasible):
+            return None, feasible
+        objective = criterion.objective(
+            self.rmse[feasible], self.cost[feasible], self.coverage[feasible]
+        )
+        return int(feasible[_first_strict_min(objective)]), feasible
+
+
 def select_bellwether(
     evaluated: Sequence[RegionResult], criterion: Criterion
 ) -> BasicBellwetherResult:
-    """The pure selection step: minimum objective among admitted regions.
+    """The pure selection step over a list: :meth:`RegionProfile.select`.
 
     Touches nothing but its arguments, so a caller holding an evaluated
-    profile (e.g. the query service's published snapshot) can answer any
-    budget from it without a search object or a store.
+    profile can answer any budget from it without a search object or a
+    store.
     """
-    feasible = tuple(
-        r for r in evaluated if criterion.admits(r.cost, r.coverage)
+    best, feasible = RegionProfile.of(evaluated).select(criterion)
+    return BasicBellwetherResult(
+        None if best is None else evaluated[best],
+        tuple(evaluated[k] for k in feasible.tolist()),
+        criterion,
     )
-    best = (
-        min(
-            feasible,
-            key=lambda r: criterion.objective(r.rmse, r.cost, r.coverage),
-        )
-        if feasible
-        else None
-    )
-    return BasicBellwetherResult(best, feasible, criterion)
 
 
 def results_from_stats(
     regions: Sequence[Region],
+    at: np.ndarray,
     stats: StackedSuffStats,
     n_total: int,
-    cost_of: Callable[[Region], float],
-    min_examples: int,
-) -> list[RegionResult]:
-    """The training-set profile of stacked per-region statistics.
+    cost: np.ndarray,
+) -> RegionProfile:
+    """The training-set profile of stacked statistics, one batched solve.
 
-    ``stats`` holds one problem per entry of ``regions``; those with at
-    least ``min_examples`` rows are fit by one batched solve and come back
-    in order, coverage measured against ``n_total`` items.  Each error is
-    the :class:`~repro.ml.TrainingSetEstimator` estimate of the same
-    statistics, bit for bit (:meth:`StackedSuffStats.training_errors`).
+    Problem ``k`` of ``stats`` is region ``regions[at[k]]``, priced
+    ``cost[k]``; coverage is measured against ``n_total`` items.  Each
+    error is the :class:`~repro.ml.TrainingSetEstimator` estimate of the
+    same statistics, bit for bit (:meth:`StackedSuffStats.training_errors`).
     Counted under ``search.regions_evaluated``.
     """
-    results: list[RegionResult] = []
-    cand = np.flatnonzero(stats.n >= min_examples)
-    if len(cand):
-        stats = stats.select(cand)
-        rmse, sse, dof = stats.training_errors()
-        for k, idx in enumerate(cand):
-            region = regions[int(idx)]
-            n = int(stats.n[k])
-            results.append(
-                RegionResult(
-                    region=region,
-                    cost=cost_of(region),
-                    coverage=n / n_total,
-                    n_items=n,
-                    error=ErrorEstimate(
-                        rmse=float(rmse[k]),
-                        kind="training",
-                        sse=float(sse[k]),
-                        dof=int(dof[k]),
-                    ),
-                )
-            )
-    _REGIONS_EVALUATED.inc(len(results))
-    return results
+    rmse, sse, dof = stats.training_errors()
+    _REGIONS_EVALUATED.inc(len(at))
+    return RegionProfile(
+        tuple(regions),
+        np.asarray(at, dtype=np.intp),
+        np.asarray(cost, dtype=np.float64),
+        stats.n / n_total,
+        stats.n.astype(np.int64),
+        rmse,
+        sse,
+        dof.astype(np.int64),
+    )
 
 
 class BasicBellwetherSearch:
@@ -213,16 +301,16 @@ class BasicBellwetherSearch:
 
     @property
     def profiles(self) -> Mapping[frozenset | None, Sequence[RegionResult]]:
-        """A read-only copy of every cached profile, keyed like the cache.
+        """A read-only view of every cached profile, keyed like the cache.
 
         Keys are ``frozenset(item_ids)`` (``None`` = all items); a key's
         presence is the warm path — :meth:`evaluate_all` would return the
         cached list without touching the store.  The per-key sequences
         are the cached objects themselves — a profile is replaced, never
-        edited in place — so successive copies share them, and later
-        evaluations or refreshes never show through.
+        edited in place.  The view is not a copy: take ``dict(...)`` of it
+        to keep what it shows across a later evaluation, refresh or forget.
         """
-        return MappingProxyType(dict(self._profile))
+        return MappingProxyType(self._profile)
 
     def _cost_of(self, region: Region) -> float:
         """The region's cost; a region a delta added is priced on first sight."""
@@ -348,13 +436,15 @@ class BasicBellwetherSearch:
                 "min_subset_size must admit the full item set"
             )
         with _TRACER.span("search.from_tables", regions=root.n_regions) as sp:
-            results = results_from_stats(
+            cand = np.flatnonzero(root.stats.n >= self.min_examples)
+            profile = results_from_stats(
                 root.regions,
-                root.stats,
+                cand,
+                root.stats.select(cand),
                 self.task.n_items,
-                self._cost_of,
-                self.min_examples,
+                [self._cost_of(root.regions[k]) for k in cand.tolist()],
             )
+            results = profile.training_results()
             sp.annotate(evaluated=len(results))
         self._profile[None] = results
         self._profile_version = self.store.version

@@ -49,6 +49,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.storage import BaseCellTable, LevelTable, RegionBlock, TrainingDataStore
 
+from .basic import _first_strict_min
 from .exceptions import SearchError, TaskError
 from .rowindex import RowIndex
 from .task import BellwetherTask
@@ -63,18 +64,6 @@ _SUBSETS_BUILT = get_registry().counter(CUBE_SUBSETS_BUILT)
 #: the fixed numpy price of a call per region, which is most of what a
 #: ~300-row region costs and nothing to a long one.
 SCAN_ROWS = 8_192
-
-
-def _first_strict_min(values: np.ndarray) -> int:
-    """Index chosen by the sequential rule ``if v < best: best = v``.
-
-    The first value seeds ``best`` unconditionally — even a NaN seed, which
-    then never loses a comparison.  Replicating that exactly keeps the
-    batched paths' winners identical to the serial loops'.
-    """
-    if np.isnan(values[0]):
-        return 0
-    return int(np.flatnonzero(values == np.nanmin(values))[0])
 
 
 def solve_where(

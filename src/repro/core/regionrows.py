@@ -8,10 +8,12 @@ weights and item-table positions of consecutive regions laid end to end in
 store order, block row order kept — and :meth:`RegionRows.evaluate`
 answers a subset with one membership gather and one compaction per table,
 then :meth:`~repro.ml.StackedSuffStats.from_segments` over the compacted
-block and one batched solve.  Each segment holds the rows, in block order,
-:meth:`BasicBellwetherSearch.evaluate_all` would compact for that region,
-so the results equal ``evaluate_all(item_ids=ids)`` under the plain
-training-set estimator bit for bit; that method stays the reference.
+block and one batched solve, returned as columns
+(:class:`~repro.core.basic.RegionProfile`).  Each segment holds the rows,
+in block order, :meth:`BasicBellwetherSearch.evaluate_all` would compact
+for that region, so the columns equal those of
+``evaluate_all(item_ids=ids)`` under the plain training-set estimator bit
+for bit; that method stays the reference.
 
 The value is immutable.  :meth:`RegionRows.advance` carries it across
 store deltas by re-reading only the regions the changelog names and
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from repro.dimensions import Region
 from repro.ml import StackedSuffStats, add_intercept
 from repro.storage import RegionBlock, TrainingDataStore
 
-from .basic import RegionResult, results_from_stats
+from .basic import RegionProfile, results_from_stats
 from .rowindex import RowIndex
 
 __all__ = ["RegionRows"]
@@ -112,8 +115,9 @@ class RegionRows:
     #: Every region once, in store order, ``TABLE_REGIONS`` to a table at most.
     tables: tuple[_Table, ...]
 
-    @property
+    @cached_property
     def regions(self) -> tuple[Region, ...]:
+        """Every region, in store order: the list an evaluated profile indexes."""
         return tuple(region for table in self.tables for region in table.regions)
 
     # ------------------------------------------------------------------ build
@@ -191,15 +195,13 @@ class RegionRows:
     # --------------------------------------------------------------- evaluate
 
     def evaluate(
-        self,
-        ids: Sequence,
-        costs: Mapping[Region, float],
-        min_examples: int,
-    ) -> list[RegionResult]:
+        self, ids: Iterable, cost: np.ndarray, min_examples: int
+    ) -> RegionProfile:
         """``evaluate_all(item_ids=ids)`` from the held rows, one batched solve.
 
-        Regions with fewer than ``min_examples`` rows of ``ids`` are
-        skipped; coverage is measured against the distinct ids named.
+        ``cost`` prices every region, aligned with :attr:`regions`.  Regions
+        with fewer than ``min_examples`` rows of ``ids`` are skipped;
+        coverage is measured against the distinct ids named.
         """
         wanted = frozenset(ids)
         named = np.asarray(list(wanted))
@@ -208,7 +210,7 @@ class RegionRows:
         member = np.zeros(len(self.items) + 1, dtype=bool)
         member[self.items.rows_of(named[known])] = True
         if not self.tables:
-            return []
+            return RegionProfile.of((), self.regions)
         # Rows selected per region, counted by where the region bounds fall
         # among the selected row numbers (np.add.reduceat would return the
         # element at its index for an empty segment, not 0).
@@ -222,7 +224,7 @@ class RegionRows:
         enough = n_rows >= min_examples
         kept = np.flatnonzero(enough)
         if not len(kept):
-            return []
+            return RegionProfile.of((), self.regions)
         # Compact the selected rows of the regions that keep enough of them
         # into one block, where they are adjacent segments in store order.
         bounds = np.concatenate([[0], np.cumsum(n_rows[kept])])
@@ -256,13 +258,12 @@ class RegionRows:
                     bounds[a:b + 1] - bounds[a],
                 )
             )
-        regions = self.regions
         return results_from_stats(
-            [regions[k] for k in kept],
+            self.regions,
+            kept,
             StackedSuffStats.concatenate(stacks),
             len(wanted),
-            costs.__getitem__,
-            min_examples,
+            cost[kept],
         )
 
 

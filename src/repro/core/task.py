@@ -36,12 +36,17 @@ class Criterion:
         if not 0.0 <= self.min_coverage <= 1.0:
             raise TaskError(f"min_coverage must be in [0, 1], got {self.min_coverage}")
 
-    def admits(self, cost: float, coverage: float) -> bool:
-        if self.budget is not None and cost > self.budget:
-            return False
-        return coverage >= self.min_coverage
+    def admits(self, cost, coverage):
+        """Within budget and covering enough; arrays give a mask.
 
-    def objective(self, error: float, cost: float, coverage: float) -> float:
+        A cost the budget cannot be compared with (NaN) is not over it.
+        """
+        admitted = coverage >= self.min_coverage
+        if self.budget is None:
+            return admitted
+        return admitted & np.logical_not(cost > self.budget)
+
+    def objective(self, error, cost, coverage):
         """The quantity minimized over feasible regions — here, the error."""
         return error
 
@@ -65,10 +70,12 @@ class LinearCriterion:
         if self.w_cost < 0 or self.w_coverage < 0:
             raise TaskError("criterion weights must be non-negative")
 
-    def admits(self, cost: float, coverage: float) -> bool:
-        return True
+    def admits(self, cost, coverage):
+        """Every region; arrays give an all-true mask."""
+        return np.full(np.shape(cost), True)
 
-    def objective(self, error: float, cost: float, coverage: float) -> float:
+    def objective(self, error, cost, coverage):
+        """Elementwise over arrays, the same float operations in the same order."""
         return error + self.w_cost * cost - self.w_coverage * coverage
 
     def with_budget(self, budget: float | None) -> "LinearCriterion":

@@ -13,12 +13,18 @@ two store versions" is therefore true by construction: there is no second
 version in reach.
 
 Bodies are JSON *bytes*, and the expensive part of each is rendered once,
-by the writer, when the object it describes is built: a region result's
-entry with its :class:`Profile`, a model's predictions with its
-:class:`FittedModel`, the three browse bodies with the snapshot.  A
-request joins those fragments with its own few scalars (version, budget
-echo, feasible count); selection still runs per request, so any budget is
-answered.  Nothing is filled in lazily, and nothing is keyed by request.
+when the object it describes is built: every region's entry head with the
+snapshot (aligned with its region tuple, as its cost array is), a
+subset's entries with its :class:`Profile` — the subset's evaluated
+regions as columns (:class:`~repro.core.basic.RegionProfile`) plus the
+entry bytes aligned with them, rendered in one pass — a model's
+predictions with its :class:`FittedModel`, the three browse bodies with
+the snapshot.  A request joins those fragments with its own few scalars
+(version, budget echo, feasible count); selection still runs per request,
+by the one winner rule (:meth:`~repro.core.basic.RegionProfile.select`)
+over the columns, so any budget is answered and only the winner's
+``Region`` is looked up.  Nothing is filled in lazily, and nothing is
+keyed by request.
 
 A method returns ``None`` when the snapshot lacks what the answer needs
 (a never-seen subset's profile, an unfitted model, the cube).  A subset's
@@ -31,18 +37,18 @@ every unchanged piece with their predecessor.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from math import isfinite
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
-from repro.core.basic import RegionResult, select_bellwether
+from repro.core.basic import RegionProfile
 from repro.core.regionrows import RegionRows
 from repro.core.rowindex import RowIndex
 from repro.dimensions import Region, region_to_json
+from repro.exceptions import ConfigError
 from repro.ml import LinearRegression
 
 from .errors import InfeasibleQueryError, NotFoundError
@@ -63,64 +69,82 @@ def dumps(value) -> bytes:
     return json.dumps(value).encode()
 
 
-def _float(value) -> str:
-    """``json.dumps(float(value))``: ``float.__repr__``, and JSON's three
-    non-finite spellings."""
-    value = float(value)
-    if isfinite(value):
-        return repr(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+def render_heads(regions: Sequence[Region], cost: np.ndarray) -> tuple[bytes, ...]:
+    """The start of each region's ``bellwether`` / ``feasible[]`` entry.
 
-
-def render_heads(costs: Mapping[Region, float]) -> dict[Region, bytes]:
-    """Region -> the start of its ``bellwether`` / ``feasible[]`` entry.
-
-    The three fields that depend on the region alone, ``costs`` pricing it;
-    :meth:`Profile.render` appends a subset's six.
+    The three fields that depend on the region alone, ``cost`` (aligned
+    with ``regions``) pricing it; :meth:`Profile.render` appends a
+    subset's six.
     """
-    return {
-        region: dumps(
+    return tuple(
+        dumps(
             {
                 "region": region_to_json(region),
                 "region_str": str(region),
-                "cost": float(cost),
+                "cost": value,
             }
         )[:-1]
-        for region, cost in costs.items()
-    }
+        for region, value in zip(regions, cost.tolist())
+    )
 
 
-@dataclass(frozen=True)
+def _spelled(values: np.ndarray) -> list[bytes]:
+    """Each of ``values`` as ``json.dumps`` spells it.
+
+    One ``json.dumps`` of the list: its C encoder writes every float as
+    ``float.__repr__`` and the non-finite ones as ``NaN`` / ``Infinity`` /
+    ``-Infinity`` — the bytes ``json.dumps`` of each value alone gives.
+    """
+    return dumps(values.tolist())[1:-1].split(b", ")
+
+
+#: One entry: its region's head, then the six fields of a subset.  Entries
+#: are rendered end to end, each closed by a newline, which JSON text from
+#: ``json.dumps`` never holds raw.
+_ENTRY = (
+    b'%b, "coverage": %b, "n_examples": %b, "rmse": %b, "sse": %b, '
+    b'"dof": %b, "error_kind": "training"}\n'
+)
+
+
+@dataclass(frozen=True, eq=False)
 class Profile:
-    """One item subset's evaluated regions, each one's JSON rendered once."""
+    """One item subset's evaluated regions as columns, each entry rendered once.
 
-    results: tuple[RegionResult, ...]
-    #: Region -> its ``bellwether`` / ``feasible[]`` entry.
-    json: Mapping[Region, bytes]
+    Every error is a training-set estimate: the service serves no other
+    estimator (:class:`~repro.serve.state.ServerState` refuses one).
+    """
+
+    columns: RegionProfile
+    #: Entry ``k``'s ``bellwether`` / ``feasible[]`` JSON, aligned with
+    #: ``columns``.
+    entries: tuple[bytes, ...]
 
     @classmethod
-    def render(
-        cls, results: Sequence[RegionResult], heads: Mapping[Region, bytes]
-    ) -> "Profile":
-        """``results`` (priced as ``heads`` were) with every entry rendered:
-        the region's head plus this subset's coverage and error, the bytes
-        ``json.dumps`` of the whole entry would give."""
-        rendered = {}
-        for r in results:
-            error = r.error
-            rendered[r.region] = heads[r.region] + (
-                ', "coverage": %s, "n_examples": %d, "rmse": %s, "sse": %s, '
-                '"dof": %d, "error_kind": %s}'
-                % (
-                    _float(r.coverage),
-                    r.n_items,
-                    _float(error.rmse),
-                    "null" if error.sse is None else _float(error.sse),
-                    error.dof,
-                    encode_basestring_ascii(error.kind),
+    def render(cls, columns: RegionProfile, heads: Sequence[bytes]) -> "Profile":
+        """``columns`` with every entry rendered in one ``%``.
+
+        ``heads`` is aligned with ``columns.regions``, priced as the
+        columns were; each entry is the bytes ``json.dumps`` of the whole
+        entry dict would give.
+        """
+        if not len(columns):
+            return cls(columns, ())
+        fields = zip(
+            [heads[k] for k in columns.at.tolist()],
+            *(
+                _spelled(column)
+                for column in (
+                    columns.coverage,
+                    columns.n_items,
+                    columns.rmse,
+                    columns.sse,
+                    columns.dof,
                 )
-            ).encode()
-        return cls(tuple(results), MappingProxyType(rendered))
+            ),
+        )
+        text = (_ENTRY * len(columns)) % tuple(chain.from_iterable(fields))
+        return cls(columns, tuple(text.split(b"\n")[:-1]))
 
 
 @dataclass(frozen=True)
@@ -169,25 +193,32 @@ class FittedModel:
         return cls(model, dumps(tail)[1:])
 
 
-def render_regions(version: int, regions, profile: Profile, cost) -> bytes:
+def render_regions(
+    version: int, regions: Sequence[Region], profile: RegionProfile, cost
+) -> bytes:
     """The /regions body: region addressing + the all-items profile.
 
-    ``cost`` (region -> float) prices the regions the profile skipped.
+    ``profile.at`` indexes ``regions``; ``cost`` (region -> float) prices
+    the regions the profile skipped.
     """
-    by_region = {r.region: r for r in profile.results}
+    entry = dict(zip(profile.at.tolist(), range(len(profile))))
+    costs, coverage, n_items, rmse = (
+        column.tolist()
+        for column in (profile.cost, profile.coverage, profile.n_items, profile.rmse)
+    )
     entries = []
     for index, region in enumerate(regions):
-        rr = by_region.get(region)
+        k = entry.get(index)
         entries.append(
             {
                 "index": index,
                 "key": region_to_json(region),
                 "region": str(region),
-                "cost": float(rr.cost if rr else cost(region)),
-                "evaluable": rr is not None,
-                "coverage": None if rr is None else float(rr.coverage),
-                "n_examples": None if rr is None else int(rr.n_items),
-                "rmse": None if rr is None else float(rr.rmse),
+                "cost": float(cost(region)) if k is None else costs[k],
+                "evaluable": k is not None,
+                "coverage": None if k is None else coverage[k],
+                "n_examples": None if k is None else n_items[k],
+                "rmse": None if k is None else rmse[k],
             }
         )
     return dumps(
@@ -250,36 +281,44 @@ class Snapshot:
     cube: Mapping[tuple[int, ...] | None, bytes] | None = None
     #: ``(region, item-id tuple)`` -> fitted /predict model.
     models: Mapping[tuple, FittedModel] = field(default_factory=dict)
-    #: Per-region evaluation cost and the search's row threshold, for
-    #: results evaluated from ``rows``.
-    costs: Mapping[Region, float] = field(default_factory=dict)
+    #: Every region's evaluation cost, aligned with ``regions``, and the
+    #: search's row threshold, for profiles evaluated from ``rows``.
+    cost: np.ndarray = field(default_factory=lambda: np.empty(0))
     min_examples: int = 0
-    #: Every priced region's entry head (:func:`render_heads` of ``costs``).
-    heads: Mapping[Region, bytes] = field(default_factory=dict)
-    #: Every region's training rows: what a never-seen item subset is
-    #: evaluated from.  ``None`` until the first subset question at a
-    #: deployment (one scan builds it); carried across deltas after that.
+    #: Every region's entry head (:func:`render_heads` of ``cost``).
+    heads: tuple[bytes, ...] = ()
+    #: Every region's training rows, ``rows.regions == regions``: what a
+    #: never-seen item subset is evaluated from.  ``None`` until the first
+    #: subset question at a deployment (one scan builds it); carried
+    #: across deltas after that.
     rows: RegionRows | None = None
 
     def __post_init__(self):
         # Own read-only copies: nothing the builder keeps can alias in.  A
-        # read-only mapping already is one, a predecessor's, kept as it is.
-        for name in ("profiles", "models", "cube", "costs", "heads"):
+        # read-only mapping already is one — a predecessor's, or one the
+        # writer handed over without keeping the dict — kept as it is.
+        for name in ("profiles", "models", "cube"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, MappingProxyType):
                 object.__setattr__(self, name, MappingProxyType(dict(value)))
+        if self.cost.flags.writeable:
+            cost = self.cost.copy()
+            cost.flags.writeable = False
+            object.__setattr__(self, "cost", cost)
+        if self.rows is not None and self.rows.regions != self.regions:
+            raise ConfigError("the region rows are not the snapshot's regions")
 
     # ------------------------------------------------------------ /bellwether
 
     def evaluate(self, ids) -> Profile:
         """The profile of item subset ``ids``, computed from ``rows``."""
         return Profile.render(
-            self.rows.evaluate(ids, self.costs, self.min_examples), self.heads
+            self.rows.evaluate(ids, self.cost, self.min_examples), self.heads
         )
 
     def bellwether(
         self, criterion, budget, ids
-    ) -> tuple[bytes, RegionResult] | None:
+    ) -> tuple[bytes, Region] | None:
         """The exact /bellwether body and its winner; ``None`` = subset not profiled."""
         profile = self.profiles.get(None if ids is None else frozenset(ids))
         if profile is None:
@@ -288,14 +327,13 @@ class Snapshot:
 
     def bellwether_of(
         self, profile: Profile, criterion, budget, ids
-    ) -> tuple[bytes, RegionResult]:
+    ) -> tuple[bytes, Region]:
         """:meth:`bellwether` from ``profile``: ``ids``' own, held here or
         just computed by :meth:`evaluate`."""
-        result = select_bellwether(profile.results, criterion)
-        best = result.bellwether
+        best, feasible = profile.columns.select(criterion)
         if best is None:
             raise infeasible(budget, ids)
-        rendered = profile.json
+        entries = profile.entries
         body = (
             b'{"store_version": %d, "mode": "exact", "budget": %s, "items": %s, '
             b'"found": true, "bellwether": %s, "n_feasible": %d, "feasible": [%s]}'
@@ -303,11 +341,11 @@ class Snapshot:
             self.version,
             dumps(budget),
             dumps(ids),
-            rendered[best.region],
-            len(result.feasible),
-            b", ".join([rendered[r.region] for r in result.feasible]),
+            entries[best],
+            len(feasible),
+            b", ".join([entries[k] for k in feasible.tolist()]),
         )
-        return body, best
+        return body, profile.columns.region(best)
 
     # --------------------------------------------------------------- /predict
 
@@ -324,10 +362,10 @@ class Snapshot:
         profile = self.profiles.get(frozenset(ids))
         if profile is None:
             return None
-        result = select_bellwether(profile.results, criterion)
-        if result.bellwether is None:
+        best, __ = profile.columns.select(criterion)
+        if best is None:
             raise infeasible(budget, ids)
-        return result.bellwether.region
+        return profile.columns.region(best)
 
     def predict(self, criterion, budget, ids, region) -> bytes | None:
         """The exact /predict body; ``None`` = profile or model missing."""

@@ -41,7 +41,11 @@ import json
 import math
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
 
 from repro.analysis.runtime import (
     SERVE_INSTRUMENT,
@@ -50,6 +54,7 @@ from repro.analysis.runtime import (
 )
 from repro.aqp import ApproxMiss, AqpConfig, AqpEngine
 from repro.core import BasicBellwetherSearch, BellwetherCubeBuilder
+from repro.core.basic import RegionProfile
 from repro.core.exceptions import SearchError
 from repro.core.regionrows import RegionRows
 from repro.dimensions import RegionError, region_from_json, region_to_json
@@ -108,8 +113,9 @@ ENDPOINTS = (
 
 #: Item-subset profiles kept warm at once (the all-items profile is not
 #: counted and never evicted).  The largest pool any caller keeps warm is
-#: 4; an evicted subset costs one evaluation from the region rows (~6 ms
-#: over 156 regions) against ~0.03 ms for selecting from a kept profile.
+#: 4; an evicted subset asked again is a cold answer from the region rows
+#: (~2.3–4 ms over 156 regions on a 2-vCPU VM) against ~0.05 ms for a warm
+#: answer, whose selection from the kept profile is ~0.015 ms.
 MAX_SUBSET_PROFILES = 64
 
 # The registry's increments are plain ``+=`` (single-threaded by design);
@@ -395,15 +401,23 @@ class ServerState:
         self.search.refresh(parallel=self._parallel, tables=tables)
         _record_adoption()
         regions = tuple(self.store.regions())
-        # Region heads are a function of the costs: while those stand, the
-        # predecessor's mapping and its rendered heads are this snapshot's.
+        # Region heads are a function of the regions and their costs: while
+        # those stand, the predecessor's costs and rendered heads are this
+        # snapshot's.  A region the search never priced (too few rows to be
+        # evaluated) is priced as /regions prices it.
         costs = self.search.costs
-        if snap is not None and costs == snap.costs:
-            costs, heads = snap.costs, snap.heads
+        cost = np.array(
+            [costs[r] if r in costs else self.task.cost(r) for r in regions],
+            dtype=np.float64,
+        )
+        if snap is not None and regions == snap.regions and np.array_equal(
+            cost, snap.cost
+        ):
+            cost, heads = snap.cost, snap.heads
         else:
-            heads = render_heads(costs)
+            heads = render_heads(regions, cost)
         profiles = {
-            key: Profile.render(results, heads)
+            key: Profile.render(RegionProfile.of(results, regions), heads)
             for key, results in self.search.profiles.items()
         }
         return self._publish(
@@ -420,10 +434,10 @@ class ServerState:
                     }
                 ),
                 regions_body=render_regions(
-                    version, regions, profiles[None], self.task.cost
+                    version, regions, profiles[None].columns, self.task.cost
                 ),
                 tables=tables,
-                costs=costs,
+                cost=cost,
                 heads=heads,
                 min_examples=self.search.min_examples,
                 rows=self._carried_rows(snap),
@@ -441,24 +455,27 @@ class ServerState:
             return None
         return snap.rows.advance(self.store, deltas)
 
-    def _with_profiles(self, snap: Snapshot, fresh=()) -> Snapshot:
+    def _with_profiles(self, snap: Snapshot, fresh=MappingProxyType({})) -> Snapshot:
         """Publish ``fresh`` and every profile the search holds.  (writer mutex held)
 
         ``fresh`` maps item subsets to profiles evaluated from
-        ``snap.rows``; the search's are what AQP training profiled on it.
-        New ones go last; past ``MAX_SUBSET_PROFILES`` the oldest-inserted
-        subsets leave the snapshot and the search, their /predict models
-        with them.  An evicted subset asked again is an ordinary miss.
+        ``snap.rows``; the search's are what AQP training profiled on it,
+        converted to columns here, once.  New ones go last; past
+        ``MAX_SUBSET_PROFILES`` the oldest-inserted subsets leave the
+        snapshot and the search, their /predict models with them.  An
+        evicted subset asked again is an ordinary miss.
         """
-        profiles = dict(snap.profiles)
-        profiles.update(fresh)
+        profiles = {**snap.profiles, **fresh}
         for key, results in self.search.profiles.items():
             if key not in profiles:
-                profiles[key] = Profile.render(results, snap.heads)
-        subsets = [key for key in profiles if key is not None]
-        evicted = set(subsets[:-MAX_SUBSET_PROFILES])
+                profiles[key] = Profile.render(
+                    RegionProfile.of(results, snap.regions), snap.heads
+                )
+        excess = len(profiles) - (None in profiles) - MAX_SUBSET_PROFILES
         models = snap.models
-        if evicted:
+        if excess > 0:
+            subsets = (key for key in profiles if key is not None)
+            evicted = set(islice(subsets, excess))
             for key in evicted:
                 del profiles[key]
                 self.search.forget(key)
@@ -467,7 +484,11 @@ class ServerState:
                 for key, entry in models.items()
                 if frozenset(key[1]) not in evicted
             }
-        return self._publish(replace(snap, profiles=profiles, models=models))
+        # Handed over read-only, the dict kept by nobody: the snapshot
+        # takes it as it is instead of copying it again.
+        return self._publish(
+            replace(snap, profiles=MappingProxyType(profiles), models=models)
+        )
 
     def _add_profile(self, snap: Snapshot, ids) -> Snapshot:
         """Evaluate a never-seen item subset.  (writer mutex held)
@@ -478,10 +499,12 @@ class ServerState:
         if snap.rows is None:
             rows = RegionRows.from_store(self.store, self.task.item_ids)
             snap = replace(snap, rows=rows)
-        return self._with_profiles(snap, {frozenset(ids): snap.evaluate(ids)})
+        key = frozenset(ids)
+        return self._with_profiles(snap, {key: snap.evaluate(key)})
 
-    def _offer(self, snap: Snapshot, ids, profile) -> None:
-        """Publish a profile a reader evaluated from ``snap.rows``, if that is free.
+    def _offer(self, snap: Snapshot, key: frozenset, profile: Profile) -> None:
+        """Publish subset ``key``'s profile a reader evaluated from ``snap.rows``,
+        if that is free.
 
         Never behind an active writer, and only onto the snapshot it was
         computed from; otherwise it has served its one reply.
@@ -490,7 +513,7 @@ class ServerState:
             return
         try:
             if self._snapshot is snap:
-                self._with_profiles(snap, {frozenset(ids): profile})
+                self._with_profiles(snap, {key: profile})
         finally:
             self._writer.release()
 
@@ -698,16 +721,13 @@ class ServerState:
         # tally, it cannot corrupt the counter.
         scans_before = _FULL_SCANS.value  # lint: ignore[RPR007]
         snap = self._current()
-        if (
-            ids is not None
-            and snap.rows is not None
-            and frozenset(ids) not in snap.profiles
-        ):
+        key = None if ids is None else frozenset(ids)
+        if key is not None and snap.rows is not None and key not in snap.profiles:
             # A never-seen subset is a pure function of the snapshot's
             # rows: one miss, answered here — no store, no wait on a writer.
             _record_cache(hit=False)
-            profile = snap.evaluate(ids)
-            self._offer(snap, ids, profile)
+            profile = snap.evaluate(key)
+            self._offer(snap, key, profile)
             body, winner = snap.bellwether_of(profile, criterion, budget, ids)
         else:
             snap, (body, winner) = self._answer(
@@ -721,7 +741,7 @@ class ServerState:
                 store_version=snap.version,
                 budget=budget,
                 items=ids,
-                winner=str(winner.region),
+                winner=str(winner),
             )
         return body
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BasicBellwetherSearch, DirectTask
+from repro.core.basic import RegionProfile
 from repro.core.regionrows import TABLE_REGIONS, RegionRows
 from repro.dimensions import Region
 from repro.ml import TrainingSetEstimator
@@ -62,20 +63,31 @@ def _questions(rng, n_items):
     ]
 
 
-def _bits(results):
-    return [
-        (
-            str(r.region),
-            r.cost,
-            r.coverage,
-            r.n_items,
-            r.error.kind,
-            float(r.error.rmse).hex(),
-            float(r.error.sse).hex(),
-            r.error.dof,
-        )
-        for r in results
-    ]
+def _bits(profile):
+    """The regions a profile's entries name, then every column's bytes."""
+    return (
+        [str(profile.region(k)) for k in range(len(profile))],
+        *(
+            (column.dtype.str, column.tobytes())
+            for column in (
+                profile.cost, profile.coverage, profile.n_items,
+                profile.rmse, profile.sse, profile.dof,
+            )
+        ),
+    )
+
+
+def _raw(task, store, costs, min_examples, ids):
+    """The reference: the raw path's results, as columns."""
+    search = BasicBellwetherSearch(task, store, costs=costs, min_examples=min_examples)
+    results = search.evaluate_all(item_ids=ids)
+    assert all(r.error.kind == "training" for r in results)
+    return RegionProfile.of(results)
+
+
+def _cost(rows, costs):
+    """``costs`` aligned with the rows' regions, as ``evaluate`` takes them."""
+    return np.array([costs[region] for region in rows.regions])
 
 
 def _task_and_costs(n_items, store):
@@ -92,11 +104,10 @@ def _assert_equals_raw_path(rng, n_items, store, rows, min_examples):
     assert rows.regions == tuple(store.regions())
     task, costs = _task_and_costs(n_items, store)
     for ids in _questions(rng, n_items):
-        raw = BasicBellwetherSearch(
-            task, store, costs=costs, min_examples=min_examples
-        )
-        want = raw.evaluate_all(item_ids=ids)
-        assert _bits(rows.evaluate(ids, costs, min_examples)) == _bits(want)
+        want = _raw(task, store, costs, min_examples, ids)
+        got = rows.evaluate(ids, _cost(rows, costs), min_examples)
+        assert got.regions is rows.regions
+        assert _bits(got) == _bits(want)
 
 
 def _slices(rows):
@@ -197,16 +208,16 @@ def test_a_region_without_rows_or_without_selected_rows_counts_zero():
     task, costs = _task_and_costs(n_items, store)
     for min_examples in (1, 7, 13):
         for ids in (low.tolist(), low[:3].tolist(), np.arange(1, 13).tolist()):
-            want = BasicBellwetherSearch(
-                task, store, costs=costs, min_examples=min_examples
-            ).evaluate_all(item_ids=ids)
-            got = rows.evaluate(ids, costs, min_examples)
+            want = _raw(task, store, costs, min_examples, ids)
+            got = rows.evaluate(ids, _cost(rows, costs), min_examples)
             assert _bits(got) == _bits(want)
-            evaluated = {str(r.region) for r in got}
+            evaluated = set(_bits(got)[0])
             assert not evaluated & {"[empty_first]", "[empty]", "[empty_last]"}
             if max(ids) <= 6:
                 assert "[none_selected]" not in evaluated
-    assert rows.evaluate([7, 8], costs, 1)[0].region == Region(("none_selected",))
+    assert rows.evaluate([7, 8], _cost(rows, costs), 1).region(0) == Region(
+        ("none_selected",)
+    )
 
 
 def test_weighted_and_unweighted_regions_in_one_store():
@@ -267,8 +278,8 @@ def test_advance_over_a_region_that_grows_and_shrinks():
         _assert_equals_raw_path(rng, n_items, store, rows, 4)
         task, costs = _task_and_costs(n_items, store)
         for ids in _questions(rng, n_items):
-            assert _bits(rows.evaluate(ids, costs, 4)) == _bits(
-                fresh.evaluate(ids, costs, 4)
+            assert _bits(rows.evaluate(ids, _cost(rows, costs), 4)) == _bits(
+                fresh.evaluate(ids, _cost(fresh, costs), 4)
             )
     assert sizes[1] > sizes[0] and sizes[2] < sizes[1]
 

@@ -10,7 +10,8 @@
 (c) With a delta parked mid-build, a never-seen subset still answers, at
     the old version, without waiting for the writer.
 (d) Readers computing subsets while deltas land never publish a profile
-    onto a snapshot it was not computed from.
+    onto a snapshot it was not computed from; once no writer is active, a
+    reader's offer is published.
 (e) Rows answer the training-set estimator only, so a task with any other
     estimator is refused at construction, with or without tables.
 """
@@ -82,6 +83,19 @@ def _counters(state) -> tuple[float, float]:
 def _entry(r) -> tuple:
     return (str(r.region), float(r.rmse), float(r.error.sse), int(r.error.dof),
             float(r.coverage), int(r.n_items))
+
+
+def _entries(profile) -> list[tuple]:
+    """A published profile's entries as :func:`_entry` reads a result, from
+    its columns."""
+    c = profile.columns
+    return list(
+        zip(
+            [str(c.region(k)) for k in range(len(c))],
+            c.rmse.tolist(), c.sse.tolist(), c.dof.tolist(),
+            c.coverage.tolist(), c.n_items.tolist(),
+        )
+    )
 
 
 def _reference(state, ids, store=None) -> tuple:
@@ -262,15 +276,15 @@ def test_an_offer_never_queues_behind_a_writer(live, monkeypatch):
     state.bellwether(budget=BUDGET, items=SUBSETS[0])
     snap = state._snapshot
     key = frozenset(SUBSETS[1])
-    profile = snap.evaluate(SUBSETS[1])
+    profile = snap.evaluate(key)
     monkeypatch.setattr(state._writer, "locked", lambda: False)  # the lost race
-    offer = threading.Thread(target=state._offer, args=(snap, SUBSETS[1], profile))
+    offer = threading.Thread(target=state._offer, args=(snap, key, profile))
     with state._writer:
         offer.start()
         offer.join(timeout=10)
         assert not offer.is_alive()
     assert key not in state._snapshot.profiles
-    state._offer(snap, SUBSETS[1], profile)  # nobody writing: kept for reuse
+    state._offer(snap, key, profile)  # nobody writing: kept for reuse
     assert state._snapshot.profiles[key] is profile
 
 
@@ -327,15 +341,22 @@ def test_readers_computing_subsets_beside_deltas_publish_nothing_stale(
             k = len(twins)
             state.apply_delta(month if k == 2 else _reshuffle(state.store, 1 + k % 3))
             twins.append(twin())
-            time.sleep(0.02)  # a spell with no writer: offers get through
+            time.sleep(0.02)  # a spell with no writer: offers may get through
         for thread in threads:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
+    # Whether a reader above ever found the writer free is the scheduler's
+    # call.  One more round, every delta landed and nobody writing: each of
+    # its offers finds the mutex free and its own snapshot still current.
+    start = n_threads * per_thread
+    last = SUBSETS[start : start + 4]
+    reader(last)
     assert not failures
-    assert len(answers) == n_threads * per_thread
+    assert len(answers) == n_threads * per_thread + len(last)
     assert _counters(state) == (misses + len(answers), hits)
+    assert {frozenset(ids) for ids in last} <= set(state._snapshot.profiles)
     for ids, got in answers.items():
         at = twins[got["store_version"] - base]
         assert _answer(got) == _reference(state, list(ids), at), ids
@@ -352,7 +373,7 @@ def test_readers_computing_subsets_beside_deltas_publish_nothing_stale(
         raw = BasicBellwetherSearch(
             state.task, twins[version - base], min_examples=state.search.min_examples
         )
-        assert [_entry(r) for r in profile.results] == [
+        assert _entries(profile) == [
             _entry(r) for r in raw.evaluate_all(item_ids=sorted(key))
         ], (version, sorted(key))
     assert lockcheck.snapshot()["violations"] == []

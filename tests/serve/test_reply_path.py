@@ -26,8 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serve.app as app_module
+import repro.serve.snapshot as snapshot_module
 from repro.core import BasicBellwetherSearch
-from repro.core.basic import RegionResult, select_bellwether
+from repro.core.basic import RegionProfile, RegionResult, select_bellwether
 from repro.dimensions import Interval, Region, region_to_json
 from repro.incremental import month_append_delta, month_split_store
 from repro.obs import catalog
@@ -345,11 +346,12 @@ def test_bodies_equal_the_reference_renderer_byte_for_byte(live):
 
 
 # An entry is its region's head, rendered once per snapshot, plus six
-# fields formatted per subset: together the bytes json.dumps gives the dict.
+# fields of the subset, rendered for all entries in one pass: together the
+# bytes json.dumps gives the dict.
 
 _SPECIAL_FLOATS = (
     0.0, -0.0, 1.0, 3.0, 1e16, 1e-7, 1e22, 1e-5, 123456789012345680.0,
-    5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, float("nan"),
+    5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e308, -1e-320, float("nan"),
     float("inf"), float("-inf"),
 )
 _floats = st.one_of(
@@ -360,47 +362,77 @@ _floats = st.one_of(
 _numbers = st.one_of(
     _floats, _floats.map(np.float64), st.integers(0, 10**9), st.integers(0, 10**9).map(np.int64)
 )
-_REGIONS = (
-    Region((Interval(1, 8), "MD")),
-    Region(("All",)),
-    Region((Interval(2, 2), 'quo"te\\', "caf\u00e9")),
+_counts = st.integers(0, 10**9).flatmap(lambda n: st.sampled_from([n, np.int64(n)]))
+_REGIONS = tuple(
+    Region(key)
+    for key in (
+        (Interval(1, 8), "MD"),
+        ("All",),
+        (Interval(2, 2), 'quo"te\\', "caf\u00e9"),
+        (Interval(3, 4), "new\nline"),
+        *((f"r{k}",) for k in range(12)),
+    )
 )
+
+
+@given(st.lists(_floats))
+@example([-0.0, 5e-324, 1e16, 1e22, 123456789012345680.0, float("nan"), float("-inf")])
+@settings(max_examples=300, deadline=None)
+def test_one_dumps_of_a_column_spells_each_value_as_json_dumps_does(values):
+    spelled = snapshot_module._spelled(np.array(values, dtype=np.float64))
+    if values:
+        assert spelled == [json.dumps(v).encode() for v in values]
+    counts = np.arange(len(values), dtype=np.int64) * 10**9
+    if values:
+        assert snapshot_module._spelled(counts) == [
+            json.dumps(int(n)).encode() for n in counts
+        ]
 
 
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(_REGIONS), _numbers, _numbers, _numbers,
-            st.one_of(st.none(), _numbers),
-            st.integers(0, 10**9).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
-            st.integers(0, 10**9).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
-            st.sampled_from(["training", "cv", 'we"ird\n']),
+            st.sampled_from(_REGIONS), _numbers, _numbers, _numbers, _numbers,
+            _counts, _counts,
         ),
-        max_size=4,
+        max_size=len(_REGIONS),
         unique_by=lambda row: row[0],
-    )
+    ),
+    st.randoms(use_true_random=False),
 )
-@example([(_REGIONS[0], np.float64(1e16), -0.0, float("nan"), None, np.int64(7), 3, "cv")])
+@example(
+    [(_REGIONS[0], np.float64(1e16), -0.0, float("nan"), 5e-324, np.int64(7), 3)],
+    None,
+)
 @settings(max_examples=300, deadline=None)
-def test_rendered_entries_equal_json_dumps_of_the_reference_dict(rows):
+def test_rendered_entries_equal_json_dumps_of_the_reference_dict(rows, rng):
     results = [
         RegionResult(
             region=region,
             cost=cost,
             coverage=coverage,
             n_items=n_items,
-            error=ErrorEstimate(rmse=rmse, kind=kind, sse=sse, dof=dof),
+            error=ErrorEstimate(rmse=rmse, kind="training", sse=sse, dof=dof),
         )
-        for region, cost, coverage, rmse, sse, n_items, dof, kind in rows
+        for region, cost, coverage, rmse, sse, n_items, dof in rows
     ]
-    heads = render_heads({r.region: r.cost for r in results})
-    profile = Profile.render(results, heads)
-    assert profile.results == tuple(results)
-    assert list(profile.json) == [r.region for r in results]
-    for r in results:
+    # the profile indexes a region list of its own order, as a snapshot's
+    regions = list(_REGIONS)
+    if rng is not None:
+        rng.shuffle(regions)
+    regions = tuple(regions)
+    priced = {r.region: r.cost for r in results}
+    heads = render_heads(
+        regions, np.array([priced.get(region, 0.0) for region in regions], dtype=float)
+    )
+    columns = RegionProfile.of(results, regions)
+    profile = Profile.render(columns, heads)
+    assert profile.columns is columns
+    assert len(profile.entries) == len(results)
+    for r, k, entry in zip(results, columns.at.tolist(), profile.entries):
         want = json.dumps(_region_result_json(r)).encode()
-        assert profile.json[r.region] == want
-        assert want.startswith(heads[r.region])
+        assert entry == want
+        assert want.startswith(heads[k])
 
 
 def test_in_process_payloads_parse_the_same_bytes(served, conn):

@@ -151,21 +151,26 @@ def test_successor_snapshots_keep_read_only_mappings_as_they_are(live):
         client.bellwether(budget=BUDGET, items=OTHER_SUBSET)  # a new profile
         after = state._snapshot
     assert after is not before
-    assert after.costs is before.costs and after.heads is before.heads
+    assert after.cost is before.cost and after.heads is before.heads
     assert after.models is before.models
 
     mine = {frozenset({1}): next(iter(after.profiles.values()))}
     copied = dataclasses.replace(after, profiles=mine)
     mine.clear()
     assert len(copied.profiles) == 1
-    with pytest.raises(TypeError):
-        copied.costs[None] = 1.0
+    with pytest.raises(ValueError):
+        copied.cost[0] = 1.0
+    # a cost array handed in writable is copied, read-only
+    cost = np.array(after.cost)
+    priced = dataclasses.replace(after, cost=cost)
+    assert priced.cost is not cost and not priced.cost.flags.writeable
 
     # A delta that brings regions prices them and renders their heads ...
     state.apply_delta(delta)
     grown = state._snapshot
     assert grown.version == after.version + 1
-    assert set(grown.heads) == set(grown.costs) > set(after.costs)
+    assert len(grown.heads) == len(grown.cost) == len(grown.regions)
+    assert len(grown.regions) > len(after.regions)
     # ... and one that leaves regions and costs standing shares both.
     region = grown.regions[0]
     block = state.store.read(region)
@@ -183,7 +188,7 @@ def test_successor_snapshots_keep_read_only_mappings_as_they_are(live):
     )
     adopted = state._snapshot
     assert adopted.version == grown.version + 1
-    assert adopted.costs is grown.costs and adopted.heads is grown.heads
+    assert adopted.cost is grown.cost and adopted.heads is grown.heads
 
 
 def test_start_up_and_a_delta_solve_no_cube(dataset, tmp_path):

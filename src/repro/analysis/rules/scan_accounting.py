@@ -4,7 +4,7 @@ Lemma 1 (one scan per tree level) and Lemma 2 (one scan per cube build) are
 verified against ``store.full_scans`` / ``store.region_reads``; the obs,
 bench, and conformance layers all read those counters.  A code path that
 reaches into ``TrainingDataStore`` internals (``_blocks``, ``_fetch``,
-``_meta``, ``_columns``, ``_raw_columns``) or loads or maps files directly
+``_meta``, ``_raw_columns``) or loads or maps files directly
 does real I/O the counters never see — the scan-bound tests keep passing
 while the claim they certify silently stops being measured.
 
@@ -32,7 +32,7 @@ from ..engine import FileContext, Rule, RuleVisitor, Scope
 
 __all__ = ["ScanAccountingRule"]
 
-_STORE_INTERNALS = {"_blocks", "_fetch", "_meta", "_columns", "_raw_columns"}
+_STORE_INTERNALS = {"_blocks", "_fetch", "_meta", "_raw_columns"}
 _ZIP_CODEC = {"load", "savez", "savez_compressed"}
 #: module name -> its functions that read or map files directly.
 _NUMPY_IO = _ZIP_CODEC | {"memmap"}

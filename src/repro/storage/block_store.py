@@ -11,14 +11,14 @@ patterns:
 
 Both stores count these accesses via :class:`~repro.storage.stats.IOStats`.
 :class:`DiskStore` is the one on-disk store: one *raw column file* per region
-(``item_ids``, ``y``, each feature of ``x`` and optionally ``weights`` stored
-back-to-back as contiguous typed buffers) plus a single JSON manifest carrying
-the schema, the store version and per-column byte offsets.  Every ``read`` /
-``scan`` genuinely hits the filesystem — nothing is cached — giving the "every
-request is a disk read" regime of Section 7.4.1 for the Figure 11(a)
-comparison, and :meth:`DiskStore.scan_chunks` streams a full scan in
-bounded-memory sub-blocks, which is what lets fig11 run the paper's 10M-row
-configurations out-of-core.
+(``item_ids``, ``y``, the row-major ``(rows, p)`` ``x`` and optionally
+``weights`` stored back-to-back as contiguous typed buffers) plus a single
+JSON manifest carrying the schema, the store version and per-column byte
+offsets.  Every ``read`` / ``scan`` maps the region's file afresh — nothing
+is cached — giving the "every request is a disk read" regime of Section
+7.4.1 for the Figure 11(a) comparison, and :meth:`DiskStore.scan_chunks`
+streams a full scan in bounded-memory sub-blocks, which is what lets fig11
+run the paper's 10M-row configurations out-of-core.
 
 Stores are *versioned*: contents start at version 0 and every
 :meth:`TrainingDataStore.apply_delta` (appended / retracted training rows —
@@ -58,7 +58,8 @@ _BYTES_WRITTEN = get_registry().counter(STORE_COLUMNAR_BYTES_WRITTEN)
 _REGIONS_WRITTEN = get_registry().counter(STORE_COLUMNAR_REGIONS_WRITTEN)
 
 _FORMAT = "repro-columnar"
-_LAYOUT_VERSION = 1
+_LAYOUT_VERSION = 2
+_ALIGN = 8  # every array in a raw file starts at a multiple of this offset
 _CODEC = "raw"  # the one on-disk encoding; the manifest names it
 _EXT = ".col"
 
@@ -128,7 +129,10 @@ class RegionBlock:
         return self.item_ids.nbytes + self.x.nbytes + self.y.nbytes + extra
 
     def where(self, keep: np.ndarray) -> "RegionBlock":
-        """The rows a boolean mask (or an index array) selects, in its order."""
+        """The rows a boolean mask, an index array or a slice selects, in order.
+
+        A slice selects views, not copies.
+        """
         return RegionBlock(
             self.item_ids[keep],
             self.x[keep],
@@ -337,15 +341,14 @@ class FilteredStore(TrainingDataStore):
 
 
 def _encode_columns(block: RegionBlock) -> dict[str, np.ndarray]:
-    """The block as named 1-D columns, in the on-disk layout order."""
+    """The block's arrays in the on-disk layout order (``x`` row-major whole)."""
     cols: dict[str, np.ndarray] = {
-        "item_ids": np.ascontiguousarray(block.item_ids),
-        "y": np.ascontiguousarray(block.y),
+        "item_ids": block.item_ids,
+        "y": block.y,
+        "x": block.x,
     }
-    for j in range(block.n_features):
-        cols[f"x{j}"] = np.ascontiguousarray(block.x[:, j])
     if block.weights is not None:
-        cols["weights"] = np.ascontiguousarray(block.weights)
+        cols["weights"] = block.weights
     for name, arr in cols.items():
         if arr.dtype.hasobject:
             raise StorageError(
@@ -356,18 +359,27 @@ def _encode_columns(block: RegionBlock) -> dict[str, np.ndarray]:
 
 
 def _write_raw(path: Path, cols: Mapping[str, np.ndarray]) -> tuple[int, dict]:
-    """Write columns back-to-back; returns (total bytes, per-column meta)."""
+    """Write arrays back-to-back, each C-contiguous and starting 8-byte aligned.
+
+    Returns (total bytes, per-array meta: offset, dtype and element count).
+    Each array's own buffer goes to the file; a non-contiguous one is laid
+    out once first.
+    """
     offset = 0
     meta: dict[str, dict] = {}
-    # Temp file + os.replace: under its final name a region file is whole or
+    # Temp file + os.replace: under its final name a file is whole or
     # absent; whether it counts is the manifest's call.
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as f:
         for name, arr in cols.items():
-            payload = arr.tobytes()
-            meta[name] = {"offset": offset, "dtype": arr.dtype.str}
-            f.write(payload)
-            offset += len(payload)
+            arr = np.ascontiguousarray(arr)
+            pad = -offset % _ALIGN
+            if pad:
+                f.write(bytes(pad))
+                offset += pad
+            meta[name] = {"offset": offset, "dtype": arr.dtype.str, "count": arr.size}
+            f.write(arr.data)
+            offset += arr.nbytes
     os.replace(tmp, path)
     return offset, meta
 
@@ -380,20 +392,25 @@ def _write_region(directory: Path, idx: int, block: RegionBlock) -> dict:
     return {"file": name, "rows": block.n_examples, "columns": col_meta}
 
 
-def _raw_columns(path: Path, rows: int, columns: Mapping) -> dict[str, np.ndarray]:
+def _raw_columns(
+    path: str | Path, rows: int, columns: Mapping
+) -> dict[str, np.ndarray]:
     """Read-only windows over every stored column, from one mapping of the file.
 
     A column holds ``rows`` elements unless its entry names a ``count`` of
     its own.  The windows keep the mapping alive; it is unmapped when the
-    last of them is dropped.
+    last of them (and of every view on them) is dropped.
     """
     if not any(col.get("count", rows) for col in columns.values()):
-        return {
-            name: np.empty(0, dtype=np.dtype(col["dtype"]))
-            for name, col in columns.items()
-        }
-    with path.open("rb") as f:
-        buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        empty = {name: np.empty(0, dtype=col["dtype"]) for name, col in columns.items()}
+        for window in empty.values():
+            window.flags.writeable = False
+        return empty
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        buf = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)  # the mapping keeps the file; the descriptor is not needed
     return {
         name: np.frombuffer(
             buf,
@@ -436,12 +453,12 @@ def _write_manifest(
 
 
 class DiskStore(TrainingDataStore):
-    """Per-region column files + a JSON manifest; one mapping per file read.
+    """Per-region column files + a JSON manifest; a block is views on one mapping.
 
-    Directory layout (``repro-columnar`` layout v1)::
+    Directory layout (``repro-columnar`` layout v2)::
 
         manifest.json          # schema, codec, version, per-column offsets
-        region_000000.col      # typed buffers back-to-back
+        region_000000.col      # item_ids | y | x (rows x p, row-major) | weights
         region_000001.col
         ...
 
@@ -449,23 +466,35 @@ class DiskStore(TrainingDataStore):
     :func:`open_store`); build a new one with :meth:`create` (all blocks in
     RAM) or :meth:`writer` (streamed, one block at a time).  Only the files
     the manifest names are part of the store; anything else matching
-    ``region_*`` is a leftover of an interrupted write and is ignored.
+    ``region_*`` is a leftover of an interrupted write and is ignored.  A
+    layout v1 directory (``x`` one column per feature) is refused with a
+    :class:`StorageError`: write it again with :meth:`create` /
+    :meth:`from_memory`.
 
-    A read maps the region's file **once** (one ``open`` + one ``mmap`` per
-    file, every column a ``np.frombuffer`` window at its manifest offset) and
-    copies the rows out, so a block costs what its bytes cost, not a fixed
-    price per column.  No mapping outlives the call (or, in
-    :meth:`scan_chunks`, the region) that made it, and nothing is cached
-    across calls, so I/O counts match physical behaviour: ``read`` counts a
-    region read, a (chunked or whole-block) scan counts one full scan, chunks
-    additionally land on ``store.columnar.chunks_read`` / ``store.bytes_read``
-    and writes on ``store.columnar.bytes_written`` / ``regions_written``.
+    A read maps the region's file **once** (one ``open`` + one ``mmap``)
+    and returns read-only, C-contiguous ``np.frombuffer`` views on that
+    mapping — ``x`` is stored row-major, so it is one view too — and copies
+    nothing.  The mapping lives exactly as long as the views on it: it is
+    unmapped when the last array derived from the block is dropped.
+    Nothing is cached across calls, so every ``read`` / scan maps afresh and
+    I/O counts match physical behaviour: ``read`` counts a region read, a
+    (chunked or whole-block) scan counts one full scan, chunks additionally
+    land on ``store.columnar.chunks_read`` / ``store.bytes_read`` and writes
+    on ``store.columnar.bytes_written`` / ``regions_written``.
+
+    Long-lived views are safe because no region file is ever changed in
+    place: every write goes to a temp name and is ``os.replace``-d (RPR010),
+    and a delta writes the regions it touches under new names and unlinks
+    the old ones.  A view keeps its file's inode, so a block fetched before
+    a delta keeps reading the version it was fetched at, and no file under
+    a live mapping is truncated (which would fault a read with SIGBUS).
     """
 
     MANIFEST = "manifest.json"
 
     def __init__(self, directory: str | Path):
         self._dir = Path(directory)
+        self._dirname = str(self._dir)  # joined per read without pathlib
         manifest_path = self._dir / self.MANIFEST
         if not manifest_path.exists():
             if manifest_path.with_suffix(".pkl").exists():  # never unpickled
@@ -483,6 +512,13 @@ class DiskStore(TrainingDataStore):
                     f"(format={manifest.get('format')!r})"
                 )
             layout = int(manifest.get("layout_version", -1))
+            if layout == 1:
+                raise StorageError(
+                    f"{self._dir} is laid out as repro-columnar v1 (x stored "
+                    "one feature column at a time), which is no longer read; "
+                    "write the store again with DiskStore.create / "
+                    "DiskStore.from_memory"
+                )
             if layout != _LAYOUT_VERSION:
                 raise StorageError(
                     f"manifest layout v{layout} unsupported "
@@ -551,41 +587,18 @@ class DiskStore(TrainingDataStore):
     def regions(self) -> list[Region]:
         return list(self._meta)
 
-    def _columns(self, region: Region, meta: Mapping) -> dict[str, np.ndarray]:
-        """Every stored column of one region, as windows on one mapping."""
-        try:
-            return _raw_columns(
-                self._dir / meta["file"], meta["rows"], meta["columns"]
-            )
-        except StorageError:
-            raise
-        except Exception as exc:
-            raise StorageError(
-                f"unreadable column file {meta['file']} for region {region}: {exc!r}"
-            ) from exc
-
-    @staticmethod
-    def _assemble(
-        cols: Mapping[str, np.ndarray], p: int, lo: int | None = None, hi: int | None = None
-    ) -> RegionBlock:
-        """Copy (a slice of) mapped columns out into a normal block."""
-        window = slice(lo, hi)
-        item_ids = np.array(cols["item_ids"][window])
-        y = np.array(cols["y"][window])
-        x = np.empty((len(item_ids), p), dtype=cols["x0"].dtype if p else np.float64)
-        for j in range(p):
-            x[:, j] = cols[f"x{j}"][window]
-        weights = np.array(cols["weights"][window]) if "weights" in cols else None
-        return RegionBlock(item_ids, x, y, weights)
-
     def _fetch(self, region: Region) -> RegionBlock:
+        """The region's block as read-only views on one mapping of its file."""
         try:
             meta = self._meta[region]
         except KeyError:
             raise StorageError(f"unknown region {region}") from None
-        cols = self._columns(region, meta)
         try:
-            return self._assemble(cols, len(self.feature_names))
+            rows = meta["rows"]
+            path = os.path.join(self._dirname, meta["file"])
+            cols = _raw_columns(path, rows, meta["columns"])
+            x = cols["x"].reshape(rows, len(self.feature_names))
+            return RegionBlock(cols["item_ids"], x, cols["y"], cols.get("weights"))
         except StorageError:
             raise
         except Exception as exc:
@@ -606,12 +619,13 @@ class DiskStore(TrainingDataStore):
         Yields ``(region, chunk)`` pairs where each chunk holds at most
         ``chunk_rows`` consecutive rows of that region's block; a region
         spanning several chunks is yielded several times, in row order.
-        Counts one full scan plus per-chunk bytes (``store.bytes_read`` and
-        ``store.columnar.chunks_read``) — never whole-region materialization.
+        A chunk is a window of views on the region's one mapping, so only
+        the pages it touches are read in.  Counts one full scan plus
+        per-chunk bytes (``store.bytes_read`` and
+        ``store.columnar.chunks_read``).
         """
         if chunk_rows < 1:
             raise ConfigError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        p = len(self.feature_names)
         with _TRACER.span(
             "store.scan",
             store=type(self).__name__,
@@ -620,11 +634,10 @@ class DiskStore(TrainingDataStore):
         ):
             self.stats.record_full_scan()
             for region, meta in self._meta.items():
-                cols = self._columns(region, meta)
+                block = self._fetch(region)
                 rows = meta["rows"]
                 for lo in range(0, max(rows, 1), chunk_rows):
-                    hi = min(lo + chunk_rows, rows)
-                    chunk = self._assemble(cols, p, lo, hi)
+                    chunk = block.where(slice(lo, lo + chunk_rows))
                     self.stats.record_chunk_read(chunk.nbytes)
                     yield region, chunk
 

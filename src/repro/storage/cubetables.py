@@ -240,8 +240,6 @@ class CubeTableStore:
         with self._io_lock:
             self._dir.mkdir(parents=True, exist_ok=True)
             data_bytes, columns = _write_raw(self.data_path, arrays)
-            for name, entry in columns.items():
-                entry["count"] = int(arrays[name].size)
             meta_payload = json.dumps(
                 {
                     "format": _FORMAT,

@@ -75,10 +75,7 @@ _REGISTRY: dict[str, GroupReducer] = {
     "count_distinct": _count_distinct,
 }
 
-#: Aggregates f with a merge operation g such that f(A ∪ B) = g(f(A), f(B)).
-DISTRIBUTIVE = frozenset({"sum", "min", "max", "count"})
-
-#: How to merge two already-aggregated values of a distributive function.
+#: The distributive aggregates f and their merge g: f(A ∪ B) = g(f(A), f(B)).
 MERGE: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "sum": np.add,
     "count": np.add,
@@ -116,7 +113,3 @@ class AggregateSpec:
         reducer(self.func)  # validate eagerly
         if not self.alias:
             object.__setattr__(self, "alias", f"{self.func}_{self.column}")
-
-    @property
-    def is_distributive(self) -> bool:
-        return self.func in DISTRIBUTIVE

@@ -1,8 +1,13 @@
 """RowIndex.locate: one lookup for "is it indexed" and "where"."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.rowindex as rowindex
 from repro.core.rowindex import RowIndex
 from repro.storage import RegionBlock
 
@@ -47,3 +52,82 @@ def test_restrict_is_restrict_to_plus_positions():
     # nothing to drop: the block itself, not a copy
     whole, at = RowIndex(np.arange(10)).restrict(block)
     assert whole is block and at.tolist() == ids.tolist()
+
+
+# ---------------------------------------------------------------- the table path
+
+_INT_DTYPES = (np.int64, np.int32, np.int16, np.uint8, np.uint32, np.uint64)
+
+
+def _sorted_index(ids: np.ndarray) -> RowIndex:
+    """The same index with the direct table turned off: the sorted path."""
+    with mock.patch.object(rowindex, "_position_table", lambda ids: None):
+        return RowIndex(ids)
+
+
+@st.composite
+def _int_arrays(draw, dense: bool):
+    dtype = np.dtype(draw(st.sampled_from(_INT_DTYPES)))
+    info = np.iinfo(dtype)
+    if dense:  # small non-negative ids, duplicates likely: the table's domain
+        values = st.integers(0, min(int(info.max), 60))
+    else:  # anything the dtype holds: negatives, huge, sparse
+        values = st.one_of(
+            st.integers(int(info.min), int(info.max)),
+            st.integers(max(int(info.min), -3), min(int(info.max), 40)),
+        )
+    return np.array(draw(st.lists(values, max_size=40)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.one_of(_int_arrays(dense=True), _int_arrays(dense=False)),
+    wanted=st.one_of(_int_arrays(dense=True), _int_arrays(dense=False)),
+)
+def test_table_path_is_the_sorted_path(ids, wanted):
+    """Duplicates (first occurrence wins), negatives, out-of-range and huge
+    ``uint64`` ids, narrow ``wanted`` dtypes and empty arrays: the one
+    gather answers what the binary search answers, position for position."""
+    index, reference = RowIndex(ids), _sorted_index(ids)
+    assert reference._table is None
+    # the indexed ids in wanted's dtype (wrapped where it is narrower)
+    wanted_again = np.concatenate([ids.astype(wanted.dtype), wanted])
+    for w in (wanted, wanted_again, ids):
+        got = index.locate(w)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference.locate(w).tolist()
+    if index._table is not None:
+        first = {}
+        for k, i in enumerate(ids.tolist()):
+            first.setdefault(i, k)
+        want = [first.get(i, len(ids)) for i in wanted.tolist()]
+        assert index.locate(wanted).tolist() == want
+        assert index.rows_of(ids).tolist() == [first[i] for i in ids.tolist()]
+
+
+@pytest.mark.parametrize(
+    "ids, tabled",
+    [
+        (np.array([4, 0, 2, 2], dtype=np.uint8), True),
+        (np.arange(2500)[::-1], True),
+        (np.array([0, 4 * 2 + 1023]), True),  # the last id the bound admits
+        (np.array([0, 4 * 2 + 1024]), False),  # sparse: one past it
+        (np.array([-1, 2]), False),
+        (np.array([2**63 + 5, 1], dtype=np.uint64), False),
+        (np.array([], dtype=np.int64), False),
+        (np.array([1.0, 2.0]), False),
+        (np.array(["a", "b"]), False),
+    ],
+)
+def test_which_id_sets_get_a_table(ids, tabled):
+    index = RowIndex(ids)
+    assert (index._table is not None) == tabled
+    assert index.locate(ids).tolist() == _sorted_index(ids).locate(ids).tolist()
+
+
+def test_table_index_answers_non_integer_wanted():
+    """Float ids asked of an integer index fall back to the sorted path."""
+    index = RowIndex(np.array([7, 3, 7, 5]))
+    assert index._table is not None
+    assert index.locate(np.array([3.0, 7.0, 4.5, -1.0])).tolist() == [1, 0, 4, 4]
+    assert index.locate(np.array([], dtype=np.float64)).tolist() == []

@@ -1,10 +1,12 @@
 """Tests for the on-disk store's raw column layout (``repro.storage.DiskStore``).
 
 Covers byte-level round trips against the blocks the directory was written
-from, streaming writers, bounded-memory chunked scans with their dedicated
-counters, delta application and its single commit point (the manifest),
-the retired npz format being refused, and the failure modes (a foreign
-codec, corrupt manifests, torn manifest writes).
+from, the view contract (a block is read-only, C-contiguous views on one
+mapping of its file, alive exactly as long as they are), streaming writers,
+bounded-memory chunked scans with their dedicated counters, delta
+application and its single commit point (the manifest), the retired npz
+format and layout v1 being refused, and the failure modes (a foreign codec,
+corrupt manifests, torn manifest writes).
 """
 
 import json
@@ -300,8 +302,13 @@ class TestFaults:
             columnar.read(region)
 
 
-def _assert_same_bytes(a: RegionBlock, b: RegionBlock) -> None:
-    """dtype, shape, contiguity and every byte — not just equal values."""
+def _assert_same_bytes(a: RegionBlock, b: RegionBlock, views: bool = True) -> None:
+    """dtype, shape, contiguity and every byte — not just equal values.
+
+    With ``views`` (a block a ``DiskStore`` handed out), every array is also
+    read-only: a window on the file's mapping (or, for a zero-row region,
+    which has nothing to map, an empty array that is read-only all the same).
+    """
     for name in ("item_ids", "x", "y", "weights"):
         got, want = getattr(a, name), getattr(b, name)
         if want is None:
@@ -309,7 +316,9 @@ def _assert_same_bytes(a: RegionBlock, b: RegionBlock) -> None:
             continue
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
-        assert got.flags.c_contiguous and got.flags.owndata, name
+        assert got.flags.c_contiguous, name
+        if views:
+            assert not got.flags.writeable, name
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -328,7 +337,8 @@ def _concat(chunks: list[RegionBlock]) -> RegionBlock:
 
 
 class TestOneMappingPerFile:
-    """A read costs one mapping per region file, and keeps none."""
+    """A read costs one mapping per region file, which lives exactly as long
+    as the views on it."""
 
     @pytest.fixture()
     def mappings(self, monkeypatch):
@@ -349,16 +359,30 @@ class TestOneMappingPerFile:
         scanned = list(store.scan())
         assert len(scanned) == 4
         assert len(mappings) == 3  # the zero-row region has nothing to map
-        # the blocks own their bytes, so every mapping is already gone
+        # the blocks are views: every mapping lives while they do ...
+        assert all(ref() is not None for ref in mappings)
+        # ... and one array derived from one block keeps only its own alive
+        kept = scanned[1][1].x[1:, ::2]
+        del scanned
+        assert [ref() is not None for ref in mappings] == [False, True, False]
+        del kept
         assert all(ref() is None for ref in mappings)
 
     def test_read_and_chunked_scan_map_once_per_region(self, columnar, mappings):
-        columnar.read(columnar.regions()[0])
+        block = columnar.read(columnar.regions()[0])
         assert len(mappings) == 1
         chunks = list(columnar.scan_chunks(chunk_rows=2))
         assert len(chunks) == 4 + 3 + 2
         assert len(mappings) == 1 + 3
+        assert all(ref() is not None for ref in mappings)
+        del block, chunks
         assert all(ref() is None for ref in mappings)
+
+    def test_views_are_read_only(self, columnar):
+        block = columnar.read(Region(("b",)))
+        for name in ("item_ids", "x", "y", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(block, name)[0] = 0
 
 
 class TestBytesMatchNpz:
@@ -390,7 +414,11 @@ class TestBytesMatchNpz:
             want = mem.read(region)
             _assert_same_bytes(col.read(region), want)
             _assert_same_bytes(scanned[region], want)
-            _assert_same_bytes(_concat(chunked[region]), want)
+            _assert_same_bytes(_concat(chunked[region]), want, views=False)
+            for chunk in chunked[region]:
+                for name in ("item_ids", "x", "y"):
+                    array = getattr(chunk, name)
+                    assert array.flags.c_contiguous and not array.flags.writeable
 
 
 class TestUnreadableColumnFiles:
@@ -425,9 +453,10 @@ class TestUnreadableColumnFiles:
 
 
 class TestNothingCached:
-    def test_read_after_delta_returns_the_new_rows(self, columnar):
+    def test_read_after_delta_returns_the_new_rows(self, columnar, blocks, tmp_path):
         region = Region(("a",))
         before = columnar.read(region)
+        before_file = tmp_path / "col" / columnar._meta[region]["file"]
         appended = _block(4, seed=11)
         appended = RegionBlock(
             appended.item_ids + 100, appended.x, appended.y, appended.weights
@@ -442,56 +471,108 @@ class TestNothingCached:
         after = columnar.read(region)
         assert list(after.item_ids) == [3, 4, 5, 6, 7, 101, 102, 103, 104]
         assert np.array_equal(after.x[-4:], appended.x)
-        # the block handed out earlier is the caller's own copy
+        # the delta unlinked the file the earlier block maps; the block keeps
+        # the inode and reads the version it was fetched at
+        assert not before_file.exists()
         assert list(before.item_ids) == [1, 2, 3, 4, 5, 6, 7]
+        assert before.x.tobytes() == blocks[region].x.tobytes()
 
 
-class TestLayoutV1:
-    """A directory laid out by hand, byte for byte as every earlier build
-    wrote it (``_write_raw``: columns back-to-back, offsets in the manifest),
-    opens unchanged."""
+def _hand_written_v2(directory, src: RegionBlock) -> bytes:
+    """A v2 store laid out by hand; returns the full region's file bytes."""
+    columns = [("item_ids", src.item_ids), ("y", src.y), ("x", src.x)]
+    if src.weights is not None:
+        columns.append(("weights", src.weights))
+    payload, col_meta = b"", {}
+    for name, arr in columns:
+        payload += bytes(-len(payload) % 8)  # every column starts 8-byte aligned
+        col_meta[name] = {"offset": len(payload), "dtype": arr.dtype.str, "count": arr.size}
+        payload += arr.tobytes()
+    directory.mkdir()
+    (directory / "region_000000.col").write_bytes(payload)
+    (directory / "region_000001.col").write_bytes(b"")
+    empty_meta = {
+        name: {"offset": 0, "dtype": arr.dtype.str, "count": 0}
+        for name, arr in columns[:3]
+    }
+    manifest = {
+        "format": "repro-columnar",
+        "layout_version": 2,
+        "codec": "raw",
+        "version": 3,
+        "feature_names": ["f0", "f1", "f2"],
+        "regions": [
+            {"key": ["a", {"interval": [1, 4]}], "file": "region_000000.col",
+             "rows": len(src.item_ids), "columns": col_meta},
+            {"key": ["b", {"interval": [1, 4]}], "file": "region_000001.col",
+             "rows": 0, "columns": empty_meta},
+        ],
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    return payload
+
+
+class TestLayoutV2:
+    """A directory laid out by hand — ``item_ids | y | x (row-major) |
+    weights``, each column 8-byte aligned, offsets and counts in the
+    manifest — opens unchanged, and is what this build writes."""
 
     def test_hand_written_store_reads_equal(self, tmp_path):
+        self._reads_equal_and_is_what_create_writes(
+            tmp_path, _block(9, seed=4, weighted=True)
+        )
+
+    def test_narrow_ids_keep_the_next_column_aligned(self, tmp_path):
+        """9 x 4-byte ids: ``y`` starts after 4 bytes of padding."""
         src = _block(9, seed=4, weighted=True)
-        columns = [("item_ids", src.item_ids), ("y", src.y)]
-        columns += [(f"x{j}", np.ascontiguousarray(src.x[:, j])) for j in range(3)]
-        columns.append(("weights", src.weights))
-        payload, col_meta = b"", {}
-        for name, arr in columns:
-            col_meta[name] = {"offset": len(payload), "dtype": arr.dtype.str}
-            payload += arr.tobytes()
-        directory = tmp_path / "v1"
-        directory.mkdir()
-        (directory / "region_000000.col").write_bytes(payload)
-        (directory / "region_000001.col").write_bytes(b"")
-        empty_meta = {
-            name: {"offset": 0, "dtype": arr.dtype.str} for name, arr in columns[:-1]
-        }
-        manifest = {
-            "format": "repro-columnar",
-            "layout_version": 1,
-            "codec": "raw",
-            "version": 3,
-            "feature_names": ["f0", "f1", "f2"],
-            "regions": [
-                {"key": ["a", {"interval": [1, 4]}], "file": "region_000000.col",
-                 "rows": 9, "columns": col_meta},
-                {"key": ["b", {"interval": [1, 4]}], "file": "region_000001.col",
-                 "rows": 0, "columns": empty_meta},
-            ],
-        }
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        store = open_store(directory)
+        src = RegionBlock(src.item_ids.astype(np.int32), src.x, src.y, src.weights)
+        self._reads_equal_and_is_what_create_writes(tmp_path, src)
+
+    @staticmethod
+    def _reads_equal_and_is_what_create_writes(tmp_path, src: RegionBlock) -> None:
+        payload = _hand_written_v2(tmp_path / "v2", src)
+        store = open_store(tmp_path / "v2")
         assert isinstance(store, DiskStore) and store.version == 3
         full, empty = store.regions()
-        _assert_same_bytes(store.read(full), src)
+        got = store.read(full)
+        _assert_same_bytes(got, src)
+        assert all(getattr(got, n).flags.aligned for n in ("item_ids", "x", "y", "weights"))
         got = store.read(empty)
         assert got.n_examples == 0 and got.x.shape == (0, 3) and got.weights is None
+        assert not got.x.flags.writeable
         assert store.n_examples_total == 9
         # and what this build writes is the same bytes
         rewritten = DiskStore.create(tmp_path / "now", {full: src}, ("f0", "f1", "f2"))
         assert (tmp_path / "now" / "region_000000.col").read_bytes() == payload
-        assert rewritten._meta[full]["columns"] == col_meta
+        manifest = json.loads((tmp_path / "v2" / "manifest.json").read_text())
+        assert rewritten._meta[full]["columns"] == manifest["regions"][0]["columns"]
+
+    def test_layout_v1_is_refused(self, tmp_path):
+        """One column per feature (``x0``, ``x1``, ...), as v1 wrote it, is no
+        longer read: the directory is a StorageError that says how to write
+        it again."""
+        src = _block(5, seed=4)
+        columns = [("item_ids", src.item_ids), ("y", src.y)]
+        columns += [(f"x{j}", np.ascontiguousarray(src.x[:, j])) for j in range(3)]
+        payload, col_meta = b"", {}
+        for name, arr in columns:
+            col_meta[name] = {"offset": len(payload), "dtype": arr.dtype.str}
+            payload += arr.tobytes()
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "region_000000.col").write_bytes(payload)
+        manifest = {
+            "format": "repro-columnar",
+            "layout_version": 1,
+            "codec": "raw",
+            "version": 0,
+            "feature_names": ["f0", "f1", "f2"],
+            "regions": [{"key": ["a", {"interval": [1, 4]}], "file": "region_000000.col",
+                         "rows": 5, "columns": col_meta}],
+        }
+        (tmp_path / "v1" / "manifest.json").write_text(json.dumps(manifest))
+        for opener in (open_store, DiskStore):
+            with pytest.raises(StorageError, match="v1.*DiskStore.create / DiskStore.from_memory"):
+                opener(tmp_path / "v1")
 
 
 class TestAtomicManifests:

@@ -92,10 +92,19 @@ class RowIndex:
             )
         if len(self._ids) == 0 or len(wanted) == 0:
             return np.full(len(wanted), len(self._ids), dtype=np.int64)
+        outside = False
+        kinds = wanted.dtype.kind + self._sorted.dtype.kind
+        if kinds in ("iu", "ui") and np.result_type(wanted, self._sorted).kind == "f":
+            # uint64 against signed ids would compare as float64, merging ids
+            # above 2**53: compare in the indexed dtype, where a value it
+            # cannot hold is absent and every other one casts exactly.
+            dtype = self._sorted.dtype
+            outside = wanted > np.iinfo(dtype).max if kinds == "ui" else wanted < 0
+            wanted = np.where(outside, 0, wanted).astype(dtype)
         pos = np.searchsorted(self._sorted, wanted)
         np.minimum(pos, len(self._sorted) - 1, out=pos)
         rows = self._order[pos].astype(np.int64, copy=False)
-        missing = self._sorted[pos] != wanted
+        missing = (self._sorted[pos] != wanted) | outside
         if missing.any():
             rows = np.where(missing, len(self._ids), rows)
         return rows

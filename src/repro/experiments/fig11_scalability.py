@@ -19,6 +19,8 @@ ordering are the reproduced claims.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,14 +60,45 @@ def _best_of(fn, repeats: int = 2) -> float:
     return best
 
 
-def _cube_seconds(ds, store, method: str, min_subset_size: int = 50) -> float:
+#: Each point of the (b) / (c) linearity fits is the median of this many builds.
+_SCALING_BUILDS = 5
+
+
+def _interleaved_medians(builds: list) -> list[float]:
+    """Median wall time of each of ``builds`` over :data:`_SCALING_BUILDS` rounds.
+
+    A round runs every build once, starting one build later than the round
+    before, with the collector off as in ``timeit``: a slow spell of a
+    shared host, or a full collection over every size's data, then lands on
+    all the points of a fit instead of bending one (back-to-back builds of
+    one size read an R² of 0.84–0.87 in 4 of 10 runs).
+    """
+    n = len(builds)
+    seconds: list[list[float]] = [[] for __ in builds]
+    for round_ in range(_SCALING_BUILDS):
+        for k in (*range(round_ % n, n), *range(round_ % n)):
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                builds[k]()
+                seconds[k].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+    return [statistics.median(timed) for timed in seconds]
+
+
+def _cube_build(ds, store, method: str, min_subset_size: int = 50):
     builder = BellwetherCubeBuilder(
         ds.task, store, ds.hierarchies, min_subset_size=min_subset_size
     )
-    return _best_of(lambda: builder.build(method=method))
+    return lambda: builder.build(method=method)
 
 
-def _tree_seconds(ds, store, method: str, **kwargs) -> float:
+def _cube_seconds(ds, store, method: str, min_subset_size: int = 50) -> float:
+    return _best_of(_cube_build(ds, store, method, min_subset_size))
+
+
+def _tree_build(ds, store, method: str, **kwargs):
     builder = BellwetherTreeBuilder(
         ds.task,
         store,
@@ -74,7 +107,11 @@ def _tree_seconds(ds, store, method: str, **kwargs) -> float:
         max_depth=kwargs.pop("max_depth", 3),
         max_numeric_splits=kwargs.pop("max_numeric_splits", 4),
     )
-    return _best_of(lambda: builder.build(method=method))
+    return lambda: builder.build(method=method)
+
+
+def _tree_seconds(ds, store, method: str, **kwargs) -> float:
+    return _best_of(_tree_build(ds, store, method, **kwargs))
 
 
 def run_fig11a(
@@ -120,19 +157,16 @@ def run_fig11b(
     seed: int = 0,
 ) -> ScalingResult:
     """Cube algorithms scale linearly in the entire training data."""
-    series: dict[str, list[float]] = {"single-scan cube": [], "optimized cube": []}
-    xs = []
+    methods = {"single-scan cube": "single_scan", "optimized cube": "optimized"}
+    xs, builds = [], []
     for n_regions in region_counts:
         ds = make_scalability(
             n_items=n_items, n_regions=n_regions, seed=seed, hierarchy_leaves=3
         )
         xs.append(ds.n_examples_total)
-        series["single-scan cube"].append(
-            _cube_seconds(ds, ds.store, "single_scan", min_subset_size=50)
-        )
-        series["optimized cube"].append(
-            _cube_seconds(ds, ds.store, "optimized", min_subset_size=50)
-        )
+        builds += [_cube_build(ds, ds.store, method) for method in methods.values()]
+    seconds = _interleaved_medians(builds)
+    series = {name: seconds[k :: len(methods)] for k, name in enumerate(methods)}
     return ScalingResult(
         tuple(xs), "examples", series,
         title="Figure 11(b) — cube scalability in examples (seconds)",
@@ -145,14 +179,14 @@ def run_fig11c(
     seed: int = 0,
 ) -> ScalingResult:
     """The RF tree also scales linearly (one scan per level)."""
-    series: dict[str, list[float]] = {"RF tree": []}
-    xs = []
+    xs, builds = [], []
     for n_regions in region_counts:
         ds = make_scalability(
             n_items=n_items, n_regions=n_regions, seed=seed, hierarchy_leaves=3
         )
         xs.append(ds.n_examples_total)
-        series["RF tree"].append(_tree_seconds(ds, ds.store, "rf"))
+        builds.append(_tree_build(ds, ds.store, "rf"))
+    series = {"RF tree": _interleaved_medians(builds)}
     return ScalingResult(
         tuple(xs), "examples", series,
         title="Figure 11(c) — RF tree scalability in examples (seconds)",

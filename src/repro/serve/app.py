@@ -7,6 +7,8 @@ Endpoints (all JSON; see DESIGN.md §9):
 * ``GET /cube[?level=i,j]`` — lattice levels / one level's cells.
 * ``POST /bellwether`` — ``{"budget": B, "items": [ids...]}`` plus the
   approximate tier's ``"mode": "approx"`` / ``"tolerance": t`` knobs.
+  The reply names the winner and ``n_feasible``; ``"explain": true`` adds
+  the ``feasible`` list, every feasible region's entry.
 * ``POST /predict`` — ``{"items": [...], "region": key, "budget": B}``
   (same ``mode``/``tolerance`` knobs).
 * ``GET /aqp`` / ``POST /aqp/train`` — approximate-tier status / retrain.
@@ -179,6 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
                     items=body.get("items"),
                     mode=body.get("mode"),
                     tolerance=body.get("tolerance"),
+                    explain=body.get("explain", False),
                 )
             return partial(
                 state.predict_body,

@@ -96,7 +96,9 @@ class ServeClient:
     def metricsz(self) -> dict:
         return self._request("GET", "/metricsz")
 
-    def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
+    def bellwether(
+        self, budget=None, items=None, mode=None, tolerance=None, explain=False
+    ) -> dict:
         body: dict = {}
         if budget is not None:
             body["budget"] = budget
@@ -106,6 +108,8 @@ class ServeClient:
             body["mode"] = mode
         if tolerance is not None:
             body["tolerance"] = tolerance
+        if explain is not False:  # anything else is the server's to refuse
+            body["explain"] = explain
         return self._request("POST", "/bellwether", body)
 
     def predict(self, items, region=None, budget=None, mode=None, tolerance=None) -> dict:

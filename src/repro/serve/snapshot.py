@@ -12,19 +12,17 @@ arguments — no store, no search object, no lock.  "A response never mixes
 two store versions" is therefore true by construction: there is no second
 version in reach.
 
-Bodies are JSON *bytes*, and the expensive part of each is rendered once,
-when the object it describes is built: every region's entry head with the
-snapshot (aligned with its region tuple, as its cost array is), a
-subset's entries with its :class:`Profile` — the subset's evaluated
-regions as columns (:class:`~repro.core.basic.RegionProfile`) plus the
-entry bytes aligned with them, rendered in one pass — a model's
-predictions with its :class:`FittedModel`, the three browse bodies with
-the snapshot.  A request joins those fragments with its own few scalars
-(version, budget echo, feasible count); selection still runs per request,
+Bodies are JSON *bytes*.  What every reply of a kind repeats is rendered
+once, when the object it describes is built: every region's entry head
+with the snapshot (aligned with its region tuple, as its cost array is),
+a model's predictions with its :class:`FittedModel`, the three browse
+bodies with the snapshot.  A subset's profile is kept as columns
+(:class:`~repro.core.basic.RegionProfile`); a /bellwether request selects
 by the one winner rule (:meth:`~repro.core.basic.RegionProfile.select`)
-over the columns, so any budget is answered and only the winner's
-``Region`` is looked up.  Nothing is filled in lazily, and nothing is
-keyed by request.
+over them, so any budget is answered, and renders only the entries its
+reply returns (:func:`render_entries`): the winner's, plus every feasible
+region's when the request asks to ``explain``.  Nothing is filled in
+lazily, and nothing is keyed by request.
 
 A method returns ``None`` when the snapshot lacks what the answer needs
 (a never-seen subset's profile, an unfitted model, the cube).  A subset's
@@ -55,10 +53,10 @@ from .errors import InfeasibleQueryError, NotFoundError
 
 __all__ = [
     "FittedModel",
-    "Profile",
     "Snapshot",
     "dumps",
     "render_cube",
+    "render_entries",
     "render_heads",
     "render_regions",
 ]
@@ -73,7 +71,7 @@ def render_heads(regions: Sequence[Region], cost: np.ndarray) -> tuple[bytes, ..
     """The start of each region's ``bellwether`` / ``feasible[]`` entry.
 
     The three fields that depend on the region alone, ``cost`` (aligned
-    with ``regions``) pricing it; :meth:`Profile.render` appends a
+    with ``regions``) pricing it; :func:`render_entries` appends a
     subset's six.
     """
     return tuple(
@@ -88,63 +86,49 @@ def render_heads(regions: Sequence[Region], cost: np.ndarray) -> tuple[bytes, ..
     )
 
 
-def _spelled(values: np.ndarray) -> list[bytes]:
-    """Each of ``values`` as ``json.dumps`` spells it.
+def _spelled(*columns: np.ndarray) -> list[bytes]:
+    """Each value of ``columns``, column after column, as ``json.dumps`` spells it.
 
-    One ``json.dumps`` of the list: its C encoder writes every float as
+    One ``json.dumps`` of one list: its C encoder writes every float as
     ``float.__repr__`` and the non-finite ones as ``NaN`` / ``Infinity`` /
     ``-Infinity`` — the bytes ``json.dumps`` of each value alone gives.
     """
-    return dumps(values.tolist())[1:-1].split(b", ")
+    values = chain.from_iterable(column.tolist() for column in columns)
+    return dumps([*values])[1:-1].split(b", ")
 
 
 #: One entry: its region's head, then the six fields of a subset.  Entries
 #: are rendered end to end, each closed by a newline, which JSON text from
-#: ``json.dumps`` never holds raw.
+#: ``json.dumps`` never holds raw.  Every served error is a training-set
+#: estimate (:class:`~repro.serve.state.ServerState` refuses any other
+#: estimator), so ``error_kind`` is a literal.
 _ENTRY = (
     b'%b, "coverage": %b, "n_examples": %b, "rmse": %b, "sse": %b, '
     b'"dof": %b, "error_kind": "training"}\n'
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Profile:
-    """One item subset's evaluated regions as columns, each entry rendered once.
+def render_entries(
+    profile: RegionProfile, heads: Sequence[bytes], picks
+) -> list[bytes]:
+    """Entries ``picks`` (integer indices) of ``profile``, in that order,
+    rendered in one ``%``.
 
-    Every error is a training-set estimate: the service serves no other
-    estimator (:class:`~repro.serve.state.ServerState` refuses one).
+    ``heads`` is aligned with ``profile.regions``, priced as the profile
+    was; each entry is the bytes ``json.dumps`` of the whole entry dict
+    would give.  A reply renders the entries it returns and no others.
     """
-
-    columns: RegionProfile
-    #: Entry ``k``'s ``bellwether`` / ``feasible[]`` JSON, aligned with
-    #: ``columns``.
-    entries: tuple[bytes, ...]
-
-    @classmethod
-    def render(cls, columns: RegionProfile, heads: Sequence[bytes]) -> "Profile":
-        """``columns`` with every entry rendered in one ``%``.
-
-        ``heads`` is aligned with ``columns.regions``, priced as the
-        columns were; each entry is the bytes ``json.dumps`` of the whole
-        entry dict would give.
-        """
-        if not len(columns):
-            return cls(columns, ())
-        fields = zip(
-            [heads[k] for k in columns.at.tolist()],
-            *(
-                _spelled(column)
-                for column in (
-                    columns.coverage,
-                    columns.n_items,
-                    columns.rmse,
-                    columns.sse,
-                    columns.dof,
-                )
-            ),
-        )
-        text = (_ENTRY * len(columns)) % tuple(chain.from_iterable(fields))
-        return cls(columns, tuple(text.split(b"\n")[:-1]))
+    n = len(picks)
+    if not n:
+        return []
+    columns = profile.coverage, profile.n_items, profile.rmse, profile.sse, profile.dof
+    values = _spelled(*(column[picks] for column in columns))
+    fields = zip(
+        [heads[k] for k in profile.at[picks].tolist()],
+        *(values[i : i + n] for i in range(0, 5 * n, n)),
+    )
+    text = (_ENTRY * n) % tuple(chain.from_iterable(fields))
+    return text.split(b"\n")[:-1]
 
 
 @dataclass(frozen=True)
@@ -270,7 +254,7 @@ class Snapshot:
     version: int
     regions: tuple[Region, ...]
     #: ``frozenset(item_ids)`` (``None`` = all items) -> evaluated profile.
-    profiles: Mapping[frozenset | None, Profile]
+    profiles: Mapping[frozenset | None, RegionProfile]
     #: The /model and /regions bodies (:func:`render_regions`).
     model_body: bytes
     regions_body: bytes
@@ -310,42 +294,40 @@ class Snapshot:
 
     # ------------------------------------------------------------ /bellwether
 
-    def evaluate(self, ids) -> Profile:
+    def evaluate(self, ids) -> RegionProfile:
         """The profile of item subset ``ids``, computed from ``rows``."""
-        return Profile.render(
-            self.rows.evaluate(ids, self.cost, self.min_examples), self.heads
-        )
+        return self.rows.evaluate(ids, self.cost, self.min_examples)
 
     def bellwether(
-        self, criterion, budget, ids
+        self, criterion, budget, ids, explain=False
     ) -> tuple[bytes, Region] | None:
         """The exact /bellwether body and its winner; ``None`` = subset not profiled."""
         profile = self.profiles.get(None if ids is None else frozenset(ids))
         if profile is None:
             return None
-        return self.bellwether_of(profile, criterion, budget, ids)
+        return self.bellwether_of(profile, criterion, budget, ids, explain)
 
     def bellwether_of(
-        self, profile: Profile, criterion, budget, ids
+        self, profile: RegionProfile, criterion, budget, ids, explain=False
     ) -> tuple[bytes, Region]:
         """:meth:`bellwether` from ``profile``: ``ids``' own, held here or
-        just computed by :meth:`evaluate`."""
-        best, feasible = profile.columns.select(criterion)
+        just computed by :meth:`evaluate`.
+
+        The reply names the winner and counts the feasible regions;
+        ``explain`` appends every feasible region's entry, in profile order.
+        """
+        best, feasible = profile.select(criterion)
         if best is None:
             raise infeasible(budget, ids)
-        entries = profile.entries
+        picks = np.concatenate(([best], feasible)) if explain else [best]
+        entries = render_entries(profile, self.heads, picks)
         body = (
             b'{"store_version": %d, "mode": "exact", "budget": %s, "items": %s, '
-            b'"found": true, "bellwether": %s, "n_feasible": %d, "feasible": [%s]}'
-        ) % (
-            self.version,
-            dumps(budget),
-            dumps(ids),
-            entries[best],
-            len(feasible),
-            b", ".join([entries[k] for k in feasible.tolist()]),
-        )
-        return body, profile.columns.region(best)
+            b'"found": true, "bellwether": %s, "n_feasible": %d'
+        ) % (self.version, dumps(budget), dumps(ids), entries[0], len(feasible))
+        if explain:
+            body += b', "feasible": [%s]' % b", ".join(entries[1:])
+        return body + b"}", profile.region(best)
 
     # --------------------------------------------------------------- /predict
 
@@ -362,10 +344,10 @@ class Snapshot:
         profile = self.profiles.get(frozenset(ids))
         if profile is None:
             return None
-        best, __ = profile.columns.select(criterion)
+        best, __ = profile.select(criterion)
         if best is None:
             raise infeasible(budget, ids)
-        return profile.columns.region(best)
+        return profile.region(best)
 
     def predict(self, criterion, budget, ids, region) -> bytes | None:
         """The exact /predict body; ``None`` = profile or model missing."""

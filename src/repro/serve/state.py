@@ -25,8 +25,8 @@ held in a single attribute:
 
 Every response is stamped with the ``store_version`` of the snapshot it
 was computed from.  Each read endpoint comes twice: ``*_body`` returns the
-reply as JSON bytes, assembled from what the snapshot already rendered,
-for the HTTP layer to write straight through; the dict-returning method
+reply as JSON bytes, assembled from what the snapshot holds, for the
+HTTP layer to write straight through; the dict-returning method
 beside it is ``json.loads`` of those bytes, so in-process and HTTP callers
 cannot disagree.
 
@@ -87,7 +87,6 @@ from repro.storage import StorageError, TrainingDataStore
 from .errors import BadRequestError, InfeasibleQueryError, NotFoundError
 from .snapshot import (
     FittedModel,
-    Profile,
     Snapshot,
     dumps,
     infeasible,
@@ -417,7 +416,7 @@ class ServerState:
         else:
             heads = render_heads(regions, cost)
         profiles = {
-            key: Profile.render(RegionProfile.of(results, regions), heads)
+            key: RegionProfile.of(results, regions)
             for key, results in self.search.profiles.items()
         }
         return self._publish(
@@ -434,7 +433,7 @@ class ServerState:
                     }
                 ),
                 regions_body=render_regions(
-                    version, regions, profiles[None].columns, self.task.cost
+                    version, regions, profiles[None], self.task.cost
                 ),
                 tables=tables,
                 cost=cost,
@@ -468,9 +467,7 @@ class ServerState:
         profiles = {**snap.profiles, **fresh}
         for key, results in self.search.profiles.items():
             if key not in profiles:
-                profiles[key] = Profile.render(
-                    RegionProfile.of(results, snap.regions), snap.heads
-                )
+                profiles[key] = RegionProfile.of(results, snap.regions)
         excess = len(profiles) - (None in profiles) - MAX_SUBSET_PROFILES
         models = snap.models
         if excess > 0:
@@ -502,7 +499,7 @@ class ServerState:
         key = frozenset(ids)
         return self._with_profiles(snap, {key: snap.evaluate(key)})
 
-    def _offer(self, snap: Snapshot, key: frozenset, profile: Profile) -> None:
+    def _offer(self, snap: Snapshot, key: frozenset, profile: RegionProfile) -> None:
         """Publish subset ``key``'s profile a reader evaluated from ``snap.rows``,
         if that is free.
 
@@ -657,14 +654,22 @@ class ServerState:
 
     # ------------------------------------------------------------ /bellwether
 
-    def bellwether(self, budget=None, items=None, mode=None, tolerance=None) -> dict:
+    def bellwether(
+        self, budget=None, items=None, mode=None, tolerance=None, explain=False
+    ) -> dict:
         """:meth:`bellwether_body`, parsed."""
-        return json.loads(self.bellwether_body(budget, items, mode, tolerance))
+        return json.loads(
+            self.bellwether_body(budget, items, mode, tolerance, explain)
+        )
 
     def bellwether_body(
-        self, budget=None, items=None, mode=None, tolerance=None
+        self, budget=None, items=None, mode=None, tolerance=None, explain=False
     ) -> bytes:
         """Best region for item subset ``items`` under ``budget``.
+
+        The reply names the winner and counts the feasible regions
+        (``n_feasible``); ``explain=True`` also lists every feasible
+        region's entry (``feasible``), in evaluation order.
 
         Exact path — the published snapshot profiles this subset: answered
         from it, no lock, zero scans.  A never-seen subset is evaluated
@@ -682,6 +687,8 @@ class ServerState:
         mode, tolerance = self._check_mode(mode, tolerance)
         budget = self._check_budget(budget)
         ids = self._canonical_items(items)
+        if not isinstance(explain, bool):
+            raise BadRequestError(f"explain must be true or false, got {explain!r}")
         fallback_reason = None
         if mode == "approx":
             engine = self._require_aqp_mode()
@@ -695,13 +702,13 @@ class ServerState:
                 _record_zero_scan()
                 return dumps(
                     self._approx_bellwether_payload(
-                        model, answer, budget, ids, tolerance
+                        model, answer, budget, ids, tolerance, explain
                     )
                 )
             except ApproxMiss as miss:
                 fallback_reason = miss.reason
             engine.note_fallback()
-        body = self._bellwether_exact(budget, ids)
+        body = self._bellwether_exact(budget, ids, explain)
         if fallback_reason is not None:
             body = self._fell_back(body, fallback_reason)
         return body
@@ -714,7 +721,7 @@ class ServerState:
             dumps(reason),
         )
 
-    def _bellwether_exact(self, budget, ids) -> bytes:
+    def _bellwether_exact(self, budget, ids, explain) -> bytes:
         criterion = self._criterion(budget)
         # Unlocked `.value` reads below are a CPython-atomic int load; a
         # racing scan from another request at worst skips one zero-scan
@@ -728,10 +735,12 @@ class ServerState:
             _record_cache(hit=False)
             profile = snap.evaluate(key)
             self._offer(snap, key, profile)
-            body, winner = snap.bellwether_of(profile, criterion, budget, ids)
+            body, winner = snap.bellwether_of(
+                profile, criterion, budget, ids, explain
+            )
         else:
             snap, (body, winner) = self._answer(
-                lambda snap: snap.bellwether(criterion, budget, ids),
+                lambda snap: snap.bellwether(criterion, budget, ids, explain),
                 lambda snap: self._add_profile(snap, ids),
             )
         if _FULL_SCANS.value == scans_before:  # lint: ignore[RPR007]
@@ -746,11 +755,11 @@ class ServerState:
         return body
 
     def _approx_bellwether_payload(
-        self, model, answer, budget, ids, tolerance
+        self, model, answer, budget, ids, tolerance, explain
     ) -> dict:
         region = model.regions[answer.region_index]
         declared = tolerance if tolerance is not None else answer.estimated_error
-        return {
+        payload = {
             "store_version": model.store_version,
             "model_version": model.model_version,
             "mode": "approx",
@@ -769,11 +778,13 @@ class ServerState:
                 "error_kind": "approx",
             },
             "n_feasible": len(answer.feasible),
-            "feasible": [
+        }
+        if explain:
+            payload["feasible"] = [
                 {"region_str": str(model.regions[j]), "rmse": rmse}
                 for j, rmse in answer.feasible
-            ],
-        }
+            ]
+        return payload
 
     # --------------------------------------------------------------- /predict
 

@@ -32,6 +32,7 @@ every class also checks its operation counters against the paper's bounds:
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -415,6 +416,14 @@ def _direct_predict(search, store, region, ids):
     return model, values, float(total)
 
 
+def _brief_mismatches(tag, brief: dict, explained: dict) -> list[Mismatch]:
+    """A default /bellwether reply against the ``explain`` reply to the same
+    question: equal once the explained one drops its ``feasible`` list
+    (compared as JSON text, so a NaN equals itself)."""
+    unlisted = {key: value for key, value in explained.items() if key != "feasible"}
+    return _expect(f"{tag}.brief", json.dumps(unlisted), json.dumps(brief))
+
+
 def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatch]:
     """Diff one round of live HTTP answers against fresh in-process calls.
 
@@ -433,17 +442,7 @@ def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatc
     from repro.serve import ServeHTTPError
 
     version = int(store.version)
-    direct = BasicBellwetherSearch(ds.task, store, min_examples=w.min_examples)
-    scratch_builder = BellwetherCubeBuilder(
-        ds.task,
-        store,
-        ds.hierarchies,
-        min_subset_size=w.min_subset_size,
-        min_examples=w.min_examples,
-    )
-    direct.evaluate_from_tables(
-        scratch_builder.level_tables(scratch_builder.scan_stacks())
-    )
+    direct = _direct_reference(w, ds, store)
     out: list[Mismatch] = []
     for budget in w.budgets:
         for items in (None, *subsets):
@@ -453,7 +452,8 @@ def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatc
             )
             expected = direct.run(budget=budget, item_ids=items)
             try:
-                got = client.bellwether(budget=budget, items=items)
+                brief = client.bellwether(budget=budget, items=items)
+                got = client.bellwether(budget=budget, items=items, explain=True)
             except ServeHTTPError as exc:
                 if expected.bellwether is not None:
                     out += _expect(
@@ -471,6 +471,7 @@ def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatc
                     got["bellwether"]["region_str"],
                 )
                 continue
+            out += _brief_mismatches(tag, brief, got)
             out += _expect(f"{tag}.store_version", version, got["store_version"])
             win = got["bellwether"]
             if str(expected.bellwether.region) != win["region_str"]:
@@ -493,6 +494,9 @@ def _serve_round(w: Workload, ds, store, client, subsets, label) -> list[Mismatc
                 out += _expect(
                     f"{tag}.rmse", expected.bellwether.rmse, win["rmse"]
                 )
+            out += _expect(
+                f"{tag}.n_feasible", len(expected.feasible), got["n_feasible"]
+            )
             out += _expect(
                 f"{tag}.feasible",
                 [str(r.region) for r in expected.feasible],
@@ -586,9 +590,8 @@ def _serve_endpoints(w: Workload) -> list[Mismatch]:
 def _direct_reference(w: Workload, ds, store) -> BasicBellwetherSearch:
     """The exact in-process reference at the store's current version.
 
-    Same construction as :func:`_serve_round`: the all-items profile comes
-    from scratch-built cube tables (bit-for-bit what the server
-    rolls from its own tables), subsets from the raw path.
+    The all-items profile comes from scratch-built cube tables (bit-for-bit
+    what the server rolls from its own tables), subsets from the raw path.
     """
     direct = BasicBellwetherSearch(ds.task, store, min_examples=w.min_examples)
     scratch_builder = BellwetherCubeBuilder(
@@ -630,8 +633,11 @@ def _aqp_approx_round(
             )
             expected = direct.run(budget=budget, item_ids=items)
             try:
-                got = client.bellwether(
+                brief = client.bellwether(
                     budget=budget, items=items, mode="approx"
+                )
+                got = client.bellwether(
+                    budget=budget, items=items, mode="approx", explain=True
                 )
             except ServeHTTPError as exc:
                 # Infeasibility is exact knowledge in the approx tier too.
@@ -657,6 +663,10 @@ def _aqp_approx_round(
             )
             if got.get("model_version") is None:
                 out += _expect(f"{tag}.model_version", "an int", None)
+            out += _brief_mismatches(tag, brief, got)
+            out += _expect(
+                f"{tag}.n_feasible", len(expected.feasible), got["n_feasible"]
+            )
             tolerance = float(got["tolerance"])
             by_region = {
                 str(r.region): float(r.rmse)

@@ -131,3 +131,54 @@ def test_table_index_answers_non_integer_wanted():
     assert index._table is not None
     assert index.locate(np.array([3.0, 7.0, 4.5, -1.0])).tolist() == [1, 0, 4, 4]
     assert index.locate(np.array([], dtype=np.float64)).tolist() == []
+
+
+# --------------------------------------- mixed signedness above 2**53
+
+_BIG = 2**53
+
+
+def test_uint64_lookup_of_int64_ids_above_2_53_is_exact():
+    """numpy compares int64 with uint64 as float64; the lookup must not."""
+    index = RowIndex(np.array([2**62, 2**62 + 1]))
+    assert index._table is None
+    assert index.locate(np.array([2**62 + 1], dtype=np.uint64)).tolist() == [1]
+
+
+@st.composite
+def _mixed_big(draw):
+    """Ids around and above 2**53 of one signedness, asked in the other,
+    with values only the asking dtype holds (absent by construction)."""
+    common = st.one_of(
+        st.integers(_BIG - 8, _BIG + 8),  # neighbours float64 cannot tell apart
+        st.integers(_BIG, 2**63 - 1),
+        st.integers(0, 40),
+    )
+    negative, above = st.integers(-(2**63), -1), st.integers(2**63, 2**64 - 1)
+    signed = draw(st.booleans())
+    own, only_asked = (negative, above) if signed else (above, negative)
+    ids = draw(st.lists(st.one_of(common, own), max_size=30))
+    asked = draw(
+        st.lists(st.one_of(st.sampled_from(ids or [0]), common, only_asked), max_size=30)
+    )
+    kinds = (np.int64, np.uint64) if signed else (np.uint64, np.int64)
+    # an indexed id the asking dtype cannot hold cannot be asked for
+    info = np.iinfo(kinds[1])
+    asked = [v for v in asked if info.min <= v <= info.max]
+    return np.array(ids, dtype=kinds[0]), np.array(asked, dtype=kinds[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_big())
+def test_mixed_signedness_above_2_53_locates_exactly(case):
+    """Signed ids asked with ``uint64`` values and ``uint64`` ids asked with
+    signed ones, around and far above 2**53: every position is the first
+    occurrence of the same integer, on the sorted path as on the table."""
+    ids, wanted = case
+    first = {}
+    for k, i in enumerate(ids.tolist()):
+        first.setdefault(i, k)
+    want = [first.get(i, len(ids)) for i in wanted.tolist()]
+    for index in (RowIndex(ids), _sorted_index(ids)):
+        got = index.locate(wanted)
+        assert got.dtype == np.int64 and got.tolist() == want

@@ -97,8 +97,10 @@ def test_method_mismatches_are_405(aqp_client):
 
 
 def test_approx_bellwether_schema(aqp_client, trained):
-    exact = aqp_client.bellwether(budget=60.0, items=SUBSET)
-    got = aqp_client.bellwether(budget=60.0, items=SUBSET, mode="approx")
+    exact = aqp_client.bellwether(budget=60.0, items=SUBSET, explain=True)
+    got = aqp_client.bellwether(
+        budget=60.0, items=SUBSET, mode="approx", explain=True
+    )
     assert got["mode"] == "approx"
     assert got["model_version"] == trained["model_version"]
     assert got["store_version"] == exact["store_version"]

@@ -85,10 +85,9 @@ def _entry(r) -> tuple:
             float(r.coverage), int(r.n_items))
 
 
-def _entries(profile) -> list[tuple]:
+def _entries(c) -> list[tuple]:
     """A published profile's entries as :func:`_entry` reads a result, from
     its columns."""
-    c = profile.columns
     return list(
         zip(
             [str(c.region(k)) for k in range(len(c))],
@@ -127,7 +126,10 @@ def test_never_seen_subsets_cost_one_scan_in_total_and_one_miss_each(live):
     misses, hits = _counters(state)
     asked = SUBSETS[:12]
     with ServeClient(handle.host, handle.port) as client:
-        answers = [client.bellwether(budget=BUDGET, items=ids) for ids in asked]
+        answers = [
+            client.bellwether(budget=BUDGET, items=ids, explain=True)
+            for ids in asked
+        ]
     io = state.store.stats - io
     assert (io.full_scans, io.region_reads) == (1, 0)
     assert _counters(state) == (misses + len(asked), hits)
@@ -144,7 +146,7 @@ def test_a_never_seen_predict_is_one_miss_and_its_profile_is_kept(live):
     misses, hits = _counters(state)
     predicted = state.predict(items=SUBSETS[1], budget=BUDGET)
     assert _counters(state) == (misses + 1, hits)
-    got = state.bellwether(budget=BUDGET, items=SUBSETS[1])
+    got = state.bellwether(budget=BUDGET, items=SUBSETS[1], explain=True)
     assert _counters(state) == (misses + 1, hits + 1)
     assert _answer(got) == _reference(state, SUBSETS[1])
     assert predicted["region_str"] == got["bellwether"]["region_str"]
@@ -180,7 +182,7 @@ def test_a_delta_carries_the_rows_forward_without_a_scan(live):
         state.apply_delta(delta)
         new = state._snapshot
         ids = next(asked)
-        got = state.bellwether(budget=BUDGET, items=ids)
+        got = state.bellwether(budget=BUDGET, items=ids, explain=True)
         io = state.store.stats - io
         assert io.full_scans == 0
         reads.append(io.region_reads)
@@ -217,7 +219,7 @@ def test_a_changelog_gap_drops_the_rows_and_the_next_ask_rebuilds(live, monkeypa
         state.apply_delta(_reshuffle(state.store, 2))
     assert state._snapshot.rows is None
     io = state.store.stats.snapshot()
-    got = state.bellwether(budget=BUDGET, items=SUBSETS[1])
+    got = state.bellwether(budget=BUDGET, items=SUBSETS[1], explain=True)
     assert (state.store.stats - io).full_scans == 1
     assert state._snapshot.rows.regions == tuple(state.store.regions())
     assert _answer(got) == _reference(state, SUBSETS[1])
@@ -251,7 +253,7 @@ def test_a_never_seen_subset_does_not_wait_for_a_delta_in_flight(
             assert int(state.store.version) == version + 1
             misses, hits = _counters(state)
             start = time.monotonic()
-            got = client.bellwether(budget=BUDGET, items=SUBSETS[1])
+            got = client.bellwether(budget=BUDGET, items=SUBSETS[1], explain=True)
             assert time.monotonic() - start < 1.0
             assert got["store_version"] == version
             assert _answer(got) == want
@@ -262,7 +264,7 @@ def test_a_never_seen_subset_does_not_wait_for_a_delta_in_flight(
             release.set()
             writer.join(timeout=60)
         assert not writer.is_alive()
-        got = client.bellwether(budget=BUDGET, items=SUBSETS[1])
+        got = client.bellwether(budget=BUDGET, items=SUBSETS[1], explain=True)
         assert got["store_version"] == version + 1
         assert _answer(got) == _reference(state, SUBSETS[1])
     assert lockcheck.snapshot()["violations"] == []
@@ -310,7 +312,9 @@ def test_readers_computing_subsets_beside_deltas_publish_nothing_stale(
     def reader(mine):
         try:
             for ids in mine:
-                answers[tuple(ids)] = state.bellwether(budget=BUDGET, items=ids)
+                answers[tuple(ids)] = state.bellwether(
+                    budget=BUDGET, items=ids, explain=True
+                )
         except Exception as exc:  # surfaced on the main thread below
             failures.append(exc)
 

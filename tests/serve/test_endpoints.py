@@ -76,7 +76,7 @@ def test_cube_levels_and_crosstab(client):
 
 def test_bellwether_subset_matches_direct_search(client, served):
     """A restricted /bellwether equals the raw in-process search, bitwise."""
-    got = client.bellwether(budget=50.0, items=SUBSET)
+    got = client.bellwether(budget=50.0, items=SUBSET, explain=True)
     state = served.state
     direct = BasicBellwetherSearch(state.task, state.store, costs=None)
     expected = direct.run(budget=50.0, item_ids=SUBSET)

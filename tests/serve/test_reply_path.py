@@ -4,9 +4,11 @@
     leaves in exactly one write on a ``TCP_NODELAY`` socket.
 (b) Back-to-back keep-alive requests therefore do not sit on the 40 ms
     delayed-ACK timer.
-(c) The bodies assembled from fragments rendered once per snapshot equal,
-    byte for byte, ``json.dumps`` of the payload dicts the server used to
-    build per request (kept here as the reference renderer).
+(c) The bodies assembled from fragments the snapshot holds and the entries
+    a reply renders equal, byte for byte, ``json.dumps`` of the payload
+    dicts the server used to build per request (kept here as the reference
+    renderer); a /bellwether reply is that dict without ``feasible``
+    unless the request asks to ``explain``.
 (d) Subset profiles are capped; an evicted subset is an ordinary miss.
 (e) ``Server-Timing`` and the ``serve.stage.*`` histograms say where a
     request's latency went.
@@ -34,7 +36,7 @@ from repro.incremental import month_append_delta, month_split_store
 from repro.obs import catalog
 from repro.ml import ErrorEstimate
 from repro.serve import ServerState, serve_in_thread
-from repro.serve.snapshot import Profile, render_heads
+from repro.serve.snapshot import render_entries, render_heads
 from repro.serve.state import MAX_SUBSET_PROFILES
 
 from .conftest import N_ITEMS, SUBSET
@@ -182,9 +184,9 @@ def _profile(state, ids):
     return reference.evaluate_all(item_ids=ids)
 
 
-def _reference_bellwether(state, budget, ids) -> dict:
+def _reference_bellwether(state, budget, ids, explain=True) -> dict:
     result = select_bellwether(_profile(state, ids), _criterion(state, budget))
-    return {
+    reply = {
         "store_version": int(state.store.version),
         "mode": "exact",
         "budget": budget,
@@ -194,6 +196,9 @@ def _reference_bellwether(state, budget, ids) -> dict:
         "n_feasible": len(result.feasible),
         "feasible": [_region_result_json(r) for r in result.feasible],
     }
+    if not explain:
+        del reply["feasible"]
+    return reply
 
 
 def _reference_predict(state, budget, ids) -> dict:
@@ -316,6 +321,10 @@ def _assert_bodies_match_reference(handle):
                 query["items"] = ids
             check(
                 "POST", "/bellwether", query,
+                lambda: _reference_bellwether(state, echoed, ids, explain=False),
+            )
+            check(
+                "POST", "/bellwether", {**query, "explain": True},
                 lambda: _reference_bellwether(state, echoed, ids),
             )
             # /predict needs items: name every item where /bellwether names none
@@ -342,12 +351,12 @@ def test_bodies_equal_the_reference_renderer_byte_for_byte(live):
     handle, delta = live
     before = _assert_bodies_match_reference(handle)
     handle.state.apply_delta(delta)
-    assert _assert_bodies_match_reference(handle) == before >= 2 * 8 + 4
+    assert _assert_bodies_match_reference(handle) == before >= 3 * 8 + 4
 
 
 # An entry is its region's head, rendered once per snapshot, plus six
-# fields of the subset, rendered for all entries in one pass: together the
-# bytes json.dumps gives the dict.
+# fields of the subset, rendered for the entries a reply returns in one
+# pass: together the bytes json.dumps gives the dict.
 
 _SPECIAL_FLOATS = (
     0.0, -0.0, 1.0, 3.0, 1e16, 1e-7, 1e22, 1e-5, 123456789012345680.0,
@@ -387,6 +396,10 @@ def test_one_dumps_of_a_column_spells_each_value_as_json_dumps_does(values):
         assert snapshot_module._spelled(counts) == [
             json.dumps(int(n)).encode() for n in counts
         ]
+        # several columns of mixed dtypes: one dumps, column after column
+        assert snapshot_module._spelled(
+            np.array(values, dtype=np.float64), counts
+        ) == [json.dumps(v).encode() for v in [*values, *counts.tolist()]]
 
 
 @given(
@@ -426,13 +439,21 @@ def test_rendered_entries_equal_json_dumps_of_the_reference_dict(rows, rng):
         regions, np.array([priced.get(region, 0.0) for region in regions], dtype=float)
     )
     columns = RegionProfile.of(results, regions)
-    profile = Profile.render(columns, heads)
-    assert profile.columns is columns
-    assert len(profile.entries) == len(results)
-    for r, k, entry in zip(results, columns.at.tolist(), profile.entries):
-        want = json.dumps(_region_result_json(r)).encode()
-        assert entry == want
+    wants = [json.dumps(_region_result_json(r)).encode() for r in results]
+    entries = render_entries(columns, heads, np.arange(len(columns)))
+    assert entries == wants
+    for k, want in zip(columns.at.tolist(), wants):
         assert want.startswith(heads[k])
+    # any picks, in the picks' order — a reply's winner first, then its list
+    picks = list(range(len(results)))
+    if rng is not None:
+        rng.shuffle(picks)
+        picks = picks[: rng.randint(0, len(picks))]
+    assert render_entries(columns, heads, np.array(picks, dtype=np.intp)) == [
+        wants[k] for k in picks
+    ]
+    if picks:
+        assert render_entries(columns, heads, picks[:1]) == [wants[picks[0]]]
 
 
 def test_in_process_payloads_parse_the_same_bytes(served, conn):

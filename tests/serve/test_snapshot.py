@@ -94,7 +94,7 @@ def test_reads_do_not_wait_for_a_delta_in_flight(live, monkeypatch, lockcheck):
 
         # apply_delta has returned: every later request answers at v+1.
         assert client.healthz()["store_version"] == version + 1
-        got = client.bellwether(budget=BUDGET, items=SUBSET)
+        got = client.bellwether(budget=BUDGET, items=SUBSET, explain=True)
         predicted = client.predict(items=SUBSET, budget=BUDGET)
 
     direct = BasicBellwetherSearch(state.task, state.store)

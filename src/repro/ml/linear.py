@@ -103,9 +103,6 @@ class LinearRegression:
         """Training-set RMSE with n − p degrees of freedom (Theorem 1's q)."""
         return self.stats.rmse(ridge=self.ridge)
 
-    def training_sse(self) -> float:
-        return self.stats.sse(ridge=self.ridge)
-
     def __repr__(self) -> str:
         status = "fitted" if self.is_fitted else "unfitted"
         return f"LinearRegression(intercept={self.fit_intercept}, {status})"

@@ -202,8 +202,3 @@ HISTOGRAMS: tuple[str, ...] = (
     SERVE_STAGE_ANSWER,
     SERVE_STAGE_WRITE,
 )
-
-
-def all_names() -> frozenset[str]:
-    """Every catalogued instrument name."""
-    return frozenset(COUNTERS) | frozenset(GAUGES) | frozenset(HISTOGRAMS)

@@ -63,16 +63,22 @@ class ObsReport:
         append_jsonl(path, self.to_record(include_spans=include_spans))
 
     def summary_line(self) -> str:
-        """One-line bench summary: elapsed plus the headline counters."""
+        """One-line bench summary: elapsed plus the headline counters.
+
+        Every counter is printed, zero included: ``scalar_fallbacks=0`` is
+        the reading a batched-solve change claims against.
+        """
         keys = (
             (catalog.STORE_FULL_SCANS, "full_scans"),
             (catalog.STORE_REGION_READS, "region_reads"),
             (catalog.ML_LINEAR_FITS, "fits"),
+            (catalog.ML_LINEAR_BATCHED_PROBLEMS, "batched_problems"),
+            (catalog.ML_LINEAR_SCALAR_FALLBACKS, "scalar_fallbacks"),
         )
         stats = "  ".join(
-            f"{label}={int(self.metrics[k])}" for k, label in keys if k in self.metrics
+            f"{label}={int(self.metrics.get(k, 0))}" for k, label in keys
         )
-        return f"{self.name}: {self.elapsed_s:.2f}s  {stats}".rstrip()
+        return f"{self.name}: {self.elapsed_s:.2f}s  {stats}"
 
 
 class observe:

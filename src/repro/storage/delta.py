@@ -53,16 +53,6 @@ class BlockDelta:
         if self.append is None and self.retract_ids is None:
             raise StorageError("empty BlockDelta: nothing appended or retracted")
 
-    @property
-    def touched_ids(self) -> np.ndarray:
-        """All item ids this delta may move (appended ∪ retracted)."""
-        parts = []
-        if self.append is not None:
-            parts.append(np.asarray(self.append.item_ids))
-        if self.retract_ids is not None:
-            parts.append(np.asarray(self.retract_ids))
-        return np.unique(np.concatenate(parts))
-
 
 @dataclass(frozen=True)
 class StoreDelta:

@@ -191,13 +191,18 @@ class TestConfidenceIntervals:
         assert 0 < lo < est.rmse < hi
 
     def test_degenerate_interval(self):
-        est = ErrorEstimate(rmse=1.0, kind="training")
-        assert est.interval(0.95) == (1.0, 1.0)
+        for est in (
+            ErrorEstimate(rmse=1.0, kind="training"),
+            ErrorEstimate(rmse=1.0, kind="training", sse=1.0, dof=0),
+            ErrorEstimate(rmse=1.0, kind="cv", fold_rmses=(1.0,)),
+        ):
+            assert est.interval(0.95) == (1.0, 1.0)
 
     def test_bad_confidence_rejected(self):
-        est = ErrorEstimate(rmse=1.0, kind="training")
-        with pytest.raises(ValueError):
-            est.interval(1.5)
+        est = ErrorEstimate(rmse=1.0, kind="training", sse=1.0, dof=3)
+        for confidence in (1.5, 1.0, 0.0, -0.1):
+            with pytest.raises(ValueError):
+                est.interval(confidence)
 
     def test_zero_sse_interval(self):
         est = ErrorEstimate(rmse=0.0, kind="training", sse=0.0, dof=5)

@@ -256,6 +256,22 @@ class TestObserveSession:
         assert len(lines) == 2
         assert json.loads(lines[0])["name"] == "unit"
 
+    def test_summary_line_prints_every_headline_counter(self):
+        from repro.obs import catalog
+        from repro.obs.context import ObsReport
+
+        report = ObsReport("fig8")
+        report.elapsed_s = 12.345
+        report.metrics = {
+            catalog.STORE_FULL_SCANS: 5,
+            catalog.ML_LINEAR_BATCHED_PROBLEMS: 347_833,
+            catalog.ML_LINEAR_SCALAR_FALLBACKS: 316_083,
+        }
+        assert report.summary_line() == (
+            "fig8: 12.35s  full_scans=5  region_reads=0  fits=0"
+            "  batched_problems=347833  scalar_fallbacks=316083"
+        )
+
 
 def test_bench_journal_appends(tmp_path):
     from repro.obs import BenchJournal

@@ -19,7 +19,7 @@ from repro.core import BellwetherCubeBuilder, BellwetherTreeBuilder
 from repro.core.rowindex import RowIndex
 from repro.datasets import make_scalability
 from repro.experiments import render_grid
-from repro.ml import LinearSuffStats, StackedSuffStats, add_intercept
+from repro.ml import LinearSuffStats, StackedSuffStats, design_rows
 
 from .conftest import publish
 
@@ -103,8 +103,7 @@ def test_ablation_tree_prefix_stats(benchmark):
     def one_pass():
         for __, block in ds.store.scan():
             StackedSuffStats.from_bins(
-                add_intercept(block.x),
-                block.y,
+                design_rows(block.x, block.y),
                 block.weights,
                 codes[:, index.rows_of(block.item_ids)],
                 len(codes) * width,
@@ -116,9 +115,8 @@ def test_ablation_tree_prefix_stats(benchmark):
         for __, block in ds.store.scan():
             sides = left[:, index.rows_of(block.item_ids)]
             for mask in np.concatenate([sides, ~sides]):
-                LinearSuffStats.from_data(
-                    add_intercept(block.x[mask]),
-                    block.y[mask],
+                LinearSuffStats.from_rows(
+                    design_rows(block.x[mask], block.y[mask]),
                     None if block.weights is None else block.weights[mask],
                 )
 
@@ -149,22 +147,21 @@ def test_ablation_tree_split_kernel(benchmark):
     # features), two numeric attributes with four thresholds each.
     n, p, n_thresholds = 2_500, 7, 4
     rng = np.random.default_rng(0)
-    z = add_intercept(rng.normal(size=(n, p - 1)))
-    y = z @ rng.normal(size=p) + rng.normal(size=n)
+    x = rng.normal(size=(n, p - 1))
+    a = design_rows(x, x @ rng.normal(size=p - 1) + rng.normal(size=n))
     values = [rng.normal(size=n) for __ in range(2)]
     thresholds = [np.quantile(v, np.linspace(0.2, 0.8, n_thresholds)) for v in values]
     codes, width = _binned(values, thresholds)
     left = _lefts(codes, thresholds, width)
 
     def value_bins():
-        bins = StackedSuffStats.from_bins(z, y, None, codes, len(codes) * width)
+        bins = StackedSuffStats.from_bins(a, None, codes, len(codes) * width)
         return bins.cuts(width)
 
     def masked_gram():
         # the retired kernel: one masked Gram matrix of [X | y] per
         # threshold for its left side, the block total once, right = total
         # − left — T·n·q² multiply-adds where the bins take A·n·q²
-        a = np.column_stack([z, y])
         gram = np.empty((2 * len(left), a.shape[1], a.shape[1]))
         for k, mask in enumerate(left):
             np.matmul(a.T * mask, a, out=gram[k])

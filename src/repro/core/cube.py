@@ -41,8 +41,8 @@ from repro.ml import (
     LinearSuffStats,
     StackedSuffStats,
     TrainingSetEstimator,
-    add_intercept,
     default_model_factory,
+    design_rows,
 )
 from repro.obs.catalog import CUBE_SUBSETS_BUILT
 from repro.obs.metrics import get_registry
@@ -58,12 +58,18 @@ _TRACER = get_tracer()
 _SUBSETS_BUILT = get_registry().counter(CUBE_SUBSETS_BUILT)
 
 #: Rows ``scan_stacks`` lays end to end before taking their statistics at
-#: once.  A laid-out row costs ~16 (p + 3) bytes of transients (the design
-#: laid and gathered, targets, weights, the sort), so this keeps them under
-#: ~2 MB up to p = 12; a longer block is a run of its own.  Grouping saves
-#: the fixed numpy price of a call per region, which is most of what a
-#: ~300-row region costs and nothing to a long one.
+#: once.  A laid-out row costs ~8 (p + 6) bytes of transients (the rows
+#: ``[1 | x | y]``, weights, the sort), so this keeps them under ~1.2 MB
+#: up to p = 12; a longer block is a run of its own.
+#: Grouping saves the fixed numpy price of a call per region, which is most
+#: of what a ~300-row region costs and nothing to a long one.
 SCAN_ROWS = 8_192
+
+
+def _segment_bounds(key: np.ndarray, n_segments: int) -> np.ndarray:
+    """Where each of ``n_segments`` runs of the rows sorted by ``key`` starts,
+    and the last ends: one ``bincount``, empty segments included."""
+    return np.append(0, np.cumsum(np.bincount(key, minlength=n_segments)))
 
 
 def solve_where(
@@ -437,7 +443,7 @@ class BellwetherCubeBuilder:
             block, cell_of_row = self._own_rows(block)
             if block.n_examples == 0:
                 continue
-            design = add_intercept(block.x) if batchable else None
+            laid = design_rows(block.x, block.y) if batchable else None
             for __, rm, keep in self._levels:
                 subset_of_row = rm.subset_of_base[cell_of_row]
                 counts = np.bincount(subset_of_row, minlength=len(rm.subsets))
@@ -454,9 +460,8 @@ class BellwetherCubeBuilder:
                             continue
                         mask = subset_of_row == s_idx
                         pending.append(
-                            LinearSuffStats.from_data(
-                                design[mask],
-                                block.y[mask],
+                            LinearSuffStats.from_rows(
+                                laid[mask],
                                 None
                                 if block.weights is None
                                 else block.weights[mask],
@@ -557,23 +562,24 @@ class BellwetherCubeBuilder:
         # stable sort is the same permutation whatever the type
         key = key.astype(np.min_scalar_type(len(run) * n_cells))
         order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
-        starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
-        design = np.empty((len(key), blocks[0].n_features + 1))
-        design[:, 0] = 1.0
-        np.concatenate([block.x for block in blocks], out=design[:, 1:])
+        # The key is region-major, so region k's rows land at sorted
+        # positions lo:hi, the range they hold laid end to end: each block
+        # is gathered straight into its place in the one laid array.  (A
+        # laid copy gathered into a second one was a fresh half-megabyte
+        # mapping per run: ~3,400 minor faults a batch_build operation.)
+        rows = np.empty((len(key), blocks[0].n_features + 2))
+        rows[:, 0] = 1.0
+        edges = np.cumsum([0, *sizes]).tolist()
+        for block, lo, hi in zip(blocks, edges[:-1], edges[1:]):
+            local = order[lo:hi] - lo
+            x, y = (np.asarray(v, dtype=np.float64) for v in (block.x, block.y))
+            np.take(x, local, axis=0, out=rows[lo:hi, 1:-1])
+            np.take(y, local, out=rows[lo:hi, -1])
         weights = None
         if blocks[0].weights is not None:
-            weights = np.concatenate([block.weights for block in blocks])[order]
-        laid = StackedSuffStats.zeros(len(run) * n_cells, design.shape[1])
-        laid.assign(
-            sorted_keys[starts],
-            StackedSuffStats.from_segments(
-                design[order],
-                np.concatenate([block.y for block in blocks])[order],
-                weights,
-                np.append(starts, len(order)),
-            ),
+            weights = np.take(np.concatenate([block.weights for block in blocks]), order)
+        laid = StackedSuffStats.from_segments(
+            rows, weights, _segment_bounds(key, len(run) * n_cells)
         )
         return BaseCellTable(regions, n_cells, laid)
 
@@ -585,26 +591,18 @@ class BellwetherCubeBuilder:
 
         Rows are grouped by cell with a stable argsort, so each present
         cell's segment holds the rows — in block order — the per-problem
-        path hands :meth:`LinearSuffStats.from_data`, and
+        path hands :meth:`LinearSuffStats.from_rows`, and
         :meth:`StackedSuffStats.from_segments` yields the same bits: the
         stacked rollup accumulates identical addends (absent cells
         contribute exact zeros) and the batched cube matches
         ``optimized_serial`` bit for bit.
         """
         order = np.argsort(cell_of_row, kind="stable")
-        sorted_cells = cell_of_row[order]
-        starts = np.flatnonzero(np.diff(sorted_cells, prepend=-1))
-        stack = StackedSuffStats.zeros(n_cells, block.n_features + 1)
-        stack.assign(
-            sorted_cells[starts],
-            StackedSuffStats.from_segments(
-                add_intercept(block.x[order]),
-                block.y[order],
-                None if block.weights is None else block.weights[order],
-                np.append(starts, len(order)),
-            ),
+        return StackedSuffStats.from_segments(
+            np.take(design_rows(block.x, block.y), order, axis=0),
+            None if block.weights is None else np.take(block.weights, order),
+            _segment_bounds(cell_of_row, n_cells),
         )
-        return stack
 
     def level_tables(
         self, stacks: Mapping[Region, StackedSuffStats]
@@ -725,7 +723,7 @@ class BellwetherCubeBuilder:
             block, cell_of_row = self._own_rows(block)
             if block.n_examples == 0:
                 continue
-            design = add_intercept(block.x)
+            laid = design_rows(block.x, block.y)
             # g per base cell, one grouped pass over the block.
             order = np.argsort(cell_of_row, kind="stable")
             sorted_cells = cell_of_row[order]
@@ -735,9 +733,8 @@ class BellwetherCubeBuilder:
             for b_idx in range(len(starts)):
                 rows = order[bounds[b_idx]:bounds[b_idx + 1]]
                 cell_stats[int(sorted_cells[bounds[b_idx]])] = (
-                    LinearSuffStats.from_data(
-                        design[rows],
-                        block.y[rows],
+                    LinearSuffStats.from_rows(
+                        laid[rows],
                         None if block.weights is None else block.weights[rows],
                     )
                 )

@@ -3,12 +3,13 @@
 Theorem 1 makes ``g(S) = <Y'WY, X'WX, X'WY>`` a sum over the items of
 ``S``, so the error of *any* item subset in every region is a function of
 rows a store scan has already shown.  :class:`RegionRows` keeps those rows
-as flat row tables — the design matrix (intercept included), targets,
-weights and item-table positions of consecutive regions laid end to end in
-store order, block row order kept — and :meth:`RegionRows.evaluate`
-answers a subset with one membership gather and one compaction per table,
-then :meth:`~repro.ml.StackedSuffStats.from_segments` over the compacted
-block and one batched solve, returned as columns
+as flat row tables — the laid rows ``[1 | x | y]`` (the design with its
+intercept, the target last), weights and item-table positions of
+consecutive regions laid end to end in store order, block row order kept —
+and :meth:`RegionRows.evaluate` answers a subset with one membership gather
+and one compaction per table, then
+:meth:`~repro.ml.StackedSuffStats.from_segments` (one Gram per region) over
+the compacted block and one batched solve, returned as columns
 (:class:`~repro.core.basic.RegionProfile`).  Each segment holds the rows,
 in block order, :meth:`BasicBellwetherSearch.evaluate_all` would compact
 for that region, so the columns equal those of
@@ -32,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.dimensions import Region
-from repro.ml import StackedSuffStats, add_intercept
+from repro.ml import StackedSuffStats, design_rows
 from repro.storage import RegionBlock, TrainingDataStore
 
 from .basic import RegionProfile, results_from_stats
@@ -55,8 +56,8 @@ class _Table:
     regions: tuple[Region, ...]
     #: Region ``k`` is rows ``bounds[k]:bounds[k + 1]`` of the columns below.
     bounds: np.ndarray
+    #: The laid rows ``[1 | x | y]``.
     design: np.ndarray
-    y: np.ndarray
     #: ``None`` when no region is weighted; else 1.0 on the rows of a region
     #: that is not, which ``weighted`` (one flag per region) tells apart.
     weights: np.ndarray | None
@@ -71,15 +72,14 @@ class _Table:
     @classmethod
     def lay(cls, regions: Sequence[Region], columns: Sequence[tuple]) -> "_Table":
         """``columns[k]`` is region ``k``'s :func:`_columns` (or a :meth:`slice`)."""
-        design, y, weights, pos, strangers = zip(*columns)
+        design, weights, pos, strangers = zip(*columns)
         weighted = np.array([w is not None for w in weights])
         if weighted.any():
-            weights = [np.ones(len(v)) if w is None else w for v, w in zip(y, weights)]
+            weights = [np.ones(len(v)) if w is None else w for v, w in zip(pos, weights)]
         return cls(
             tuple(regions),
-            _offsets(y),
+            _offsets(pos),
             _lay(design),
-            _lay(y),
             _lay(weights) if weighted.any() else None,
             weighted,
             _lay(pos),
@@ -92,7 +92,6 @@ class _Table:
         rows = slice(self.bounds[k], self.bounds[k + 1])
         return (
             self.design[rows],
-            self.y[rows],
             self.weights[rows] if self.weighted[k] else None,
             self.pos[rows],
             self.strangers[self.stranger_bounds[k]:self.stranger_bounds[k + 1]],
@@ -229,7 +228,6 @@ class RegionRows:
         # into one block, where they are adjacent segments in store order.
         bounds = np.concatenate([[0], np.cumsum(n_rows[kept])])
         design = np.empty((bounds[-1], self.tables[0].design.shape[1]))
-        y = np.empty(bounds[-1])
         weights = None
         if any(table.weights is not None for table in self.tables):
             weights = np.ones(bounds[-1])
@@ -239,7 +237,6 @@ class RegionRows:
             rows = rows[np.repeat(enough[regions], n_rows[regions])]
             block = slice(row, row + len(rows))
             np.take(table.design, rows, axis=0, out=design[block], mode="clip")
-            np.take(table.y, rows, out=y[block], mode="clip")
             if table.weights is not None:
                 np.take(table.weights, rows, out=weights[block], mode="clip")
             row, first = block.stop, regions.stop
@@ -253,7 +250,6 @@ class RegionRows:
             stacks.append(
                 StackedSuffStats.from_segments(
                     design[rows],
-                    y[rows],
                     weights[rows] if flags[a] else None,
                     bounds[a:b + 1] - bounds[a],
                 )
@@ -294,12 +290,11 @@ def _offsets(arrays) -> np.ndarray:
 
 
 def _columns(block: RegionBlock, items: RowIndex) -> tuple:
-    """``(design, y, weights, pos, strangers)`` of one region's block."""
+    """``(design, weights, pos, strangers)`` of one region's block."""
     ids = np.asarray(block.item_ids)
     pos = items.locate(ids)
     return (
-        add_intercept(block.x),
-        np.asarray(block.y, dtype=np.float64),
+        design_rows(block.x, block.y),
         block.weights,
         pos,
         ids[pos == len(items)],

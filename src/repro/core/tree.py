@@ -25,10 +25,11 @@ Splits come from sorted value bins (Theorem 1 makes a side's statistics a
 sum, so a numeric attribute's m nested thresholds are prefix sums of its
 m + 1 bins).  Each item of a node has one bin code per split attribute: the
 number of the attribute's thresholds at or below its value, or its
-category's index.  Per (node, block) the design ``[1 | x]`` is built once,
-the node's own model takes ``from_data`` of it, and one
+category's index.  Per (node, block) the laid rows ``[1 | x | y]`` are built
+once, the node's own model takes ``from_rows`` of them, and one
 ``StackedSuffStats.from_bins`` takes one Gram matrix per bin of every
-attribute — A·n·q² multiply-adds for A attributes, however many thresholds.
+attribute — A·n·q² multiply-adds for A attributes, however many thresholds —
+each bin the same bits as ``from_rows`` of its rows.
 Once per level ``StackedSuffStats.cuts`` reads every threshold's left side
 (the running sum of the bins below it) and right side (``total − left``)
 off the bins of all nodes and blocks; a category's side is its bin.
@@ -54,7 +55,7 @@ from repro.ml import (
     LinearRegression,
     LinearSuffStats,
     StackedSuffStats,
-    add_intercept,
+    design_rows,
 )
 from repro.obs.catalog import TREE_NODES_SPLIT, TREE_SPLIT_EVALS
 from repro.obs.metrics import get_registry
@@ -69,9 +70,6 @@ from .task import BellwetherTask
 _TRACER = get_tracer()
 _SPLIT_EVALS = get_registry().counter(TREE_SPLIT_EVALS)
 _NODES_SPLIT = get_registry().counter(TREE_NODES_SPLIT)
-# sse / Y'WY at or below this is an exact fit (see ``_errors``): a genuine
-# fit leaves >= 1e-6, cancellation noise a few eps.
-_EXACT_FIT = 1024 * np.finfo(np.float64).eps
 
 
 # --------------------------------------------------------------------- splits
@@ -474,15 +472,10 @@ class BellwetherTreeBuilder:
     def _errors(stats: StackedSuffStats) -> np.ndarray:
         """Split-quality rmse of every problem, from one stacked solve.
 
-        A problem whose ``sse`` is within ``1024·eps`` of ``Y'WY`` is fit
-        exactly: what is left is the cancellation noise of
-        ``Y'WY − β'X'WY``, which differs between evaluation orders, so it
-        reads as exactly ``0.0`` and an exactly-predicted node has
-        Goodness <= 0 on every path.  Tree-local: profiles, cube cells and
-        leaf ``error`` estimates keep ``training_errors()``'s bits.
+        An exact fit reads ``0.0`` (``StackedSuffStats.sse``), so an
+        exactly-predicted node has Goodness <= 0 on every path.
         """
-        rmse, sse, __ = stats.training_errors()
-        return np.where(sse <= _EXACT_FIT * stats.ytwy, 0.0, rmse)
+        return stats.training_errors()[0]
 
     @staticmethod
     def _pick(
@@ -546,8 +539,8 @@ class BellwetherTreeBuilder:
             if block.n_examples < self.min_examples:
                 continue
             pending.append(
-                LinearSuffStats.from_data(
-                    add_intercept(block.x), block.y, block.weights
+                LinearSuffStats.from_rows(
+                    design_rows(block.x, block.y), block.weights
                 )
             )
             regions.append(region)
@@ -629,11 +622,11 @@ class BellwetherTreeBuilder:
                 sub, at = st.index.restrict(block)
                 if st.cache is not None:
                     st.cache[region] = sub
-                # [1 | x] once per (node, block): the node's own model and
-                # every bin below read the same design.
-                z = add_intercept(sub.x)
+                # [1 | x | y] once per (node, block): the node's own model
+                # and every bin below read the same rows.
+                a = design_rows(sub.x, sub.y)
                 if sub.n_examples >= self.min_examples:
-                    models.append(LinearSuffStats.from_data(z, sub.y, sub.weights))
+                    models.append(LinearSuffStats.from_rows(a, sub.weights))
                     model_slots.append((st.k, region, None))
                 if not st.plan:
                     continue
@@ -641,7 +634,7 @@ class BellwetherTreeBuilder:
                 numeric.append(st.numeric + len(bin_slots))
                 bins.append(
                     StackedSuffStats.from_bins(
-                        z, sub.y, sub.weights, st.keys[:, at], st.n_bins
+                        a, sub.weights, np.take(st.keys, at, axis=1), st.n_bins
                     )
                 )
                 bin_slots += st.bin_slots

@@ -22,6 +22,7 @@ from .suffstats import (
     LinearSuffStats,
     StackedSuffStats,
     add_intercept,
+    design_rows,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "TrainingSetEstimator",
     "add_intercept",
     "default_model_factory",
+    "design_rows",
     "fit_ridge_per_row",
     "mse",
     "rmse",

@@ -14,7 +14,7 @@ from repro.obs.catalog import ML_LINEAR_FITS
 from repro.obs.metrics import get_registry
 
 from .exceptions import FitError, NotFittedError
-from .suffstats import LinearSuffStats, add_intercept
+from .suffstats import LinearSuffStats, add_intercept, design_rows
 
 _FITS = get_registry().counter(ML_LINEAR_FITS)
 
@@ -48,8 +48,11 @@ class LinearRegression:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise FitError(f"x must be 2-D, got shape {x.shape}")
-        design = add_intercept(x) if self.fit_intercept else x
-        self._stats = LinearSuffStats.from_data(design, y, w)
+        if self.fit_intercept:
+            # laid once: [1 | x | y] is the design and the Gram's rows
+            self._stats = LinearSuffStats.from_rows(design_rows(x, y), w)
+        else:
+            self._stats = LinearSuffStats.from_data(x, y, w)
         self._beta = self._stats.solve(ridge=self.ridge)
         _FITS.inc()
         return self

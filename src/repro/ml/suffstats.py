@@ -8,8 +8,15 @@ item set ``S``:
     q({g(S_k)}) = ΣY'WY − (ΣX'WY)'(ΣX'WX)^{-1}(ΣX'WY)
 
 so statistics computed on disjoint partitions merge by component-wise
-addition.  :class:`LinearSuffStats` implements ``g`` (:meth:`from_data`), the
-merge (``+``), the model solve (:meth:`solve`) and ``q`` (:meth:`sse`).
+addition.  ``g(S)`` is one matrix, ``[X | Y]' W [X | Y]``, and is taken in
+one place (``_gram``) from *laid rows* ``a = [x | y]`` — the design
+(:func:`design_rows` lays ``[1 | x | y]`` in one allocation) with the target
+as its last column.  :class:`LinearSuffStats` implements ``g``
+(:meth:`~LinearSuffStats.from_rows`, :meth:`~LinearSuffStats.from_data`), the
+merge (``+``), the model solve (:meth:`~LinearSuffStats.solve`) and ``q``
+(:meth:`~LinearSuffStats.sse`, where an exact fit reads ``0.0``); the stacked
+kernels take one Gram per segment or bin of the same rows, so the same rows
+in the same order give the same bits on every path.
 
 This is what lets the optimized bellwether cube fit one model per cube subset
 of items without ever revisiting the raw rows: base-cell statistics roll up
@@ -38,6 +45,11 @@ from .exceptions import FitError
 _BATCHED_SOLVES = get_registry().counter(ML_LINEAR_BATCHED_SOLVES)
 _BATCHED_PROBLEMS = get_registry().counter(ML_LINEAR_BATCHED_PROBLEMS)
 _SCALAR_FALLBACKS = get_registry().counter(ML_LINEAR_SCALAR_FALLBACKS)
+
+# sse / Y'WY at or below this is an exact fit, read as 0.0 by every solve:
+# what is left of Y'WY − β'X'WY is cancellation noise, which follows the
+# evaluation order, not the data.  A genuine fit leaves >= 1e-6.
+_EXACT_FIT = 1024 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -76,23 +88,34 @@ class LinearSuffStats:
         """Compute ``g(S)`` for a block of examples.
 
         ``x`` is ``(n, p)``; callers wanting an intercept must include a
-        constant column (see :func:`add_intercept`).
+        constant column (see :func:`add_intercept`, or lay the rows with
+        :func:`design_rows` and call :meth:`from_rows`).
         """
         x, y, w = _checked_block(x, y, w)
-        if w is None:
-            xw = x
-            yw = y
-            sum_w = float(x.shape[0])
-        else:
-            xw = x * w[:, None]
-            yw = y * w
-            sum_w = float(w.sum())
+        return cls._of_gram(_gram(np.column_stack([x, y]), w), len(y), w)
+
+    @classmethod
+    def from_rows(cls, a: np.ndarray, w: np.ndarray | None = None) -> "LinearSuffStats":
+        """``g(S)`` of laid rows ``a = [x | y]``: one Gram matrix.
+
+        ``a`` is ``(n, p + 1)`` with ``y`` in the last column (see
+        :func:`design_rows`); the same rows give the same bits as
+        :meth:`from_data` of ``(a[:, :-1], a[:, -1])`` and as any stacked
+        kernel's problem over them.
+        """
+        a, w = _checked_rows(a, w)
+        return cls._of_gram(_gram(a, w), a.shape[0], w)
+
+    @classmethod
+    def _of_gram(cls, g: np.ndarray, n: int, w: np.ndarray | None) -> "LinearSuffStats":
+        """The components of one Gram matrix, each copied out contiguous."""
+        p = g.shape[0] - 1
         return cls(
-            ytwy=float(yw @ y),
-            xtwx=x.T @ xw,
-            xtwy=x.T @ yw,
-            n=x.shape[0],
-            sum_w=sum_w,
+            ytwy=float(g[p, p]),
+            xtwx=g[:p, :p].copy(),
+            xtwy=g[:p, p].copy(),
+            n=n,
+            sum_w=float(n) if w is None else float(w.sum()),
         )
 
     @classmethod
@@ -154,10 +177,13 @@ class LinearSuffStats:
     def sse(self, ridge: float = 0.0) -> float:
         """Weighted sum of squared errors ``q`` of the fitted model.
 
-        ``Y'WY − (X'WY)' β``, clamped at zero against round-off.
+        ``Y'WY − (X'WY)' β``, read as exactly ``0.0`` at or below
+        ``1024·eps·Y'WY``: an exact fit, whose remainder is the cancellation
+        noise of the subtraction (it replaces a clamp at zero).
         """
         beta = self.solve(ridge=ridge)
-        return max(float(self.ytwy - self.xtwy @ beta), 0.0)
+        sse = float(self.ytwy - self.xtwy @ beta)
+        return 0.0 if sse <= _EXACT_FIT * self.ytwy else sse
 
     def mse(self, ridge: float = 0.0) -> float:
         """Weighted mean squared error with ``n − p`` degrees of freedom.
@@ -190,13 +216,40 @@ def _checked_block(x, y, w):
         raise FitError(f"x must be 2-D, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise FitError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
-    if w is not None:
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != y.shape:
-            raise FitError(f"w has shape {w.shape}, expected {y.shape}")
-        if (w <= 0).any():
-            raise FitError("weights must be strictly positive")
-    return x, y, w
+    return x, y, _checked_weights(w, y.shape)
+
+
+def _checked_rows(a, w):
+    """Laid rows ``a`` (``(n, p + 1)``, C-contiguous float64) and ``w``,
+    validated once for whichever kernel takes their statistics."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise FitError(f"laid rows must be 2-D [x | y], got shape {a.shape}")
+    return a, _checked_weights(w, a.shape[:1])
+
+
+def _checked_weights(w, shape):
+    if w is None:
+        return None
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != shape:
+        raise FitError(f"w has shape {w.shape}, expected {shape}")
+    if (w <= 0).any():
+        raise FitError("weights must be strictly positive")
+    return w
+
+
+def _gram(a: np.ndarray, w: np.ndarray | None, out: np.ndarray | None = None):
+    """``a' W a`` of contiguous laid rows: ``g(S)`` as one matrix.
+
+    The one place ``g`` is computed.  Unweighted, ``a.T @ a`` is one
+    symmetric product (numpy hands it to ``syrk``); weighted, the scaled
+    rows' transpose times the rows.  Every kernel calls it on the same rows
+    in the same order, so every path's statistics are the same bits.
+    """
+    if w is None:
+        return np.matmul(a.T, a, out=out)
+    return np.matmul((a * w[:, None]).T, a, out=out)
 
 
 def add_intercept(x: np.ndarray) -> np.ndarray:
@@ -205,6 +258,20 @@ def add_intercept(x: np.ndarray) -> np.ndarray:
     if x.ndim != 2:
         raise FitError(f"x must be 2-D, got shape {x.shape}")
     return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def design_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The laid rows ``[1 | x | y]`` of a block, in one allocation.
+
+    What every kernel takes: the design with its intercept, and the target
+    in the last column.
+    """
+    x, y, __ = _checked_block(x, y, None)
+    a = np.empty((x.shape[0], x.shape[1] + 2))
+    a[:, 0] = 1.0
+    a[:, 1:-1] = x
+    a[:, -1] = y
+    return a
 
 
 @dataclass(frozen=True)
@@ -260,56 +327,32 @@ class StackedSuffStats:
     @classmethod
     def from_segments(
         cls,
-        x: np.ndarray,
-        y: np.ndarray,
+        a: np.ndarray,
         w: np.ndarray | None,
         bounds: np.ndarray,
     ) -> "StackedSuffStats":
-        """``g`` of every run of consecutive rows of one block.
+        """``g`` of every run of consecutive laid rows of one block.
 
-        Problem ``k`` is rows ``bounds[k]:bounds[k + 1]`` of ``x`` (``(n, p)``,
-        C-contiguous), ``y`` and ``w``; ``bounds`` is non-decreasing.  The
-        block is validated once; each segment then gets the three products
-        :meth:`LinearSuffStats.from_data` makes, on a contiguous slice of
-        the same rows in the same order, written straight into the stack —
-        the same bits as ``from_data`` per segment, which stays the
-        definition.  An empty segment is exact zeros with ``n = 0``.
+        Problem ``k`` is rows ``bounds[k]:bounds[k + 1]`` of ``a`` (``(n,
+        p + 1)``, ``y`` last, see :func:`design_rows`) and ``w``;
+        ``bounds`` is non-decreasing.  The block is validated once; each
+        non-empty segment is then one Gram matrix of a contiguous slice of
+        the rows — :meth:`LinearSuffStats.from_rows` of those rows, bit for
+        bit.  An empty segment is exact zeros with ``n = 0``.
         """
-        x, y, w = _checked_block(x, y, w)
-        x = np.ascontiguousarray(x)
+        a, w = _checked_rows(a, w)
         bounds = np.asarray(bounds, dtype=np.intp)
         n = np.diff(bounds)
         if len(bounds) and (
-            (n < 0).any() or bounds[0] < 0 or bounds[-1] > len(y)
+            (n < 0).any() or bounds[0] < 0 or bounds[-1] > len(a)
         ):
             raise FitError("segment bounds must be non-decreasing within the block")
-        out = cls.zeros(len(n), x.shape[1])
-        out.n[:] = n
-        if w is None:
-            xw, yw = x, y
-            out.sum_w[:] = n
-        else:
-            xw = x * w[:, None]
-            yw = y * w
-        edges = bounds.tolist()
-        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            if a == b:
-                continue
-            xs = x[a:b]
-            out.ytwy[k] = yw[a:b] @ y[a:b]
-            # ``xs`` itself when unweighted, so matmul sees ``x.T @ x`` as
-            # from_data's does
-            np.matmul(xs.T, xs if w is None else xw[a:b], out=out.xtwx[k])
-            np.matmul(xs.T, yw[a:b], out=out.xtwy[k])
-            if w is not None:
-                out.sum_w[k] = w[a:b].sum()
-        return out
+        return cls._segments(a, w, bounds)
 
     @classmethod
     def from_bins(
         cls,
-        x: np.ndarray,
-        y: np.ndarray,
+        a: np.ndarray,
         w: np.ndarray | None,
         codes: np.ndarray,
         n_bins: int,
@@ -317,22 +360,19 @@ class StackedSuffStats:
         """``g`` of every bin of one block: problem ``b`` sums the rows coded ``b``.
 
         ``codes`` is a ``(k, n)`` array of unsigned bin indices below
-        ``n_bins``: row ``i`` of ``x`` (``(n, p)``), ``y`` and
-        ``w`` belongs to bin ``codes[j, i]`` for every code row ``j``, so code
-        rows over disjoint bin ranges give k partitions of the block side by
-        side.  One stable argsort of the codes (numpy's radix sort for 8- and
-        16-bit codes) lays every bin's rows out contiguously, in block order,
-        and one gather copies ``[x | y]`` into that layout; each non-empty bin
-        then costs one Gram matrix of its rows, which carries ``X'WX``,
-        ``X'WY`` and ``Y'WY`` together.  That is ``k·n·q²`` multiply-adds for
-        a block, however many bins the codes name.  Agrees with
-        :meth:`LinearSuffStats.from_data` of a bin's rows up to float
-        associativity; ``n`` is exact, and so is ``sum_w`` (the bin's
-        weights summed in block order, as ``from_data`` sums them).  An
-        empty bin is exact zeros with ``n = 0``.
+        ``n_bins``: laid row ``i`` of ``a`` (``(n, p + 1)``, ``y`` last) and
+        ``w`` belongs to bin ``codes[j, i]`` for every code row ``j``, so
+        code rows over disjoint bin ranges give k partitions of the block
+        side by side.  One stable argsort of the codes (numpy's radix sort
+        for 8- and 16-bit codes) lays every bin's rows out contiguously, in
+        block order, with one gather; each non-empty bin then costs one Gram
+        matrix of its rows.  That is ``k·n·q²`` multiply-adds for a block,
+        however many bins the codes name, and each bin is
+        :meth:`LinearSuffStats.from_rows` of its rows bit for bit.  An empty
+        bin is exact zeros with ``n = 0``.
         """
-        x, y, w = _checked_block(x, y, w)
-        n, p = x.shape
+        a, w = _checked_rows(a, w)
+        n = a.shape[0]
         codes = np.asarray(codes)
         if codes.ndim != 2 or codes.shape[1] != n or codes.dtype.kind != "u":
             raise FitError(
@@ -342,32 +382,42 @@ class StackedSuffStats:
         flat = codes.reshape(-1)
         if flat.size and int(flat.max()) >= n_bins:
             raise FitError(f"bin codes must lie in [0, {n_bins})")
-        a = np.empty((n, p + 1))
-        a[:, :p] = x
-        a[:, p] = y
         # entry j·n + i of ``flat`` is row i: the gather wraps modulo n
         order = np.argsort(flat, kind="stable")
         rows = np.take(a, order, axis=0, mode="wrap")
         counts = np.bincount(flat, minlength=n_bins)
-        gram = np.zeros((n_bins, p + 1, p + 1))
-        if w is None:
-            weighted, sum_w = rows, counts.astype(np.float64)
-        else:
-            weighted = np.take(a * w[:, None], order, axis=0, mode="wrap")
-            row_w = np.take(w, order, mode="wrap")
-            sum_w = np.zeros(n_bins)
-        edges = np.append(0, np.cumsum(counts)).tolist()
-        for b in np.flatnonzero(counts).tolist():
-            lo, hi = edges[b], edges[b + 1]
-            # ``rows[lo:hi]`` twice when unweighted, so matmul sees a.T @ a
-            np.matmul(weighted[lo:hi].T, rows[lo:hi], out=gram[b])
-            if w is not None:
-                sum_w[b] = row_w[lo:hi].sum()
+        if w is not None:
+            w = np.take(w, order, mode="wrap")
+        return cls._segments(rows, w, np.append(0, np.cumsum(counts)))
+
+    @classmethod
+    def _segments(
+        cls, a: np.ndarray, w: np.ndarray | None, bounds: np.ndarray
+    ) -> "StackedSuffStats":
+        """:meth:`from_segments` of validated rows: one Gram per non-empty
+        segment, written into one ``(N, p + 1, p + 1)`` array.
+
+        The components are copied out contiguous: a strided ``X'WY`` takes
+        another dot-product path in :meth:`sse` than the scalar one, and
+        differs from it in the last bit.
+        """
+        n = np.diff(bounds).astype(np.int64)
+        q = a.shape[1]
+        gram = np.zeros((len(n), q, q))
+        sum_w = n.astype(np.float64) if w is None else np.zeros(len(n))
+        edges = bounds.tolist()
+        for k in np.flatnonzero(n).tolist():
+            rows = slice(edges[k], edges[k + 1])
+            if w is None:
+                _gram(a[rows], None, out=gram[k])
+            else:
+                _gram(a[rows], w[rows], out=gram[k])
+                sum_w[k] = w[rows].sum()
         return cls(
-            ytwy=gram[:, p, p],
-            xtwx=gram[:, :p, :p],
-            xtwy=gram[:, :p, p],
-            n=counts,
+            ytwy=gram[:, -1, -1].copy(),
+            xtwx=gram[:, :-1, :-1].copy(),
+            xtwy=gram[:, :-1, -1].copy(),
+            n=n,
             sum_w=sum_w,
         )
 
@@ -575,12 +625,14 @@ class StackedSuffStats:
         return beta
 
     def sse(self, ridge: float = 0.0) -> np.ndarray:
-        """Batched ``q``: per-problem weighted SSE, clamped at zero."""
+        """Batched ``q``: per-problem weighted SSE, an exact fit read as 0.0
+        (the rule of :meth:`LinearSuffStats.sse`)."""
         beta = self.solve(ridge=ridge)
         # (N,1,p) @ (N,p,1) runs the same dot product LAPACK/BLAS uses for
         # the scalar path, keeping the batched SSE bit-identical to it.
         fitted = np.matmul(self.xtwy[:, None, :], beta[:, :, None])[:, 0, 0]
-        return np.maximum(self.ytwy - fitted, 0.0)
+        sse = self.ytwy - fitted
+        return np.where(sse <= _EXACT_FIT * self.ytwy, 0.0, sse)
 
     def _mse_dof(self) -> np.ndarray:
         """``n − p``, falling back to ``n`` where the model interpolates."""

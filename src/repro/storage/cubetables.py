@@ -53,7 +53,10 @@ _BYTES_WRITTEN = get_registry().counter(CUBE_TABLES_BYTES_WRITTEN)
 _BYTES_READ = get_registry().counter(CUBE_TABLES_BYTES_READ)
 
 _FORMAT = "repro-cube-tables"
-_LAYOUT_VERSION = 2
+#: v3: the statistics are one Gram matrix of laid rows per problem.  A v2
+#: table holds the same sums taken as three products, which differ in the
+#: last bits, so it is refused and rebuilt, never adopted.
+_LAYOUT_VERSION = 3
 
 
 class StaleCacheError(StorageError):
@@ -153,7 +156,7 @@ def _put(arrays: dict, prefix: str, stats: StackedSuffStats) -> None:
 class CubeTableStore:
     """Saves/loads a cube's suffstats tables in one directory.
 
-    Layout v2: ``cube_tables.dat`` — the stacked component arrays as raw
+    Layout v3: ``cube_tables.dat`` — the stacked component arrays as raw
     C-contiguous buffers back to back, ``L{i}_{component}`` per level and
     ``base_{component}`` for the base-cell table, behind an 8-byte store
     version stamp — + ``cube_tables_meta.json`` (format, store version,
@@ -163,8 +166,10 @@ class CubeTableStore:
     point; a crash mid-save leaves the old statistics or none, never a torn
     set.  A load maps the data file once and copies out only the members it
     returns, so loading the level tables does not pay for the base.  A
-    directory written in the retired npz layout (v1) is refused with a
-    :class:`~repro.storage.StorageError`; the next build replaces it.
+    directory written in an older layout — the retired npz files (v1), or
+    v2's statistics taken as three products instead of one Gram matrix — is
+    refused with a :class:`~repro.storage.StorageError`; the next build
+    replaces it.
 
     Thread safety: save/load serialize on an instance lock (the query
     service calls both from request threads), the data file is also written

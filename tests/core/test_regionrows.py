@@ -120,7 +120,7 @@ def _slices(rows):
 
 
 def _sizes(rows):
-    return [len(columns[1]) for columns in _slices(rows).values()]
+    return [len(columns[0]) for columns in _slices(rows).values()]
 
 
 def _assert_untouched_slices_equal(before, after, touched):
@@ -232,7 +232,7 @@ def test_weighted_and_unweighted_regions_in_one_store():
         FEATURES,
     )
     rows = RegionRows.from_store(store, np.arange(1, n_items + 1))
-    assert [w is not None for __, __, w, __, __ in _slices(rows).values()] == [
+    assert [w is not None for __, w, __, __ in _slices(rows).values()] == [
         True, False, False, True, False
     ]
     _assert_equals_raw_path(rng, n_items, store, rows, 3)

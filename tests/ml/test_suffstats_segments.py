@@ -1,11 +1,11 @@
 """StackedSuffStats.from_segments is from_data per segment — the same bits.
 
-Problem ``k`` of ``from_segments(x, y, w, bounds)`` must equal
-``LinearSuffStats.from_data`` of rows ``bounds[k]:bounds[k + 1]`` in every
-component's ``.hex()``: weighted and unweighted blocks, ``p = 1``,
-single-row segments, and empty segments first, in the middle and last
-(exact zeros, ``n = 0``).  The block is validated as ``from_data`` would
-validate it.
+Problem ``k`` of ``from_segments(a, w, bounds)`` over the laid rows
+``a = [x | y]`` must equal ``LinearSuffStats.from_data`` of rows
+``bounds[k]:bounds[k + 1]`` in every component's ``.hex()``: weighted and
+unweighted blocks, ``p = 1``, single-row segments, and empty segments first,
+in the middle and last (exact zeros, ``n = 0``).  The block is validated as
+``from_data`` would validate it.
 """
 
 import numpy as np
@@ -48,8 +48,12 @@ def _bits(ytwy, xtwx, xtwy, n, sum_w):
     )
 
 
+def _laid(x, y):
+    return np.column_stack([x, y])
+
+
 def _assert_equals_from_data(x, y, w, bounds):
-    stack = StackedSuffStats.from_segments(x, y, w, bounds)
+    stack = StackedSuffStats.from_segments(_laid(x, y), w, bounds)
     assert len(stack) == len(bounds) - 1
     assert stack.p == x.shape[1]
     for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -97,7 +101,7 @@ def test_empty_and_single_row_segments(sizes, weighted, p):
     w = rng.uniform(0.5, 2.0, size=n) if weighted else None
     bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
     _assert_equals_from_data(x, y, w, bounds)
-    stack = StackedSuffStats.from_segments(x, y, w, bounds)
+    stack = StackedSuffStats.from_segments(_laid(x, y), w, bounds)
     for k, size in enumerate(sizes):
         if size == 0:
             assert stack.n[k] == 0 and stack.sum_w[k] == 0.0
@@ -109,7 +113,7 @@ def test_segments_need_not_cover_the_block():
     """Rows outside every segment belong to no problem."""
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(20, 3)), rng.normal(size=20)
-    stack = StackedSuffStats.from_segments(x, y, None, np.array([4, 9, 9, 15]))
+    stack = StackedSuffStats.from_segments(_laid(x, y), None, np.array([4, 9, 9, 15]))
     for k, (a, b) in enumerate([(4, 9), (9, 9), (9, 15)]):
         want = (
             LinearSuffStats.from_data(x[a:b].copy(), y[a:b].copy())
@@ -129,20 +133,18 @@ def test_non_positive_weights_raise_as_from_data_does(bad):
     with pytest.raises(FitError) as scalar:
         LinearSuffStats.from_data(x, y, w)
     with pytest.raises(FitError) as stacked:
-        StackedSuffStats.from_segments(x, y, w, np.array([0, 2, 4]))
+        StackedSuffStats.from_segments(_laid(x, y), w, np.array([0, 2, 4]))
     assert str(stacked.value) == str(scalar.value)
 
 
 def test_malformed_blocks_raise():
     with pytest.raises(FitError):
-        StackedSuffStats.from_segments(np.zeros(3), np.zeros(3), None, [0, 3])
+        StackedSuffStats.from_segments(np.zeros(3), None, [0, 3])
     with pytest.raises(FitError):
-        StackedSuffStats.from_segments(np.zeros((3, 2)), np.zeros(4), None, [0, 3])
+        StackedSuffStats.from_segments(np.zeros((3, 0)), None, [0, 3])
     with pytest.raises(FitError):
-        StackedSuffStats.from_segments(
-            np.zeros((3, 2)), np.zeros(3), np.ones(4), [0, 3]
-        )
+        StackedSuffStats.from_segments(np.zeros((3, 3)), np.ones(4), [0, 3])
     with pytest.raises(FitError):
-        StackedSuffStats.from_segments(np.zeros((3, 2)), np.zeros(3), None, [0, 2, 1])
+        StackedSuffStats.from_segments(np.zeros((3, 3)), None, [0, 2, 1])
     with pytest.raises(FitError):
-        StackedSuffStats.from_segments(np.zeros((3, 2)), np.zeros(3), None, [0, 4])
+        StackedSuffStats.from_segments(np.zeros((3, 3)), None, [0, 4])

@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.obs import get_tracer, render_span_tree, span_to_dict
@@ -262,6 +263,7 @@ class TestObserveSession:
 
         report = ObsReport("fig8")
         report.elapsed_s = 12.345
+        report.minor_faults = 4_096
         report.metrics = {
             catalog.STORE_FULL_SCANS: 5,
             catalog.ML_LINEAR_BATCHED_PROBLEMS: 347_833,
@@ -270,7 +272,17 @@ class TestObserveSession:
         assert report.summary_line() == (
             "fig8: 12.35s  full_scans=5  region_reads=0  fits=0"
             "  batched_problems=347833  scalar_fallbacks=316083"
+            "  minor_faults=4096"
         )
+
+    def test_a_session_counts_its_minor_faults(self):
+        from repro.obs import observe
+
+        with observe("unit") as report:
+            touched = np.ones(1 << 21)  # 16 MB, written page by page
+        assert touched.sum() == 1 << 21
+        assert report.minor_faults >= 1
+        assert report.summary_line().endswith(f"  minor_faults={report.minor_faults}")
 
 
 def test_bench_journal_appends(tmp_path):

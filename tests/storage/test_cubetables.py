@@ -403,7 +403,7 @@ class TestLayoutV2:
     def test_region_keys_are_written_once(self, saved):
         table_store, __, __v, tables, __s = saved
         meta = json.loads(table_store.meta_path.read_text())
-        assert meta["layout_version"] == 2
+        assert meta["layout_version"] == 3
         assert len(meta["regions"]) == 1
         assert len(meta["regions"][0]) == tables[0].n_regions
         assert [entry["regions"] for entry in meta["levels"]] == [0] * len(tables)
@@ -468,6 +468,31 @@ class TestLayoutV2:
             t.stats.xtwx[:] = -1.0
         again = table_store.load(signature, version + 1)
         assert all(_same_bytes(a.stats, b.stats) for a, b in zip(again, other))
+
+    def test_a_v2_directory_is_refused_then_rebuilt(self, saved, setup):
+        """v2 statistics were three products per problem, not one Gram
+        matrix: the same sums up to the last bits.  Never adopted — a
+        loud refusal and one scan."""
+        table_store, signature, version, __, stacks = saved
+        __, store, builder, table_dir = setup
+        meta = json.loads(table_store.meta_path.read_text())
+        meta["layout_version"] = 2
+        table_store.meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="layout v2 unsupported"):
+            table_store.load(signature, version)
+        with pytest.raises(StorageError, match="layout v2 unsupported"):
+            table_store.load_base(signature)
+        scans0 = store.stats.full_scans
+        tables = build_cube_tables(builder, table_dir)
+        assert store.stats.full_scans - scans0 == 1
+        assert json.loads(table_store.meta_path.read_text())["layout_version"] == 3
+        __, base = table_store.load_base(signature)
+        assert all(_same_bytes(base[r], stacks[r]) for r in stacks)
+        assert_same_cube(
+            builder.build("optimized_serial"),
+            builder.build_from_tables(tables),
+            tol=EXACT,
+        )
 
     def test_a_v1_directory_is_refused_then_replaced(self, setup):
         """The retired npz layout is never read: loud refusal, one scan, and

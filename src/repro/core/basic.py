@@ -14,7 +14,7 @@ produced.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -111,6 +111,21 @@ def _first_strict_min(values: np.ndarray) -> int:
     return int(np.flatnonzero(values == np.nanmin(values))[0])
 
 
+@dataclass(frozen=True)
+class _ByCost:
+    """Every budget's answer under one coverage bound, as a step function.
+
+    ``breaks`` are the costs of the admitted entries whose cost is not NaN,
+    ascending; ``best[j]`` and ``n_feasible[j]`` are the winner (``-1``:
+    none) and the feasible count when exactly the first ``j`` of them are
+    within budget, beside every NaN-cost entry, which no budget excludes.
+    """
+
+    breaks: np.ndarray
+    best: list[int]
+    n_feasible: list[int]
+
+
 @dataclass(frozen=True, eq=False)
 class RegionProfile:
     """An evaluated profile as columns: entry ``k`` is region ``regions[at[k]]``.
@@ -130,6 +145,8 @@ class RegionProfile:
     #: NaN where the estimate carries none (a cross-validated one).
     sse: np.ndarray
     dof: np.ndarray
+    #: ``min_coverage`` -> :class:`_ByCost`, built on first use.
+    _by_cost: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.at)
@@ -203,6 +220,66 @@ class RegionProfile:
             self.rmse[feasible], self.cost[feasible], self.coverage[feasible]
         )
         return int(feasible[_first_strict_min(objective)]), feasible
+
+    def winner(self, criterion: Criterion) -> tuple[int | None, int]:
+        """``(winner, n_feasible)``: :meth:`select`'s pick, and its count.
+
+        Under a budget :class:`Criterion` the answer is a step function of
+        the budget that steps at the region costs; it is read off the
+        profile's by-cost table with one ``searchsorted``.  Any other
+        criterion selects.
+        """
+        if type(criterion) is not Criterion:
+            best, feasible = self.select(criterion)
+            return best, len(feasible)
+        table = self._by_cost.get(criterion.min_coverage)
+        if table is None:
+            table = self._by_cost[criterion.min_coverage] = self._cost_steps(
+                criterion.min_coverage
+            )
+        j = (
+            len(table.breaks)
+            if criterion.budget is None
+            else int(np.searchsorted(table.breaks, criterion.budget, side="right"))
+        )
+        best = table.best[j]
+        return (None if best < 0 else best), table.n_feasible[j]
+
+    def _cost_steps(self, min_coverage: float) -> _ByCost:
+        """The by-cost table: :func:`_first_strict_min` down cost order.
+
+        Entries join in cost order (equal costs in profile order), after
+        the NaN-cost ones, which seed every prefix.  Two running minima
+        give the winner of each prefix: the first entry in profile order,
+        which wins if its rmse is NaN, and the least ``(rmse, position)``
+        with the NaN rmse ranked last, which wins otherwise.
+        """
+        admitted = np.flatnonzero(self.coverage >= min_coverage)
+        n = len(admitted)
+        if not n:
+            return _ByCost(np.empty(0), [-1], [0])
+        cost, rmse = self.cost[admitted], self.rmse[admitted]
+        free = np.isnan(cost)
+        priced = np.flatnonzero(~free)
+        joins = priced[np.argsort(cost[priced], kind="stable")]
+        # Positions into ``admitted``; ``n`` stands for "nobody yet".
+        rank_order = np.argsort(rmse, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[rank_order] = np.arange(n)
+        seeds = np.flatnonzero(free)
+        first = np.minimum.accumulate(
+            np.concatenate(([seeds[0] if len(seeds) else n], joins))
+        )
+        least = np.minimum.accumulate(
+            np.concatenate(([rank[seeds].min() if len(seeds) else n], rank[joins]))
+        )
+        pos = np.minimum(first, n - 1)
+        pos = np.where(np.isnan(rmse[pos]), pos, rank_order[np.minimum(least, n - 1)])
+        return _ByCost(
+            cost[joins],
+            np.where(first < n, admitted[pos], -1).tolist(),
+            (len(seeds) + np.arange(len(joins) + 1)).tolist(),
+        )
 
 
 def select_bellwether(

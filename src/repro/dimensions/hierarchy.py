@@ -192,8 +192,15 @@ class HierarchicalDimension:
             ) from None
 
     def encode_leaves(self, values: np.ndarray) -> np.ndarray:
-        """Map an array of recorded leaf values to dense leaf codes."""
-        return np.array([self.leaf_code(str(v)) for v in values], dtype=np.int64)
+        """Map an array of recorded leaf values to dense leaf codes.
+
+        Each distinct value is looked up once, as ``leaf_code(str(value))``,
+        through a dict: ``np.unique`` would sort an object column by Python
+        comparisons, which costs more than the lookups it saves.
+        """
+        values = np.asarray(values).tolist()
+        codes = {v: self.leaf_code(str(v)) for v in set(values)}
+        return np.fromiter(map(codes.__getitem__, values), dtype=np.int64, count=len(values))
 
     def contains_leaf(self, node_name: str, leaf_name: str) -> bool:
         return self.leaf_code(leaf_name) in set(self._leaf_codes_under[self.node(node_name).name])

@@ -503,27 +503,6 @@ class StackedSuffStats:
         self.n[idx] = other.n
         self.sum_w[idx] = other.sum_w
 
-    def changed_rows(self, other: "StackedSuffStats") -> np.ndarray:
-        """Indices of problems whose components differ from ``other``'s.
-
-        Bitwise comparison (no tolerance): the incremental layer promises
-        bit-for-bit equality with a from-scratch pass, so "dirty" means any
-        component byte moved.
-        """
-        if len(self) != len(other) or self.p != other.p:
-            raise FitError(
-                f"cannot diff stacks of shape ({len(self)}, p={self.p}) "
-                f"and ({len(other)}, p={other.p})"
-            )
-        same = (
-            (self.ytwy == other.ytwy)
-            & (self.xtwx == other.xtwx).all(axis=(1, 2))
-            & (self.xtwy == other.xtwy).all(axis=1)
-            & (self.n == other.n)
-            & (self.sum_w == other.sum_w)
-        )
-        return np.flatnonzero(~same)
-
     def rollup(self, target: np.ndarray, n_out: int) -> "StackedSuffStats":
         """Scatter-add problems into ``n_out`` coarser ones (Theorem 1).
 

@@ -15,12 +15,16 @@ Endpoints (all JSON; see DESIGN.md §9):
 * ``GET /healthz`` / ``GET /metricsz`` — liveness / registry snapshot.
 
 One thread per *connection* (``ThreadingHTTPServer``); the requests of a
-keep-alive connection reuse it.  Every request funnels through
-:meth:`_Handler._dispatch`, which times its three stages — parse, answer,
-write — maps any :class:`~repro.exceptions.ReproError` onto the structured
-JSON error payload of :mod:`repro.serve.errors` and keeps the thread alive
-on any other failure; http.server's own refusals (unknown method,
-unparsable request line) get the same payload through
+keep-alive connection reuse it.  :meth:`_Handler.parse_request` reads the
+request line and the head itself — a split per header line under
+http.client's limits, no ``email.parser`` — into a plain dict of
+lower-cased names; a body is framed by ``Content-Length`` alone.  Every
+request then funnels through :meth:`_Handler._dispatch`, which times its
+three stages — parse (from the request line on), answer, write — maps
+any :class:`~repro.exceptions.ReproError` onto the structured JSON error
+payload of :mod:`repro.serve.errors` and keeps the thread alive on any
+other failure; refusals of the request line or head (unknown method,
+unparsable line, a head past the limits) get the same payload through
 :meth:`_Handler.send_error`.  The read endpoints' bodies arrive from
 :class:`ServerState` as bytes and are written straight through; every
 reply leaves in one write (:meth:`_Handler._reply`).  Latency/request
@@ -31,6 +35,7 @@ under the instrument lock.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from collections.abc import Callable
@@ -41,7 +46,13 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ReproError
 
-from .errors import BadRequestError, MethodNotAllowedError, NotFoundError, error_payload
+from .errors import (
+    BadRequestError,
+    MethodNotAllowedError,
+    NotFoundError,
+    UnsupportedFramingError,
+    error_payload,
+)
 from .snapshot import dumps
 from .state import ServerState, record_request
 
@@ -49,6 +60,13 @@ __all__ = ["BellwetherHTTPServer", "ServerHandle", "make_server", "serve_in_thre
 
 _GET_ROUTES = ("/model", "/regions", "/cube", "/aqp", "/healthz", "/metricsz")
 _POST_ROUTES = ("/bellwether", "/predict", "/aqp/train")
+
+#: http.client's limits on a request head: bytes a line (line end
+#: included) and header fields a head.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: A header field name (RFC 9110 §5.1: a token).
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 
 class BellwetherHTTPServer(ThreadingHTTPServer):
@@ -63,6 +81,13 @@ class BellwetherHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, state: ServerState):
         super().__init__(address, _Handler)
         self.state = state
+        #: ``(second, Date value)``: formatted once a second, not once a reply.
+        self.date = (0, "")
+
+
+def _is_number(part: str) -> bool:
+    """A version component http.server reads: 1 to 10 ASCII digits."""
+    return part.isascii() and part.isdigit() and len(part) <= 10
 
 
 def _dumped(call: Callable[[], dict]) -> Callable[[], bytes]:
@@ -80,6 +105,97 @@ class _Handler(BaseHTTPRequestHandler):
     # TCP_NODELAY on the accepted socket (socketserver sets it in setup()).
     disable_nagle_algorithm = True
     server: BellwetherHTTPServer
+    #: The lower-cased header fields of the request in hand.
+    headers: dict[str, str]
+
+    # --------------------------------------------------------------- the head
+
+    def parse_request(self) -> bool:
+        """The request line and the header fields, without ``email.parser``.
+
+        The request line is checked as http.server checks it (400, 505,
+        HTTP/0.9); the clock of the parse stage starts here.  Header lines
+        are read under http.client's limits (431 past either) into
+        :attr:`headers`, a repeated field's values joined by ``", "``
+        (RFC 9110 §5.3), so two ``Content-Length`` values are no integer.
+        A line that is no ``name: value`` field — a folded line, an empty
+        or spaced name — loses the framing: 400, and the connection
+        closes.  ``Connection`` and ``Expect: 100-continue`` act as in
+        http.server.  Returns ``False`` once a refusal has been sent.
+        """
+        self._start = time.perf_counter()
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = version[5:] if version.startswith("HTTP/") else ""
+            major, dot, minor = number.partition(".")
+            if not (dot and _is_number(major) and _is_number(minor)):
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            parsed = int(major), int(minor)
+            if parsed >= (1, 1):
+                self.close_connection = False
+            if parsed >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({number})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # http.server's guard against an open redirect: '//path' is '/path'.
+        self.command, self.path = command, (
+            "/" + path.lstrip("/") if path.startswith("//") else path
+        )
+        headers = self._read_head()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = {t.strip().lower() for t in headers.get("connection", "").split(",")}
+        if "close" in connection:
+            self.close_connection = True
+        elif "keep-alive" in connection:
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_head(self) -> dict[str, str] | None:
+        """The header fields up to the blank line; ``None`` once refused."""
+        headers: dict[str, str] = {}
+        fields = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            fields += 1
+            if fields > _MAX_HEADERS:
+                self.send_error(431, "Too many headers")
+                return None
+            name, colon, value = line.partition(b":")
+            if not (colon and _FIELD_NAME.fullmatch(name)):
+                self.send_error(400, f"Bad header line ({line[:80]!r})")
+                return None
+            key = name.decode("ascii").lower()
+            value = value.strip(b" \t\r\n").decode("iso-8859-1")
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
 
     # ------------------------------------------------------------ dispatching
 
@@ -94,9 +210,9 @@ class _Handler(BaseHTTPRequestHandler):
 
         It calls this for a method without a ``do_*`` (501: the request
         itself parsed, so it is dispatched like any other and ``_route``
-        answers 405) and for a request line or header block it cannot
-        parse (400, 414, 431, 505): the framing is lost, so the
-        connection closes, and the request was never timed.
+        answers 405); it and :meth:`parse_request` call it for a request
+        line or head they cannot parse (400, 414, 431, 505): the framing is
+        lost, so the connection closes, and the request is not timed.
         """
         if code == HTTPStatus.NOT_IMPLEMENTED:
             self._dispatch()
@@ -107,7 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
         record_request("unknown", 0.0, True)
 
     def _dispatch(self) -> None:
-        start = time.perf_counter()
+        start = self._start
         endpoint = "unknown"
         error = False
         parsed = None
@@ -214,12 +330,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _content_length(self) -> int:
         """The declared body length, parsed once per request.
 
-        Anything but a non-negative integer loses the message framing:
+        Anything but one non-negative integer loses the message framing:
         answer 400 and close the connection rather than guess where the
         next request starts (``read(-1)`` would wait for the client to
-        hang up).
+        hang up).  A body framed by ``Transfer-Encoding`` is not read:
+        501, and the connection closes before its chunks can be taken for
+        requests.
         """
-        raw = (self.headers.get("Content-Length") or "0").strip()
+        if "transfer-encoding" in self.headers:
+            self.close_connection = True
+            raise UnsupportedFramingError(
+                "Transfer-Encoding is not supported; frame the body with Content-Length"
+            )
+        raw = (self.headers.get("content-length") or "0").strip()
         if not (raw.isascii() and raw.isdigit()):
             self.close_connection = True
             raise BadRequestError(
@@ -256,7 +379,7 @@ class _Handler(BaseHTTPRequestHandler):
         lines = [
             f"{self.protocol_version} {status} {self.responses[status][0]}",
             f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
+            f"Date: {self._date_value()}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
         ]
@@ -270,6 +393,13 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             # Client hung up mid-reply; nothing to answer anymore.
             self.close_connection = True
+
+    def _date_value(self) -> str:
+        now = int(time.time())
+        stamp = self.server.date
+        if stamp[0] != now:
+            stamp = self.server.date = (now, self.date_time_string(now))
+        return stamp[1]
 
     def log_message(self, format: str, *args) -> None:
         """Silence the per-request stderr line (metrics cover it)."""

@@ -24,6 +24,7 @@ __all__ = [
     "MethodNotAllowedError",
     "NotFoundError",
     "ServeError",
+    "UnsupportedFramingError",
     "error_payload",
     "status_of",
 ]
@@ -51,6 +52,12 @@ class MethodNotAllowedError(ServeError):
     """The endpoint exists but not under this HTTP method."""
 
     status = 405
+
+
+class UnsupportedFramingError(ServeError):
+    """A request body framed other than by ``Content-Length`` (chunked)."""
+
+    status = 501
 
 
 class InfeasibleQueryError(ServeError):

@@ -17,12 +17,18 @@ once, when the object it describes is built: every region's entry head
 with the snapshot (aligned with its region tuple, as its cost array is),
 a model's predictions with its :class:`FittedModel`, the three browse
 bodies with the snapshot.  A subset's profile is kept as columns
-(:class:`~repro.core.basic.RegionProfile`); a /bellwether request selects
-by the one winner rule (:meth:`~repro.core.basic.RegionProfile.select`)
-over them, so any budget is answered, and renders only the entries its
-reply returns (:func:`render_entries`): the winner's, plus every feasible
-region's when the request asks to ``explain``.  Nothing is filled in
-lazily, and nothing is keyed by request.
+(:class:`~repro.core.basic.RegionProfile`), so any budget is answered.  A
+/bellwether request reads the winner of a held profile off the profile's
+by-cost table (:meth:`~repro.core.basic.RegionProfile.winner`) and
+renders only the entries its reply returns (:func:`render_entries`).
+Beside each held profile the snapshot keeps what its warm replies repeat
+(:class:`_Replies`): the items echo, and each winner's entry once it has
+been asked for, one per distinct winner at most.  They go with the
+profile, or with the version.  A profile evaluated for one reply, and an
+``explain`` reply, select by the one winner rule
+(:meth:`~repro.core.basic.RegionProfile.select`) and render the winner's
+entry plus, on ``explain``, every feasible region's.  Nothing is keyed by
+request.
 
 A method returns ``None`` when the snapshot lacks what the answer needs
 (a never-seen subset's profile, an unfitted model, the cube).  A subset's
@@ -240,6 +246,38 @@ def render_cube(version: int, cube) -> dict[tuple[int, ...] | None, bytes]:
     return {None: dumps(overview), **bodies}
 
 
+#: A /bellwether body: version, budget, items echo, winner entry,
+#: ``n_feasible``, then the ``feasible`` list on ``explain`` (else nothing).
+_BELLWETHER = (
+    b'{"store_version": %d, "mode": "exact", "budget": %s, "items": %s, '
+    b'"found": true, "bellwether": %s, "n_feasible": %d%s}'
+)
+
+
+class _Replies:
+    """What every warm /bellwether reply from one held profile repeats.
+
+    The items echo, and the rendered entry of each winner asked for so
+    far.  Readers fill ``entries`` without a lock: two racing on one
+    winner render the same bytes, and a dict store is atomic.
+    """
+
+    __slots__ = ("profile", "heads", "echo", "entries")
+
+    def __init__(self, profile: RegionProfile, heads: tuple[bytes, ...], key):
+        self.profile = profile
+        self.heads = heads
+        self.echo = dumps(None if key is None else sorted(key))
+        self.entries: dict[int, bytes] = {}
+
+    def entry(self, best: int) -> bytes:
+        entry = self.entries.get(best)
+        if entry is None:
+            entry = render_entries(self.profile, self.heads, [best])[0]
+            self.entries[best] = entry
+        return entry
+
+
 def infeasible(budget, ids) -> InfeasibleQueryError:
     return InfeasibleQueryError(
         f"no feasible region for budget={budget!r} over "
@@ -276,6 +314,9 @@ class Snapshot:
     #: subset question at a deployment (one scan builds it); carried
     #: across deltas after that.
     rows: RegionRows | None = None
+    #: ``profiles``' key -> :class:`_Replies`, derived here: a
+    #: predecessor's is kept while its profile and heads stand.
+    replies: Mapping[frozenset | None, _Replies] | None = None
 
     def __post_init__(self):
         # Own read-only copies: nothing the builder keeps can alias in.  A
@@ -291,6 +332,14 @@ class Snapshot:
             object.__setattr__(self, "cost", cost)
         if self.rows is not None and self.rows.regions != self.regions:
             raise ConfigError("the region rows are not the snapshot's regions")
+        prior = self.replies or {}
+        replies = {}
+        for key, profile in self.profiles.items():
+            held = prior.get(key)
+            if held is None or held.profile is not profile or held.heads is not self.heads:
+                held = _Replies(profile, self.heads, key)
+            replies[key] = held
+        object.__setattr__(self, "replies", MappingProxyType(replies))
 
     # ------------------------------------------------------------ /bellwether
 
@@ -301,17 +350,32 @@ class Snapshot:
     def bellwether(
         self, criterion, budget, ids, explain=False
     ) -> tuple[bytes, Region] | None:
-        """The exact /bellwether body and its winner; ``None`` = subset not profiled."""
-        profile = self.profiles.get(None if ids is None else frozenset(ids))
+        """The exact /bellwether body and its winner; ``None`` = subset not profiled.
+
+        The winner is read off the held profile's by-cost table, and its
+        entry and the items echo come from :attr:`replies`.
+        """
+        key = None if ids is None else frozenset(ids)
+        profile = self.profiles.get(key)
         if profile is None:
             return None
-        return self.bellwether_of(profile, criterion, budget, ids, explain)
+        if explain:
+            return self.bellwether_of(profile, criterion, budget, ids, explain)
+        best, n_feasible = profile.winner(criterion)
+        if best is None:
+            raise infeasible(budget, ids)
+        held = self.replies[key]
+        body = _BELLWETHER % (
+            self.version, dumps(budget), held.echo, held.entry(best), n_feasible, b""
+        )
+        return body, profile.region(best)
 
     def bellwether_of(
         self, profile: RegionProfile, criterion, budget, ids, explain=False
     ) -> tuple[bytes, Region]:
-        """:meth:`bellwether` from ``profile``: ``ids``' own, held here or
-        just computed by :meth:`evaluate`.
+        """:meth:`bellwether` from ``profile``, by :meth:`RegionProfile.select
+        <repro.core.basic.RegionProfile.select>`: ``ids``' own, just computed
+        by :meth:`evaluate`, or held here and asked to ``explain``.
 
         The reply names the winner and counts the feasible regions;
         ``explain`` appends every feasible region's entry, in profile order.
@@ -321,13 +385,11 @@ class Snapshot:
             raise infeasible(budget, ids)
         picks = np.concatenate(([best], feasible)) if explain else [best]
         entries = render_entries(profile, self.heads, picks)
-        body = (
-            b'{"store_version": %d, "mode": "exact", "budget": %s, "items": %s, '
-            b'"found": true, "bellwether": %s, "n_feasible": %d'
-        ) % (self.version, dumps(budget), dumps(ids), entries[0], len(feasible))
-        if explain:
-            body += b', "feasible": [%s]' % b", ".join(entries[1:])
-        return body + b"}", profile.region(best)
+        listed = b', "feasible": [%s]' % b", ".join(entries[1:]) if explain else b""
+        body = _BELLWETHER % (
+            self.version, dumps(budget), dumps(ids), entries[0], len(feasible), listed
+        )
+        return body, profile.region(best)
 
     # --------------------------------------------------------------- /predict
 
@@ -344,7 +406,7 @@ class Snapshot:
         profile = self.profiles.get(frozenset(ids))
         if profile is None:
             return None
-        best, __ = profile.select(criterion)
+        best, __ = profile.winner(criterion)
         if best is None:
             raise infeasible(budget, ids)
         return profile.region(best)

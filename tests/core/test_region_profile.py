@@ -8,11 +8,13 @@ a later NaN never wins; a tie goes to the earlier region.  Both criteria
 and every corner: NaN seeds and later NaNs, ±inf, 0.0 / -0.0, exact ties,
 no budget, a NaN cost, and nobody feasible.  The scalar ``admits`` /
 ``objective`` the batch paths call one region at a time must agree with the
-arrays elementwise.
+arrays elementwise.  ``winner`` reads the same pick off a by-cost table,
+at every budget.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -135,3 +137,42 @@ def test_of_keeps_every_field_and_indexes_a_shared_region_list():
     assert math.isnan(RegionProfile.of([cv]).sse[0])
     empty = RegionProfile.of([], regions)
     assert len(empty) == 0 and empty.select(Criterion())[0] is None
+
+
+# Costs and rmse from small pools make cost ties, rmse ties, NaN costs and
+# NaN-rmse seeds common.
+_costs = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 2.5, NAN, INF]), st.floats(-5, 5))
+_rmses = st.one_of(st.sampled_from([0.0, 0.5, 0.5, 1.0, NAN, INF]), st.floats(0, 5))
+
+
+@given(
+    st.lists(st.tuples(_costs, _coverages, _rmses), max_size=12),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
+)
+@example([(NAN, 1.0, NAN), (0.0, 1.0, 0.5)], [0.0])
+@example([(1.0, 1.0, 0.5), (1.0, 1.0, 0.5), (0.0, 1.0, NAN)], [0.0])
+@example([(2.5, 1.0, 1.0), (NAN, 0.0, 0.0), (1.0, 0.5, 1.0)], [0.5, 0.0])
+@example([(INF, 1.0, 0.0), (-INF, 1.0, 1.0)], [0.0])
+@example([], [0.0])
+@settings(max_examples=300, deadline=None)
+def test_winner_is_select_at_and_beside_every_breakpoint(rows, min_coverages):
+    """The by-cost lookup equals ``select()`` at every cost, one ulp either
+    side of it, with no budget and with a NaN budget — for each coverage
+    bound asked of the same profile, whose tables are kept per bound."""
+    profile = RegionProfile.of(_results(rows))
+    costs = [c for c, __, __ in rows if not math.isnan(c)]
+    budgets = {None, NAN, -INF, INF}
+    for c in costs:
+        budgets |= {c, float(np.nextafter(c, -INF)), float(np.nextafter(c, INF))}
+    for min_coverage in min_coverages:
+        for budget in budgets:
+            criterion = Criterion(budget=budget, min_coverage=min_coverage)
+            best, feasible = profile.select(criterion)
+            assert profile.winner(criterion) == (best, len(feasible)), budget
+
+
+def test_winner_under_a_linear_criterion_selects():
+    profile = RegionProfile.of(_results([(1.0, 1.0, 2.0), (5.0, 1.0, 1.5)]))
+    criterion = LinearCriterion(w_cost=0.5)
+    assert profile.winner(criterion) == (0, 2)
+    assert profile.select(criterion)[0] == 0

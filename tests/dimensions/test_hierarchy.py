@@ -99,6 +99,18 @@ class TestMembership:
         with pytest.raises(HierarchyError):
             location.encode_leaves(np.array(["Mars"], dtype=object))
 
+    def test_non_leaf_rejected_among_repeated_leaves(self, location):
+        with pytest.raises(HierarchyError, match="'US' is not a leaf"):
+            location.encode_leaves(np.array(["WI", "WI", "US", "AL"], dtype=object))
+
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_codes_are_each_value_looked_up(self, location, dtype):
+        values = np.array(["WI", "SE", "WI", "AL", "ON", "SE", "WI"], dtype=dtype)
+        codes = location.encode_leaves(values)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [location.leaf_code(str(v)) for v in values]
+        assert location.encode_leaves(values[:0]).tolist() == []
+
     def test_contains_leaf(self, location):
         assert location.contains_leaf("US", "WI")
         assert not location.contains_leaf("KR", "WI")

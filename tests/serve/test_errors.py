@@ -2,9 +2,13 @@
 
 import http.client
 import json
+import re
 import socket
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import ServeHTTPError
 
@@ -171,6 +175,146 @@ def test_http_server_refusals_are_structured_and_counted(
     after = served.state.metricsz()["metrics"]
     for counter in ("serve.requests", "serve.errors"):
         assert after[counter] == before[counter] + 1
+
+
+def _exchange_raw(served, request_bytes) -> bytes:
+    """Everything the server sends for ``request_bytes``, until it hangs up."""
+    with socket.create_connection((served.host, served.port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    return raw
+
+
+def _replies(raw: bytes) -> list[tuple[bytes, bytes]]:
+    """``raw`` cut into ``(head, body)`` replies by their Content-Length."""
+    replies = []
+    while raw:
+        head, blank, raw = raw.partition(b"\r\n\r\n")
+        assert blank, f"a reply without the end of its head: {head[:200]!r}"
+        length = int(re.search(rb"(?im)^content-length: *(\d+)", head)[1])
+        replies.append((head, raw[:length]))
+        raw = raw[length:]
+    return replies
+
+
+@pytest.mark.parametrize("method", ["POST", "HEAD"])
+def test_a_chunked_request_gets_one_501_and_a_close(served, method):
+    """Its chunk-size line used to be parsed as the next request: two
+    replies, the second read on a keep-alive connection as the answer to
+    the client's next request."""
+    before = served.state.metricsz()["metrics"]
+    raw = _exchange_raw(
+        served,
+        f"{method} /bellwether HTTP/1.1\r\nHost: x\r\n".encode()
+        + b"Transfer-Encoding: chunked\r\n\r\n"
+        + b'10\r\n{"budget": 60.0}\r\n0\r\n\r\n'
+        + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+    )
+    if method == "HEAD":  # the head alone: exactly one status line
+        assert raw.count(b"HTTP/1.1 ") == 1 and raw.endswith(b"\r\n\r\n")
+        head = raw
+    else:
+        [(head, body)] = _replies(raw)
+        _assert_error(json.loads(body), 501, "UnsupportedFramingError")
+    assert head.startswith(b"HTTP/1.1 501 ")
+    assert b"connection: close" in head.lower()
+    after = served.state.metricsz()["metrics"]
+    for counter in ("serve.requests", "serve.errors"):
+        assert after[counter] == before[counter] + 1
+
+
+def test_conflicting_content_lengths_get_one_400_and_a_close(served):
+    raw = _exchange_raw(
+        served,
+        b"POST /bellwether HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Length: 16\r\nContent-Length: 5\r\n\r\n"
+        b'{"budget": 60.0}GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n',
+    )
+    [(head, body)] = _replies(raw)
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"connection: close" in head.lower()
+    _assert_error(json.loads(body), 400, "BadRequestError")
+    assert "Content-Length" in json.loads(body)["error"]["message"]
+
+
+_NAMES = st.text(string.ascii_letters + string.digits + "-", min_size=1, max_size=10)
+_VALUES = st.text(string.ascii_letters + string.digits + " ,;=/", max_size=16)
+_REQUESTS = [
+    (b"GET", b"/healthz", b""),
+    (b"POST", b"/bellwether", b'{"budget": 60.0}'),
+    (b"POST", b"/bellwether", b"{not json"),
+]
+#: What a head may get wrong, and the status it must be refused with.
+_FLAWS = {
+    "none": None,
+    "100-fields": None,
+    "65536-byte-line": None,
+    "obs-fold": 400,
+    "empty-name": 400,
+    "spaced-name": 400,
+    "101-fields": 431,
+    "65537-byte-line": 431,
+}
+
+
+@st.composite
+def _heads(draw, last: bool):
+    """One request and the status a flaw in its head must get (``None``:
+    none), ``last`` asking the server to close after its reply."""
+    method, path, body = draw(st.sampled_from(_REQUESTS))
+    flaw = draw(st.sampled_from(sorted(_FLAWS)))
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    fields = [
+        b"X-%s: %s" % (name.encode(), value.encode())
+        for name, value in draw(st.lists(st.tuples(_NAMES, _VALUES), max_size=4))
+    ]
+    fields += [b"Host: x", b"Content-Length: %d" % len(body)]
+    if last:
+        fields.append(b"Connection: close")
+    if flaw in ("100-fields", "101-fields"):
+        fields += [b"X-Pad: %d" % k for k in range(int(flaw[:3]) - len(fields))]
+    elif flaw.endswith("-byte-line"):
+        pad = int(flaw[:5]) - len(b"X-Long: ") - len(eol)
+        fields.insert(draw(st.integers(0, len(fields))), b"X-Long: " + b"a" * pad)
+    elif flaw != "none":
+        bad = {"obs-fold": b" folded", "empty-name": b": empty", "spaced-name": b"X-Bad : 1"}
+        fields.insert(draw(st.integers(1, len(fields))), bad[flaw])
+    head = eol.join([b"%s %s HTTP/1.1" % (method, path), *fields, b"", b""])
+    return head + body, _FLAWS[flaw]
+
+
+@given(st.lists(_heads(last=False), max_size=2), _heads(last=True))
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_every_head_gets_one_reply_or_a_refusal_and_a_close(served, leading, final):
+    """Random heads, pipelined: bare LF ends, folded lines, empty and
+    spaced names, 100 / 101 fields, 65,536 / 65,537-byte lines.  Each
+    request gets exactly one structured reply, never a 500; the first bad
+    head gets its 4xx with ``Connection: close`` and nothing follows it;
+    the server keeps serving."""
+    requests = [*leading, final]
+    raw = _exchange_raw(served, b"".join(request for request, __ in requests))
+    replies = _replies(raw)
+    refused = next((k for k, (__, status) in enumerate(requests) if status), None)
+    answered = requests if refused is None else requests[: refused + 1]
+    assert len(replies) == len(answered)
+    for k, ((head, body), (__, status)) in enumerate(zip(replies, answered)):
+        code = int(head.split(b" ", 2)[1])
+        assert code < 500, head
+        error = json.loads(body).get("error")
+        assert error is None or error["status"] == code
+        closes = b"connection: close" in head.lower()
+        if status is not None:
+            assert code == status and closes
+        else:
+            assert closes == (k == len(requests) - 1)
+    assert served.thread.is_alive()
+    assert _raw(served, "GET", "/healthz")[0] == 200
 
 
 def test_head_is_refused_with_the_head_alone(served):

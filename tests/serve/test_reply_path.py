@@ -14,12 +14,15 @@
     request's latency went.
 """
 
+import dataclasses
 import http.client
 import itertools
 import json
 import re
 import socket
 import statistics
+import sys
+import threading
 import time
 
 import numpy as np
@@ -32,6 +35,7 @@ import repro.serve.snapshot as snapshot_module
 from repro.core import BasicBellwetherSearch
 from repro.core.basic import RegionProfile, RegionResult, select_bellwether
 from repro.dimensions import Interval, Region, region_to_json
+from repro.exceptions import ReproError
 from repro.incremental import month_append_delta, month_split_store
 from repro.obs import catalog
 from repro.ml import ErrorEstimate
@@ -471,6 +475,69 @@ def test_in_process_payloads_parse_the_same_bytes(served, conn):
         assert in_process() == json.loads(body), path
 
 
+def test_warm_replies_equal_select_under_racing_readers(served, client):
+    """A warm reply reads its winner off the held profile's by-cost table
+    and takes its entry and echo from ``Snapshot.replies``, which readers
+    fill without a lock.  Eight readers racing over fresh tables and an
+    empty memo, at every cost and one ulp either side, each get the body
+    ``select()`` renders (``bellwether_of``), and each winner's entry is
+    kept once."""
+    client.bellwether(budget=60.0, items=SUBSET)  # a held subset profile
+    state = served.state
+    snap = state._snapshot
+    fresh = dataclasses.replace(
+        snap, profiles={key: dataclasses.replace(p) for key, p in snap.profiles.items()}
+    )
+    budgets = sorted(
+        {None}
+        | {
+            float(b)
+            for cost in snap.cost.tolist()
+            for b in (cost, np.nextafter(cost, -np.inf), np.nextafter(cost, np.inf))
+        },
+        key=lambda b: -1.0 if b is None else b,
+    )
+    asked = [(ids, budget) for ids in (None, SUBSET) for budget in budgets]
+
+    def answer(call):
+        try:
+            return call()
+        except ReproError as exc:
+            return type(exc)
+
+    failures = []
+
+    def reader(seed):
+        for k in np.random.default_rng(seed).permutation(len(asked)).tolist():
+            ids, budget = asked[k]
+            criterion = state._criterion(budget)
+            key = None if ids is None else frozenset(ids)
+            got = answer(lambda: fresh.bellwether(criterion, budget, ids))
+            want = answer(
+                lambda: fresh.bellwether_of(fresh.profiles[key], criterion, budget, ids)
+            )
+            if got != want:
+                failures.append((ids, budget, got, want))
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures, failures[:3]
+    for key, held in fresh.replies.items():
+        assert held.profile is fresh.profiles[key]
+        for best, entry in held.entries.items():
+            assert entry == render_entries(held.profile, fresh.heads, [best])[0]
+    assert fresh.replies[None].entries  # the all-items profile was asked
+
+
 # ------------------------------------------------------- (d) bounded profiles
 
 
@@ -547,7 +614,7 @@ def test_server_timing_and_stage_histograms_split_the_latency(served, conn):
     deadline = time.monotonic() + 10
     while True:
         after = state.metricsz()["metrics"]
-        if after[f"{latency}.count"] > before[f"{latency}.count"]:
+        if after.get(f"{latency}.count", 0) > before.get(f"{latency}.count", 0):
             break
         assert time.monotonic() < deadline, "request never recorded"
         time.sleep(0.01)
@@ -565,3 +632,29 @@ def test_server_timing_and_stage_histograms_split_the_latency(served, conn):
     # an error reply is timed too
     __, headers, __ = _exchange(conn, "POST", "/bellwether", {"budget": "cheap"})
     assert "parse;dur=" in headers["Server-Timing"]
+
+    # the parse stage starts at the request line: a head that arrives
+    # 100 ms after it is read inside the stage, and inside the latency
+    # (the bound leaves room for the server's wake-up after the line)
+    before = state.metricsz()["metrics"]
+    with socket.create_connection((served.host, served.port), timeout=30) as sock:
+        sock.sendall(b"POST /bellwether HTTP/1.1\r\n")
+        time.sleep(0.1)
+        sock.sendall(
+            b"Host: x\r\nConnection: close\r\nContent-Length: 16\r\n\r\n"
+            b'{"budget": 60.0}'
+        )
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    assert raw.startswith(b"HTTP/1.1 200 ")
+    late = re.search(rb"Server-Timing: parse;dur=(\d+\.\d+)", raw)
+    assert float(late[1]) >= 50.0
+    deadline = time.monotonic() + 10
+    while True:
+        after = state.metricsz()["metrics"]
+        if after.get(f"{latency}.count", 0) > before.get(f"{latency}.count", 0):
+            break
+        assert time.monotonic() < deadline, "request never recorded"
+        time.sleep(0.01)
+    assert 0.05 <= moved(catalog.SERVE_STAGE_PARSE, "sum") <= moved(latency, "sum")
